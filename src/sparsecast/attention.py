@@ -55,6 +55,11 @@ KINDS = (
 # masked_canonical is accepted internally for causal dense decoding
 _ALL_KINDS = KINDS + ("masked_canonical",)
 
+# Rows per block of the causal selection; one block covers the decoder
+# lengths up to 128, where the blocked ranking is a single dense compare.
+_SELECT_BLOCK = 128
+_STRICT_LOWER = np.tri(_SELECT_BLOCK, k=-1, dtype=bool)
+
 
 @dataclass
 class AttentionConfig:
@@ -168,14 +173,31 @@ def select_top_queries_causal(scores, c: float) -> np.ndarray:
     Membership of a row therefore depends only on scores at or before it,
     which is what keeps the masked kernels exactly causal.  Ties break
     toward the lower index.
+
+    Rows are ranked in blocks of ``_SELECT_BLOCK`` against the earlier
+    rows of their block and the K = n_{L-1} largest scores before it.
+    That count is exact whenever it is below K >= n_i, so the selection
+    equals a full prefix ranking at O(L*(K+B)) time, with no L x L buffer.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    nan = np.flatnonzero(np.isnan(s))
+    if nan.size:
+        raise ValueError(f"causal selection got a NaN score at index {nan[0]}")
     L = s.size
     n_i = prefix_top_counts(L, c)
-    j = np.arange(L)
-    beats = (s[None, :] > s[:, None]) | ((s[None, :] == s[:, None]) & (j[None, :] < j[:, None]))
-    in_prefix = j[None, :] <= j[:, None]
-    rank = (beats & in_prefix).sum(axis=1)
+    top_k = int(n_i[-1]) if L else 0
+    rank = np.empty(L, dtype=np.intp)
+    top = s[:0]  # the top_k largest scores before the current block
+    for start in range(0, L, _SELECT_BLOCK):
+        block = s[start:start + _SELECT_BLOCK]
+        b = block.size
+        col = block[:, None]
+        earlier_in_block = (block[None, :] >= col) & _STRICT_LOWER[:b, :b]
+        rank[start:start + b] = earlier_in_block.sum(axis=1) + (top[None, :] >= col).sum(axis=1)
+        if start + b < L:
+            top = np.concatenate([top, block])
+            if top.size > top_k:
+                top = np.partition(top, top.size - top_k)[top.size - top_k:]
     return np.nonzero(rank < n_i)[0]
 
 

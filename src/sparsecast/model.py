@@ -15,7 +15,7 @@ from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget
 from .embedding import WindowEmbedding
 from .encoder import Encoder
 from .layers import Dense, FeedForward, LayerNorm, dropout
-from .tensor import ParamStore, Tensor, mean_
+from .tensor import ParamStore, Tensor, mean_, no_grad
 
 ATTENTION_CHOICES = ("neural_sparse", "prob_sparse", "canonical")
 _MASKED_KIND = {
@@ -177,7 +177,8 @@ class Forecaster:
 
     def predict(self, sample, scaler=None, target_columns=None) -> Forecast:
         """Forecast one window; inverse-scale when a scaler is given."""
-        scaled = self.forward(sample).data
+        with no_grad():
+            scaled = self.forward(sample).data
         if scaler is None:
             return Forecast(predictions=scaled.copy(), scaled_predictions=scaled)
         original = scaler.inverse(scaled, columns=target_columns)

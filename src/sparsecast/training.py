@@ -3,9 +3,13 @@
 Batches are index-shuffled per epoch from an explicit seed; the same
 (seed, config, data) triple therefore reproduces the checkpoint byte for
 byte.  Checkpoints store every parameter in insertion order behind the
-magic ``HGNT1`` with a trailing 64-bit FNV-1a checksum of the payload.
+magic ``HGNT2`` with a trailing 64-bit BLAKE2b digest of the payload.
+``HGNT1`` files, whose trailing u64 is an FNV-1a hash, still load.
 """
 
+import gc
+import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +17,8 @@ import numpy as np
 from .data import MetricResult, metrics
 from .tensor import ParamStore, fnv1a64, no_grad, pack_u64, unpack_u64
 
-CHECKPOINT_MAGIC = b"HGNT1"
+CHECKPOINT_MAGIC = b"HGNT2"
+_READABLE_MAGICS = (b"HGNT1", CHECKPOINT_MAGIC)
 
 
 @dataclass
@@ -128,6 +133,43 @@ class TrainResult:
     best_val_mse: float
 
 
+@contextmanager
+def _gc_paused():
+    """Keep the cyclic collector off inside the block, then restore the
+    caller's setting.  A training step allocates tens of thousands of tape
+    tensors, which trigger many collections that only rescan live objects:
+    the tape is acyclic and is freed by reference counting."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _train_step(model, batch, rng, state: OptimizerState, lr: float,
+                config: TrainConfig) -> float:
+    """Forward, backward and Adam update on one batch; returns the mean loss.
+
+    A non-finite loss is returned before any parameter changes.  The tape
+    is freed when this returns.
+    """
+    params = model.params
+    params.zero_grad()
+    total = None
+    for sample in batch:
+        loss = model.loss(sample, rng=rng, train=True)
+        total = loss if total is None else total + loss
+    total = total * (1.0 / len(batch))
+    loss_value = total.item()
+    if np.isfinite(loss_value):
+        total.backward()
+        adam_step(params, state, lr, config.weight_decay,
+                  config.adam_beta1, config.adam_beta2, config.adam_eps)
+    return loss_value
+
+
 def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainResult:
     """Seeded mini-batch training with per-epoch validation.
 
@@ -152,19 +194,11 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            params.zero_grad()
-            total = None
-            for idx in batch:
-                loss = model.loss(train_samples[idx], rng=rng, train=True)
-                total = loss if total is None else total + loss
-            total = total * (1.0 / len(batch))
-            loss_value = total.item()
+            batch = [train_samples[idx] for idx in order[start:start + config.batch_size]]
+            with _gc_paused():
+                loss_value = _train_step(model, batch, rng, state, lr, config)
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(epoch, n_batches, lr)
-            total.backward()
-            adam_step(params, state, lr, config.weight_decay,
-                      config.adam_beta1, config.adam_beta2, config.adam_eps)
             epoch_loss += loss_value
             n_batches += 1
             steps += 1
@@ -191,9 +225,16 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
 # -- checkpoint format ---------------------------------------------------
 
 
+def _checksum(magic: bytes, payload: bytes) -> int:
+    """Trailing u64 of a checkpoint: FNV-1a for ``HGNT1``, else BLAKE2b-64."""
+    if magic == b"HGNT1":
+        return fnv1a64(payload)
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
 def checkpoint_bytes(params: ParamStore) -> bytes:
     """Serialize: magic, then per parameter name length + UTF-8 name + rank +
-    extents (u64 LE) + float64 LE payload, then an FNV-1a checksum."""
+    extents (u64 LE) + float64 LE payload, then a BLAKE2b-64 checksum."""
     chunks = []
     for name, t in params.items():
         encoded = name.encode("utf-8")
@@ -204,7 +245,7 @@ def checkpoint_bytes(params: ParamStore) -> bytes:
             chunks.append(pack_u64(extent))
         chunks.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     payload = b"".join(chunks)
-    return CHECKPOINT_MAGIC + payload + pack_u64(fnv1a64(payload))
+    return CHECKPOINT_MAGIC + payload + pack_u64(_checksum(CHECKPOINT_MAGIC, payload))
 
 
 def save_checkpoint(params: ParamStore, path):
@@ -213,13 +254,14 @@ def save_checkpoint(params: ParamStore, path):
 
 
 def _parse_checkpoint(blob: bytes):
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    magic = blob[: len(CHECKPOINT_MAGIC)]
+    if magic not in _READABLE_MAGICS:
         raise ValueError("not a checkpoint file (bad magic)")
-    if len(blob) < len(CHECKPOINT_MAGIC) + 8:
+    if len(blob) < len(magic) + 8:
         raise ValueError("truncated checkpoint file")
-    payload = blob[len(CHECKPOINT_MAGIC):-8]
+    payload = blob[len(magic):-8]
     stored, _ = unpack_u64(blob, len(blob) - 8)
-    if fnv1a64(payload) != stored:
+    if _checksum(magic, payload) != stored:
         raise ValueError("checkpoint checksum mismatch")
     entries = []
     offset = 0

@@ -1,6 +1,8 @@
 """Attention-kernel tests: dense oracle equivalence, lazy fills, selection rules,
 budget counters, and the multi-head wrapper."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,6 +17,7 @@ from sparsecast.attention import (
     importance_scores,
     masked_neural_sparse_attention,
     neural_sparse_attention,
+    prefix_top_counts,
     prob_sparse_attention,
     select_top_queries,
     select_top_queries_causal,
@@ -137,6 +140,60 @@ class TestSelection:
         sel_full = select_top_queries_causal(scores, 2)
         sel_prefix = select_top_queries_causal(scores[:9], 2)
         npt.assert_array_equal(sel_full[sel_full < 9], sel_prefix)
+
+
+def _dense_causal_oracle(scores, c):
+    """Full prefix ranking through three L x L matrices: row j beats row i
+    when j <= i and s_j > s_i, or s_j == s_i with j < i."""
+    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    L = s.size
+    n_i = prefix_top_counts(L, c)
+    j = np.arange(L)
+    beats = (s[None, :] > s[:, None]) | ((s[None, :] == s[:, None]) & (j[None, :] < j[:, None]))
+    in_prefix = j[None, :] <= j[:, None]
+    rank = (beats & in_prefix).sum(axis=1)
+    return np.nonzero(rank < n_i)[0]
+
+
+def _score_patterns(rng, L):
+    gaussian = rng.standard_normal(L)
+    return {
+        "random": gaussian,
+        "rounded": np.round(gaussian),
+        "constant": np.full(L, 0.5),
+        "increasing": np.arange(L, dtype=np.float64),
+        "decreasing": -np.arange(L, dtype=np.float64),
+        "minus_inf": np.where(rng.random(L) < 0.3, -np.inf, gaussian),
+    }
+
+
+class TestCausalSelectionOracle:
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    def test_matches_dense_oracle(self, c):
+        rng = np.random.default_rng(100 + c)
+        for L in list(range(1, 301)) + [777, 1296, 4096]:
+            for pattern, scores in _score_patterns(rng, L).items():
+                got = select_top_queries_causal(scores, c)
+                want = _dense_causal_oracle(scores, c)
+                assert got.dtype == want.dtype, (L, pattern)
+                assert np.array_equal(got, want), (L, pattern)
+
+    def test_peak_memory_is_linear(self):
+        scores = np.random.default_rng(101).standard_normal(4096)
+        select_top_queries_causal(scores, 5)
+        tracemalloc.start()
+        try:
+            select_top_queries_causal(scores, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_nan_score_names_index(self):
+        scores = np.arange(300, dtype=np.float64)
+        scores[137] = np.nan
+        with pytest.raises(ValueError, match="index 137"):
+            select_top_queries_causal(scores, 5)
 
 
 def _scored_instance(rng, L, d):

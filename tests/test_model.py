@@ -213,3 +213,23 @@ class TestForecaster:
         npt.assert_allclose(forecast.predictions,
                             scaler.inverse(forecast.scaled_predictions, columns=[0, 1]),
                             atol=1e-12)
+
+    def test_predict_records_no_tape(self, tiny_model, monkeypatch):
+        model, sample = tiny_model
+        outputs = []
+        original = Forecaster.forward
+
+        def spy(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(Forecaster, "forward", spy)
+        forecast = model.predict(sample)
+        assert len(outputs) == 1
+        assert not outputs[0].requires_grad
+        assert outputs[0]._parents == ()
+        with no_grad():
+            expected = model.forward(sample).data
+        assert np.array_equal(forecast.scaled_predictions, expected)
+

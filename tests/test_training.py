@@ -1,12 +1,16 @@
 """Training tests: Adam arithmetic, schedule, loop determinism, checkpoints."""
 
+import gc
+import hashlib
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import make_split_windows
 from sparsecast.model import Forecaster, ModelConfig
-from sparsecast.tensor import ParamStore
+from sparsecast.tensor import ParamStore, fnv1a64
 from sparsecast.training import (
     OptimizerState,
     TrainConfig,
@@ -110,6 +114,32 @@ class TestTrainLoop:
             train_loop(model, [poisoned], val_w[:2],
                        TrainConfig(batch_size=1, epochs=1))
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, enabled, monkeypatch):
+        model, train_w, val_w, _ = _tiny_trainable(seed=8)
+        was_enabled = gc.isenabled()
+        set_gc = {True: gc.enable, False: gc.disable}
+        try:
+            set_gc[enabled]()
+            train_loop(model, train_w[:2], val_w[:2],
+                       TrainConfig(batch_size=2, epochs=1, max_steps=1))
+            assert gc.isenabled() == enabled
+            poisoned = train_w[0]
+            poisoned.target[...] = np.nan
+            with pytest.raises(TrainingDiverged):
+                train_loop(model, [poisoned], val_w[:2], TrainConfig(batch_size=1, epochs=1))
+            assert gc.isenabled() == enabled
+
+            def failing_loss(*args, **kwargs):
+                raise RuntimeError("loss failed")
+
+            monkeypatch.setattr(model, "loss", failing_loss)
+            with pytest.raises(RuntimeError, match="loss failed"):
+                train_loop(model, train_w[:2], val_w[:2], TrainConfig(batch_size=2, epochs=1))
+            assert gc.isenabled() == enabled
+        finally:
+            set_gc[was_enabled]()
+
     def test_empty_split_rejected(self):
         model, train_w, _, _ = _tiny_trainable(seed=9)
         with pytest.raises(ValueError, match="empty"):
@@ -163,7 +193,9 @@ class TestCheckpoint:
         path = tmp_path / "w.hgnt"
         save_checkpoint(store, path)
         blob = path.read_bytes()
-        assert blob.startswith(b"HGNT1")
+        assert blob.startswith(b"HGNT2")
+        digest = hashlib.blake2b(blob[5:-8], digest_size=8).digest()
+        assert blob[-8:] == digest
         corrupted = bytearray(blob)
         corrupted[10] ^= 0xFF
         bad = tmp_path / "bad.hgnt"
@@ -199,3 +231,36 @@ class TestCheckpoint:
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    def test_reads_hgnt1(self, tmp_path):
+        name = b"enc.w"
+        payload = (struct.pack("<Q", len(name)) + name + struct.pack("<QQQ", 2, 2, 1)
+                   + struct.pack("<2d", 1.5, -0.25))
+        path = tmp_path / "v1.hgnt"
+        path.write_bytes(b"HGNT1" + payload + struct.pack("<Q", fnv1a64(payload)))
+        loaded = load_checkpoint(path)
+        assert loaded.names() == ["enc.w"]
+        npt.assert_array_equal(loaded["enc.w"].data, [[1.5], [-0.25]])
+
+    @pytest.mark.parametrize("version", [b"HGNT1", b"HGNT2"])
+    def test_truncation_and_bit_flips_are_rejected(self, tmp_path, version):
+        store = ParamStore()
+        store.add("a.w", np.array([[1.0, -2.0], [0.5, 3.0]]))
+        store.add("a.b", np.array([0.25]))
+        blob = checkpoint_bytes(store)
+        if version == b"HGNT1":
+            payload = blob[5:-8]
+            blob = b"HGNT1" + payload + struct.pack("<Q", fnv1a64(payload))
+        path = tmp_path / "fuzz.hgnt"
+        path.write_bytes(blob)
+        assert load_checkpoint(path).names() == ["a.w", "a.b"]
+        damaged = [blob[:n] for n in range(len(blob))]
+        for bit in range(len(blob) * 8):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            damaged.append(bytes(flipped))
+        for bad in damaged:
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="truncated|checksum|magic"):
+                load_checkpoint(path)
+

@@ -223,13 +223,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    _, _, scaler, model_config, windows = prepare_data(config)
+    frame, _, scaler, model_config, windows = prepare_data(config)
     model = Forecaster(model_config, np.random.default_rng(config["train"]["seed"]))
     model.params.copy_from(load_checkpoint(args.checkpoint))
     units = config["metrics_units"]
     frame_targets = None
     if units == "original":
-        frame_targets = _target_indices_for_mode(config)
+        frame_targets = _output_indices(frame, config)
     result = evaluate(model, windows["test"], units=units, scaler=scaler,
                       target_columns=frame_targets)
     outdir = Path(args.out)
@@ -240,10 +240,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _target_indices_for_mode(config: dict):
-    ds = config["dataset"]
-    frame = load_csv(ds["path"], schema=ds["schema"], target=ds["target"])
-    if ds["mode"] == "univariate":
+def _output_indices(frame, config: dict):
+    """Frame columns the model predicts: the target(s) or every column."""
+    if config["dataset"]["mode"] == "univariate":
         return frame.target_indices()
     return list(range(len(frame.columns)))
 
@@ -261,8 +260,7 @@ def cmd_predict(args) -> int:
 
     univariate = config["dataset"]["mode"] == "univariate"
     columns = (test_frame.target_columns if univariate else test_frame.columns)
-    target_idx = (test_frame.target_indices() if univariate
-                  else list(range(len(test_frame.columns))))
+    target_idx = _output_indices(test_frame, config)
     forecast = model.predict(sample, scaler=scaler, target_columns=target_idx)
     truth_scaled = sample.target
     truth = scaler.inverse(truth_scaled, columns=target_idx)

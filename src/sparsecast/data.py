@@ -286,6 +286,11 @@ def make_windows(frame: TimeSeriesFrame, L_x: int, label_len: int, L_y: int,
     The count is L - L_x - h - L_y + 1.  Univariate mode uses the target
     column(s) as both input and output; multivariate mode feeds every
     column and predicts every column.
+
+    The split's stamp matrix and value columns are built once, and every
+    window field is a read-only view into them, so the windows cost
+    O(L) memory rather than O(L * L_x).  Only ``h > 0`` copies: the
+    decoder stamps then skip the gap between warm start and target.
     """
     L = len(frame)
     needed = L_x + h + L_y
@@ -293,23 +298,30 @@ def make_windows(frame: TimeSeriesFrame, L_x: int, label_len: int, L_y: int,
         raise DataError(f"frame of length {L} too short for windows of {needed} rows")
     if label_len > L_x:
         raise DataError(f"label_len={label_len} exceeds L_x={L_x}")
-    target_idx = frame.target_indices()
-    input_idx = target_idx if univariate else list(range(len(frame.columns)))
-    output_idx = target_idx if univariate else list(range(len(frame.columns)))
+    # Inputs and outputs are the same columns in both modes.  C order keeps
+    # each window's rows contiguous, so its view is a contiguous block.
+    columns = frame.target_indices() if univariate else list(range(len(frame.columns)))
+    values = np.ascontiguousarray(frame.values[:, columns])
     stamps = timestamp_features(frame.timestamps)
+    for shared in (values, stamps):
+        shared.setflags(write=False)
 
     samples = []
     for t in range(L - needed + 1):
         enc_stop = t + L_x
         tgt_start = enc_stop + h
-        dec_stamps = np.vstack([stamps[enc_stop - label_len:enc_stop],
-                                stamps[tgt_start:tgt_start + L_y]])
+        if h == 0:
+            dec_stamps = stamps[enc_stop - label_len:tgt_start + L_y]
+        else:
+            dec_stamps = np.vstack([stamps[enc_stop - label_len:enc_stop],
+                                    stamps[tgt_start:tgt_start + L_y]])
+            dec_stamps.setflags(write=False)
         samples.append(WindowSample(
-            enc_values=frame.values[t:enc_stop, input_idx],
+            enc_values=values[t:enc_stop],
             enc_stamps=stamps[t:enc_stop],
             dec_stamps=dec_stamps,
-            known_tail=frame.values[enc_stop - label_len:enc_stop, output_idx],
-            target=frame.values[tgt_start:tgt_start + L_y, output_idx],
+            known_tail=values[enc_stop - label_len:enc_stop],
+            target=values[tgt_start:tgt_start + L_y],
             origin=t,
         ))
     return samples

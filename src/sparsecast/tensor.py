@@ -4,7 +4,11 @@ Every operation evaluates eagerly with numpy and, when gradients are
 enabled and at least one input requires them, records a backward closure.
 Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates ``grad`` buffers on every
-reachable tensor.
+reachable leaf (a tensor that requires gradients but records no backward
+closure, such as a parameter).  The walk consumes the tape: once a node
+has passed its gradient on, its gradient, closure and parent links are
+dropped, so activations are freed as the walk passes them and a second
+``backward()`` through the same graph raises ``RuntimeError``.
 
 Tensors are value-semantic (no operation mutates an input array), so a
 frozen parameter set can be read from multiple threads; gradient buffers
@@ -64,10 +68,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        """Zero the gradient buffer in place, allocating it only if missing."""
+        if self.grad is None or self.grad.shape != self.data.shape:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def backward(self):
-        """Reverse-mode pass seeded at this scalar."""
+        """Reverse-mode pass seeded at this scalar; consumes the tape."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo = []
@@ -80,15 +88,24 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                raise RuntimeError(_CONSUMED)
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited and p.requires_grad:
                     stack.append((p, False))
         _accum(self, np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        # Popping drops the list's reference, so each node's activations die
+        # as soon as its gradient has been passed on.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     # arithmetic sugar -------------------------------------------------
     def __add__(self, other):
@@ -143,12 +160,25 @@ def _coerce(x) -> Tensor:
     return Tensor(x)
 
 
+_CONSUMED = ("backward() through a consumed tape: an earlier backward() already "
+             "freed this graph; recompute the forward pass")
+
+
+def _consumed(g):
+    """Backward closure of a node whose tape a ``backward()`` already walked."""
+    raise RuntimeError(_CONSUMED)
+
+
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A private copy: ``g`` may be shared with another parent (add) or be
+        # a view of a buffer the caller still uses (concat, _getitem).
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _make(data, parents, backward) -> Tensor:

@@ -232,25 +232,52 @@ def _checksum(magic: bytes, payload: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def checkpoint_bytes(params: ParamStore) -> bytes:
-    """Serialize: magic, then per parameter name length + UTF-8 name + rank +
-    extents (u64 LE) + float64 LE payload, then a BLAKE2b-64 checksum."""
-    chunks = []
+_CHUNK_BYTES = 1 << 20
+
+
+def _payload_chunks(params: ParamStore):
+    """The checkpoint payload in order: per parameter a header (name length
+    + UTF-8 name + rank + extents, u64 LE) and then its float64 LE values.
+
+    Parameters smaller than ``_CHUNK_BYTES`` are joined into chunks of about
+    that size, so a small model is written and hashed in a few calls; a
+    larger parameter is yielded as a byte view of itself, not a copy.
+    """
+    batch, size = [], 0
     for name, t in params.items():
         encoded = name.encode("utf-8")
-        chunks.append(pack_u64(len(encoded)))
-        chunks.append(encoded)
-        chunks.append(pack_u64(t.data.ndim))
-        for extent in t.data.shape:
-            chunks.append(pack_u64(extent))
-        chunks.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    payload = b"".join(chunks)
+        batch += [pack_u64(len(encoded)), encoded, pack_u64(t.data.ndim),
+                  *(pack_u64(extent) for extent in t.data.shape)]
+        values = np.ascontiguousarray(t.data, dtype="<f8").reshape(-1).view(np.uint8)
+        if values.nbytes >= _CHUNK_BYTES:
+            yield b"".join(batch)
+            yield values
+            batch, size = [], 0
+            continue
+        batch.append(values)
+        size += values.nbytes
+        if size >= _CHUNK_BYTES:
+            yield b"".join(batch)
+            batch, size = [], 0
+    if batch:
+        yield b"".join(batch)
+
+
+def checkpoint_bytes(params: ParamStore) -> bytes:
+    """Serialize: magic, the payload, then a BLAKE2b-64 checksum of the payload."""
+    payload = b"".join(_payload_chunks(params))
     return CHECKPOINT_MAGIC + payload + pack_u64(_checksum(CHECKPOINT_MAGIC, payload))
 
 
 def save_checkpoint(params: ParamStore, path):
+    """Write the bytes of ``checkpoint_bytes`` chunk by chunk, hashing as it goes."""
+    digest = hashlib.blake2b(digest_size=8)
     with open(path, "wb") as fp:
-        fp.write(checkpoint_bytes(params))
+        fp.write(CHECKPOINT_MAGIC)
+        for chunk in _payload_chunks(params):
+            digest.update(chunk)
+            fp.write(chunk)
+        fp.write(pack_u64(int.from_bytes(digest.digest(), "little")))
 
 
 def _parse_checkpoint(blob: bytes):
@@ -259,7 +286,7 @@ def _parse_checkpoint(blob: bytes):
         raise ValueError("not a checkpoint file (bad magic)")
     if len(blob) < len(magic) + 8:
         raise ValueError("truncated checkpoint file")
-    payload = blob[len(magic):-8]
+    payload = memoryview(blob)[len(magic):-8]
     stored, _ = unpack_u64(blob, len(blob) - 8)
     if _checksum(magic, payload) != stored:
         raise ValueError("checkpoint checksum mismatch")
@@ -267,7 +294,7 @@ def _parse_checkpoint(blob: bytes):
     offset = 0
     while offset < len(payload):
         name_len, offset = unpack_u64(payload, offset)
-        name = payload[offset:offset + name_len].decode("utf-8")
+        name = str(payload[offset:offset + name_len], "utf-8")
         offset += name_len
         rank, offset = unpack_u64(payload, offset)
         shape = []

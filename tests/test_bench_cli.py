@@ -10,6 +10,7 @@ from sparsecast.ablation import VARIANTS, run_ablation
 from sparsecast.attention import canonical_attention, neural_sparse_attention, \
     prob_sparse_attention, importance_scores, top_n_count
 from sparsecast.bench import CSV_HEADER, bench_attention, bench_csv_text
+from sparsecast import cli as cli_module
 from sparsecast.cli import cli, validate_config, ConfigError
 from sparsecast.data import synthetic_aiops_frame, write_csv, make_windows, split_622, \
     fit_apply_scaler
@@ -154,6 +155,31 @@ class TestCli:
         cells = lines[1].split(",")
         assert len(cells) == 3
         float(cells[1]), float(cells[2])  # numeric payload
+
+    def test_eval_original_units_reads_csv_once(self, tmp_path, monkeypatch):
+        csv_path = _aiops_csv(tmp_path)
+        config = _config(tmp_path, csv_path)
+        out = tmp_path / "out"
+        assert cli(["train", "--config", str(config), "--out", str(out)]) == 0
+        scaled = json.loads((out / "metrics.json").read_text())
+        raw = json.loads(config.read_text())
+        raw["metrics_units"] = "original"
+        config.write_text(json.dumps(raw))
+        reads = []
+        real_load = cli_module.load_csv
+        monkeypatch.setattr(cli_module, "load_csv",
+                            lambda *a, **k: reads.append(a) or real_load(*a, **k))
+        assert cli(["eval", "--config", str(config), "--checkpoint",
+                    str(out / "checkpoint.hgnt"), "--out", str(out)]) == 0
+        assert len(reads) == 1
+        original = json.loads((out / "metrics.json").read_text())
+        # Univariate: errors scale by the target column's training std.
+        frame = real_load(csv_path, schema="aiops")
+        train_f, _, _ = split_622(frame)
+        std = train_f.values[:, frame.target_indices()[0]].std()
+        assert original["mse"] == pytest.approx(scaled["mse"] * std**2, rel=1e-9)
+        assert original["mae"] == pytest.approx(scaled["mae"] * std, rel=1e-9)
+        assert original["corr"] == pytest.approx(scaled["corr"], abs=1e-9)
 
     def test_inspect_checkpoint_output(self, tmp_path, capsys):
         csv_path = _aiops_csv(tmp_path)

@@ -214,6 +214,84 @@ class TestWindows:
                                timestamp_features(frame.timestamps[5:21]))
 
 
+def _copying_windows(frame, L_x, label_len, L_y, h=0, univariate=False):
+    """The windows as built by fancy-index copies: the oracle for the views."""
+    cols = frame.target_indices() if univariate else list(range(len(frame.columns)))
+    stamps = timestamp_features(frame.timestamps)
+    out = []
+    for t in range(len(frame) - (L_x + h + L_y) + 1):
+        enc_stop = t + L_x
+        tgt_start = enc_stop + h
+        out.append((frame.values[t:enc_stop, cols],
+                    stamps[t:enc_stop],
+                    np.vstack([stamps[enc_stop - label_len:enc_stop],
+                               stamps[tgt_start:tgt_start + L_y]]),
+                    frame.values[enc_stop - label_len:enc_stop, cols],
+                    frame.values[tgt_start:tgt_start + L_y, cols],
+                    t))
+    return out
+
+
+def _fields(sample):
+    return (sample.enc_values, sample.enc_stamps, sample.dec_stamps,
+            sample.known_tail, sample.target)
+
+
+class TestWindowViews:
+    @pytest.mark.parametrize("h", [0, 3])
+    @pytest.mark.parametrize("univariate", [True, False])
+    def test_equal_to_copying_oracle(self, h, univariate):
+        frame = synthetic_aiops_frame(90, seed=4)
+        samples = make_windows(frame, 16, 8, 8, h=h, univariate=univariate)
+        oracle = _copying_windows(frame, 16, 8, 8, h=h, univariate=univariate)
+        assert len(samples) == len(oracle)
+        for sample, expected in zip(samples, oracle):
+            for got, want in zip(_fields(sample), expected):
+                assert got.dtype == want.dtype
+                npt.assert_array_equal(got, want)
+            assert sample.origin == expected[-1]
+
+    @pytest.mark.parametrize("univariate", [True, False])
+    def test_fields_are_read_only_views_of_shared_arrays(self, univariate):
+        frame = synthetic_seasonal_frame(80, 3, seed=5)
+        samples = make_windows(frame, 16, 8, 8, univariate=univariate)
+        values = samples[0].enc_values.base
+        stamps = samples[0].enc_stamps.base
+        assert not np.shares_memory(values, frame.values)
+        for sample in samples:
+            enc_values, enc_stamps, dec_stamps, known_tail, target = _fields(sample)
+            for arr in (enc_values, known_tail, target):
+                assert np.shares_memory(arr, values)
+            for arr in (enc_stamps, dec_stamps):
+                assert np.shares_memory(arr, stamps)
+            for arr in _fields(sample):
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+
+    def test_horizon_gap_copies_only_decoder_stamps(self):
+        frame = synthetic_seasonal_frame(80, 2, seed=6)
+        sample = make_windows(frame, 16, 8, 8, h=2)[0]
+        assert not sample.dec_stamps.flags.writeable
+        assert not np.shares_memory(sample.dec_stamps, sample.enc_stamps.base)
+        assert np.shares_memory(sample.target, sample.enc_values.base)
+
+    def test_long_univariate_windows_stay_small(self):
+        """Every buffer the windows of a 17,280-row, 20-column frame reference,
+        counted once: about a megabyte, not the ~800 MB of per-window copies."""
+        frame = synthetic_aiops_frame(17280, seed=1)
+        train, val, test = split_622(frame)
+        splits, _ = fit_apply_scaler(train, [val, test])
+        owners = {}
+        for split in splits:
+            for sample in make_windows(split, 1440, 720, 576, univariate=True):
+                for arr in _fields(sample):
+                    while arr.base is not None:
+                        arr = arr.base
+                    owners[id(arr)] = arr.nbytes
+        assert sum(owners.values()) / 2**20 < 5.0
+
+
 class TestMetrics:
     def test_perfect_fit(self):
         result = metrics([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])

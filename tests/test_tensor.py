@@ -1,5 +1,7 @@
 """Tensor-core tests: op semantics, hand-computed examples, and the reverse-gradient contract."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -254,3 +256,91 @@ class TestTensorBasics:
     def test_embedding_out_of_range(self):
         with pytest.raises(IndexError, match="out of range"):
             embedding_lookup(Tensor(np.zeros((3, 2))), np.array([0, 3]))
+
+
+def _residual_stack(store: ParamStore, x: np.ndarray):
+    """relu(h @ W_i + h) over every weight in ``store``, reduced to a scalar;
+    returns the loss and the activations it was built from."""
+    h = Tensor(x)
+    acts = []
+    for name in store:
+        h = relu(matmul(h, store[name]) + h)
+        acts.append(h)
+    return sum_(h * h), acts
+
+
+class TestTapeLifetime:
+    def _store(self, layers=16, width=64):
+        rng = np.random.default_rng(3)
+        store = ParamStore()
+        for i in range(layers):
+            store.add(f"w{i}", rng.standard_normal((width, width)) / width)
+        return store
+
+    def test_leaves_keep_gradients_intermediates_drop_them(self):
+        store = self._store(layers=4, width=8)
+        loss, acts = _residual_stack(store, np.random.default_rng(4).standard_normal((5, 8)))
+        loss.backward()
+        for name, t in store.items():
+            assert t.grad is not None and t.grad.shape == t.data.shape, name
+        for t in acts + [loss]:
+            assert t.grad is None and t._parents == ()
+
+    def test_gradients_match_a_second_fresh_forward(self):
+        """Freeing the tape changes no gradient: two forwards, two backwards,
+        each leaf gradient exactly doubles."""
+        store = self._store(layers=3, width=6)
+        x = np.random.default_rng(5).standard_normal((4, 6))
+        store.zero_grad()
+        _residual_stack(store, x)[0].backward()
+        first = {name: t.grad.copy() for name, t in store.items()}
+        _residual_stack(store, x)[0].backward()
+        for name, t in store.items():
+            npt.assert_array_equal(t.grad, 2.0 * first[name])
+
+    def test_consumed_tape_raises(self):
+        store = self._store(layers=2, width=4)
+        loss, acts = _residual_stack(store, np.ones((3, 4)))
+        loss.backward()
+        grads = {name: t.grad.copy() for name, t in store.items()}
+        with pytest.raises(RuntimeError, match="consumed tape"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="consumed tape"):
+            sum_(acts[0] * 3.0).backward()
+        for name, t in store.items():
+            npt.assert_array_equal(t.grad, grads[name])
+
+    def test_zero_grad_reuses_buffers(self):
+        store = self._store(layers=2, width=4)
+        store.zero_grad()
+        buffers = {name: t.grad for name, t in store.items()}
+        _residual_stack(store, np.ones((3, 4)))[0].backward()
+        store.zero_grad()
+        for name, t in store.items():
+            assert t.grad is buffers[name]
+            npt.assert_array_equal(t.grad, 0.0)
+        store["w0"].data = np.zeros((2, 2))
+        store.zero_grad()
+        assert store["w0"].grad.shape == (2, 2)
+
+    def test_backward_peak_stays_near_forward_tape(self):
+        """Gradients of activations are freed as the walk passes them, so
+        backward needs little beyond the tape it consumes, and almost
+        nothing outlives it but the parameter gradients."""
+        store = self._store()
+        x = np.random.default_rng(6).standard_normal((512, 64))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss, acts = _residual_stack(store, x)
+            del acts
+            tape = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            loss.backward()
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        param_grads = sum(t.grad.nbytes for _, t in store.items())
+        assert tape > 10 * param_grads
+        assert peak <= 1.2 * tape
+        assert held <= param_grads + 64 * 1024

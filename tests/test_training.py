@@ -1,5 +1,6 @@
 """Training tests: Adam arithmetic, schedule, loop determinism, checkpoints."""
 
+import dataclasses
 import gc
 import hashlib
 import struct
@@ -108,8 +109,7 @@ class TestTrainLoop:
 
     def test_divergence_aborts_with_diagnostics(self):
         model, train_w, val_w, _ = _tiny_trainable(seed=8)
-        poisoned = train_w[0]
-        poisoned.target[...] = np.nan
+        poisoned = dataclasses.replace(train_w[0], target=np.full_like(train_w[0].target, np.nan))
         with pytest.raises(TrainingDiverged, match="epoch 0"):
             train_loop(model, [poisoned], val_w[:2],
                        TrainConfig(batch_size=1, epochs=1))
@@ -124,8 +124,8 @@ class TestTrainLoop:
             train_loop(model, train_w[:2], val_w[:2],
                        TrainConfig(batch_size=2, epochs=1, max_steps=1))
             assert gc.isenabled() == enabled
-            poisoned = train_w[0]
-            poisoned.target[...] = np.nan
+            poisoned = dataclasses.replace(train_w[0],
+                                           target=np.full_like(train_w[0].target, np.nan))
             with pytest.raises(TrainingDiverged):
                 train_loop(model, [poisoned], val_w[:2], TrainConfig(batch_size=1, epochs=1))
             assert gc.isenabled() == enabled
@@ -185,6 +185,27 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.names() == model.params.names()
         for name, t in model.params.items():
+            npt.assert_array_equal(loaded[name].data, t.data)
+
+    def test_streamed_file_equals_checkpoint_bytes(self, tmp_path):
+        """``save_checkpoint`` writes and hashes chunk by chunk; its file is
+        byte for byte ``checkpoint_bytes``, also for scalar, empty and
+        non-contiguous parameters, for small ones that fill a chunk between
+        them and for one larger than a chunk."""
+        store = ParamStore()
+        store.add("scalar", np.array(0.75))
+        store.add("empty", np.zeros((0, 3)))
+        store.add("strided", np.arange(12.0).reshape(3, 4).T)
+        store.add("half_a", np.full(65536, 0.5))
+        store.add("half_b", np.full(65536, -1.5))
+        store.add("big", np.arange(131075.0).reshape(5, -1))
+        store.add("tail", np.array([2.0]))
+        path = tmp_path / "odd.hgnt"
+        save_checkpoint(store, path)
+        assert path.read_bytes() == checkpoint_bytes(store)
+        loaded = load_checkpoint(path)
+        for name, t in store.items():
+            assert loaded[name].data.shape == t.data.shape
             npt.assert_array_equal(loaded[name].data, t.data)
 
     def test_magic_and_checksum(self, tmp_path):

@@ -19,6 +19,10 @@ Masked variants keep every output row independent of later positions:
 the ranking signal is computed causally (left-padded convolution or a
 prefix-restricted sample statistic) and each row is ranked only against
 earlier rows, with a per-prefix budget n_i = c*ln(i+1).
+
+Every kind runs through one core, ``attend``, which takes all H heads as
+(H, L, d_head) stacks and runs each tensor op once for all of them; the
+kinds differ only in the (H, L) ranking they hand it.
 """
 
 import math
@@ -32,17 +36,16 @@ from .layers import uniform_init
 from .tensor import (
     ParamStore,
     Tensor,
-    broadcast_rows,
-    concat,
+    attention_weights,
     conv1d_time,
     cumsum_time,
     gather_rows,
     matmul,
     mean_,
+    merge_heads,
     no_grad,
     scatter_rows,
-    softmax_lastdim,
-    transpose,
+    split_heads,
 )
 
 KINDS = (
@@ -158,12 +161,15 @@ def causal_mask(length: int) -> np.ndarray:
 def select_top_queries(scores, c: float) -> np.ndarray:
     """Indices (ascending) of the n = c*ln(L) largest scores.
 
-    Ties are broken toward the lower index.
+    Ties are broken toward the lower index.  An (H, L) array of per-head
+    scores gives an (H, n) array, one row of indices per head.
     """
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    n = top_n_count(s.size, c)
-    order = np.lexsort((np.arange(s.size), -s))
-    return np.sort(order[:n])
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2:
+        s = s.reshape(-1)
+    n = top_n_count(s.shape[-1], c)
+    order = np.argsort(-s, axis=-1, kind="stable")
+    return np.sort(order[..., :n], axis=-1)
 
 
 def select_top_queries_causal(scores, c: float) -> np.ndarray:
@@ -235,6 +241,162 @@ def importance_scores(q, k, kernel, bias=None, causal: bool = False) -> np.ndarr
     return scores
 
 
+def _as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _one_head(q, k, v):
+    """(L, d) inputs as H = 1 stacks for the multi-head core."""
+    return split_heads(q, 1), split_heads(k, 1), split_heads(v, 1)
+
+
+def _select_heads(ranking: np.ndarray, c: float, causal: bool):
+    """Per-head selected rows as an (H, n) index plus, when causal heads keep
+    different counts, the (H, n) mask of real rows (else None).
+
+    Causal heads are selected one at a time and padded to the longest list
+    with rows that head leaves lazy."""
+    if not causal:
+        return select_top_queries(ranking, c), None
+    chosen = [select_top_queries_causal(scores, c) for scores in ranking]
+    n = max(rows.size for rows in chosen)
+    if all(rows.size == n for rows in chosen):
+        return np.stack(chosen), None
+    H, L = ranking.shape
+    rows = np.empty((H, n), dtype=np.intp)
+    real = np.zeros((H, n), dtype=bool)
+    for h, sel in enumerate(chosen):
+        lazy = np.ones(L, dtype=bool)
+        lazy[sel] = False
+        rows[h, :sel.size] = sel
+        rows[h, sel.size:] = np.flatnonzero(lazy)[:n - sel.size]
+        real[h, :sel.size] = True
+    return rows, real
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
+           causal: bool = False, cumsum_normalized: bool = False, mask=None,
+           budget: ScoreBudget | None = None, tracker=None, timer=None) -> Tensor:
+    """The one attention core: all H heads of (H, L, d) inputs in each op.
+
+    With ``ranking`` None every query row attends (canonical; ``causal``
+    adds the causal mask, or ``mask`` gives any boolean (L_Q, L_K) mask).
+    Otherwise ``ranking`` is an (H, L) array of per-head query scores: the
+    top-n rows of each head get exact attention over all keys (each row
+    masked to keys at or before it when ``causal``) and the lazy rows are
+    filled with the column mean of V, or with its inclusive prefix sum
+    (``cumsum_normalized``: prefix mean) when ``causal``.  Only real rows
+    are counted in ``budget``; the transient score buffer of every head is
+    held in ``tracker`` at once.
+    """
+    timer = timer or _NULL_TIMER
+    tracker = tracker or _NULL_TRACKER
+    H, l_q, d = q.shape
+    l_k = k.shape[1]
+    rows = real = None
+    if ranking is not None:
+        with timer.phase(2):
+            rows, real = _select_heads(ranking, c, causal)
+    n = l_q if rows is None else rows.shape[1]
+    if budget is not None:
+        counted = H * n if real is None else int(real.sum())
+        budget.dot_products_materialized += counted * l_k
+        budget.rows_selected += counted
+    with timer.phase(3):
+        if rows is None:
+            q_rows = q
+            if causal:
+                mask = causal_mask(l_q)
+        else:
+            q_rows = gather_rows(q, rows)
+            mask = np.arange(l_k) > rows[:, :, None] if causal else None
+        with tracker.hold(H * n * l_k * 8):
+            weights = attention_weights(q_rows, k, 1.0 / math.sqrt(d), mask)
+            out = matmul(weights, v)
+        if rows is None:
+            return out
+        if real is not None:
+            out = out * Tensor(real[:, :, None])
+        out = scatter_rows(rows, out, l_q)
+        lazy = np.ones((H, l_q), dtype=bool)
+        lazy[np.arange(H)[:, None], rows] = False if real is None else ~real
+        if lazy.any():
+            keep = lazy[:, :, None].astype(np.float64)
+            if causal:
+                fill = cumsum_time(v)
+                if cumsum_normalized:
+                    keep = keep * (1.0 / np.arange(1, l_q + 1)[:, None])
+            else:
+                fill = mean_(v, axis=1, keepdims=True)
+            out = out + fill * Tensor(keep)
+    return out
+
+
+def sampled_sparsity(q: Tensor, k: Tensor, c: float, rng: np.random.Generator,
+                     causal: bool = False, budget: ScoreBudget | None = None,
+                     tracker=None, timer=None) -> np.ndarray:
+    """(H, L) ``prob_sparse`` ranking: per head, max - mean of the scaled dot
+    products with u = c*ln(L) keys sampled uniformly without replacement.
+
+    Heads draw their samples in head order from ``rng``.  When ``causal``
+    the statistic of row i uses only sampled keys at or before i, and rows
+    that see no sampled key rank lowest.
+    """
+    timer = timer or _NULL_TIMER
+    tracker = tracker or _NULL_TRACKER
+    H, L, d = q.shape
+    if k.shape[1] != L:
+        raise ValueError("prob_sparse attention is self-attention only (L_Q must equal L_K)")
+    with timer.phase(1):
+        u = top_n_count(L, c)
+        sample = np.stack([np.sort(rng.choice(L, size=u, replace=False)) for _ in range(H)])
+        with tracker.hold(H * L * u * 8):
+            keys = np.take_along_axis(k.data, sample[:, :, None], axis=1)
+            sampled_scores = (q.data @ np.swapaxes(keys, -1, -2)) / math.sqrt(d)
+            if causal:
+                visible = sample[:, None, :] <= np.arange(L)[:, None]
+                counts = visible.sum(axis=-1)
+                peak = np.where(visible, sampled_scores, -np.inf).max(axis=-1)
+                mean = np.where(visible, sampled_scores, 0.0).sum(axis=-1) / np.maximum(counts, 1)
+                measure = np.where(counts > 0, peak - mean, -np.inf)
+            else:
+                measure = sampled_scores.max(axis=-1) - sampled_scores.mean(axis=-1)
+    if budget is not None:
+        budget.dot_products_materialized += H * L * u
+    return measure
+
+
+def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
+                score_kernel=None, score_bias=None, rng: np.random.Generator | None = None,
+                cumsum_normalized: bool = False, budget: ScoreBudget | None = None,
+                tracker=None, timer=None) -> Tensor:
+    """Multi-head attention of one ``kind`` on full-width (L, H*d) projections.
+
+    The kinds differ only in how queries are ranked: ``canonical`` keeps
+    every row, ``neural_sparse`` ranks by the score convolution (one call
+    for all heads), ``prob_sparse`` by the sampled statistic; the
+    ``masked_*`` kinds add the causal mask.  Returns the merged (L, H*d)
+    output.
+    """
+    timer = timer or _NULL_TIMER
+    causal = kind.startswith("masked")
+    ranking = None
+    if kind.endswith("neural_sparse"):
+        with timer.phase(1):
+            ranking = importance_scores(q_full, k_full, score_kernel, score_bias,
+                                        causal=causal).T
+    q = split_heads(q_full, n_heads)
+    k = split_heads(k_full, n_heads)
+    v = split_heads(v_full, n_heads)
+    if kind.endswith("prob_sparse"):
+        if rng is None:
+            raise ValueError("prob_sparse attention requires an rng")
+        ranking = sampled_sparsity(q, k, c, rng, causal, budget, tracker, timer)
+    out = attend(q, k, v, ranking, c=c, causal=causal, cumsum_normalized=cumsum_normalized,
+                 budget=budget, tracker=tracker, timer=timer)
+    return merge_heads(out)
+
+
 def canonical_attention(q, k, v, mask=None, budget: ScoreBudget | None = None,
                         tracker=None, timer=None) -> Tensor:
     """Dense attention: softmax(Q K^T / sqrt(d)) V.
@@ -242,55 +404,15 @@ def canonical_attention(q, k, v, mask=None, budget: ScoreBudget | None = None,
     ``mask`` is an optional boolean (L_Q, L_K) array, True = forbidden;
     a causal mask only makes sense when L_Q == L_K.
     """
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    k = k if isinstance(k, Tensor) else Tensor(k)
-    v = v if isinstance(v, Tensor) else Tensor(v)
-    l_q, d = q.shape
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    d = q.shape[1]
     l_k = k.shape[0]
     if k.shape[1] != d:
         raise ValueError(f"query dim {d} does not match key dim {k.shape[1]}")
     if v.shape[0] != l_k:
         raise ValueError(f"keys have {l_k} rows but values have {v.shape[0]}")
-    timer = timer or _NULL_TIMER
-    tracker = tracker or _NULL_TRACKER
-    if budget is not None:
-        budget.dot_products_materialized += l_q * l_k
-        budget.rows_selected += l_q
-    with timer.phase(3):
-        with tracker.hold(l_q * l_k * 8):
-            scores = matmul(q, transpose(k)) * (1.0 / math.sqrt(d))
-            attn = softmax_lastdim(scores, mask)
-            out = matmul(attn, v)
-    return out
-
-
-def _aggregate_selected(q, k, v, selected: np.ndarray, masked: bool,
-                        budget, tracker, timer, cumsum_normalized: bool) -> Tensor:
-    """Dense attention for the selected query rows plus the lazy fill."""
-    L, d = q.shape
-    n = int(selected.size)
-    if budget is not None:
-        budget.dot_products_materialized += n * L
-        budget.rows_selected += n
-    with timer.phase(3):
-        lazy = np.setdiff1d(np.arange(L), selected, assume_unique=True)
-        q_sel = gather_rows(q, selected)
-        with tracker.hold(n * L * 8):
-            scores = matmul(q_sel, transpose(k)) * (1.0 / math.sqrt(d))
-            mask = (np.arange(L)[None, :] > selected[:, None]) if masked else None
-            attn = softmax_lastdim(scores, mask)
-            out_sel = matmul(attn, v)
-        out = scatter_rows(selected, out_sel, L)
-        if lazy.size:
-            if masked:
-                fill_source = cumsum_time(v)
-                if cumsum_normalized:
-                    fill_source = fill_source * Tensor(1.0 / np.arange(1, L + 1)[:, None])
-                fill = gather_rows(fill_source, lazy)
-            else:
-                fill = broadcast_rows(mean_(v, axis=0, keepdims=True), lazy.size)
-            out = out + scatter_rows(lazy, fill, L)
-    return out
+    out = attend(*_one_head(q, k, v), mask=mask, budget=budget, tracker=tracker, timer=timer)
+    return merge_heads(out)
 
 
 def neural_sparse_attention(q, k, v, c: float, scores, budget: ScoreBudget | None = None,
@@ -301,16 +423,13 @@ def neural_sparse_attention(q, k, v, c: float, scores, budget: ScoreBudget | Non
     filled with the column mean of V.  ``scores`` is this head's
     importance column of length L.
     """
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    k = k if isinstance(k, Tensor) else Tensor(k)
-    v = v if isinstance(v, Tensor) else Tensor(v)
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.shape[0] != k.shape[0]:
         raise ValueError("neural_sparse attention is self-attention only (L_Q must equal L_K)")
-    timer = timer or _NULL_TIMER
-    tracker = tracker or _NULL_TRACKER
-    with timer.phase(2):
-        selected = select_top_queries(scores, c)
-    return _aggregate_selected(q, k, v, selected, False, budget, tracker, timer, False)
+    ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
+    out = attend(*_one_head(q, k, v), ranking, c=c, budget=budget, tracker=tracker,
+                 timer=timer)
+    return merge_heads(out)
 
 
 def masked_neural_sparse_attention(q, k, v, c: float, scores,
@@ -323,16 +442,14 @@ def masked_neural_sparse_attention(q, k, v, c: float, scores,
     ``importance_scores(..., causal=True)``) for the output to be exactly
     independent of later inputs.
     """
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    k = k if isinstance(k, Tensor) else Tensor(k)
-    v = v if isinstance(v, Tensor) else Tensor(v)
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.shape[0] != k.shape[0]:
         raise ValueError("masked attention needs L_Q == L_K")
-    timer = timer or _NULL_TIMER
-    tracker = tracker or _NULL_TRACKER
-    with timer.phase(2):
-        selected = select_top_queries_causal(scores, c)
-    return _aggregate_selected(q, k, v, selected, True, budget, tracker, timer, cumsum_normalized)
+    ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
+    out = attend(*_one_head(q, k, v), ranking, c=c, causal=True,
+                 cumsum_normalized=cumsum_normalized, budget=budget, tracker=tracker,
+                 timer=timer)
+    return merge_heads(out)
 
 
 def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
@@ -347,48 +464,21 @@ def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
     keys at or before i (rows that see no sampled key rank lowest) and
     selection is causal.
     """
-    q = q if isinstance(q, Tensor) else Tensor(q)
-    k = k if isinstance(k, Tensor) else Tensor(k)
-    v = v if isinstance(v, Tensor) else Tensor(v)
-    L, d = q.shape
-    if k.shape[0] != L:
-        raise ValueError("prob_sparse attention is self-attention only (L_Q must equal L_K)")
-    timer = timer or _NULL_TIMER
-    tracker = tracker or _NULL_TRACKER
-
-    with timer.phase(1):
-        u = top_n_count(L, c)
-        sample = np.sort(rng.choice(L, size=u, replace=False))
-        with tracker.hold(L * u * 8):
-            sampled_scores = (q.data @ k.data[sample].T) / math.sqrt(d)
-            if masked:
-                visible = sample[None, :] <= np.arange(L)[:, None]
-                counts = visible.sum(axis=1)
-                peak = np.where(visible, sampled_scores, -np.inf).max(axis=1)
-                mean = np.where(visible, sampled_scores, 0.0).sum(axis=1) / np.maximum(counts, 1)
-                measure = np.where(counts > 0, peak - mean, -np.inf)
-            else:
-                measure = sampled_scores.max(axis=1) - sampled_scores.mean(axis=1)
-    if budget is not None:
-        budget.dot_products_materialized += L * u
-    with timer.phase(2):
-        if masked:
-            selected = select_top_queries_causal(measure, c)
-        else:
-            selected = select_top_queries(measure, c)
-    return _aggregate_selected(q, k, v, selected, masked, budget, tracker, timer,
-                               cumsum_normalized)
+    q, k, v = _one_head(_as_tensor(q), _as_tensor(k), _as_tensor(v))
+    ranking = sampled_sparsity(q, k, c, rng, masked, budget, tracker, timer)
+    out = attend(q, k, v, ranking, c=c, causal=masked, cumsum_normalized=cumsum_normalized,
+                 budget=budget, tracker=tracker, timer=timer)
+    return merge_heads(out)
 
 
 class MultiHeadAttention:
-    """Multi-head wrapper: project, run the configured kernel per head,
-    concatenate, and project back.
+    """Multi-head wrapper: project, run the configured kernel on all heads
+    at once, merge the heads, and project back.
 
     The projections W_Q, W_K, W_V, W_O are d_model x d_model without
     biases.  For the learned-score kinds one convolution scores all heads
     at once on the full-width projected Q and K; head h selects by column
-    h.  Kernels are pure given parameters, so heads could run
-    concurrently; counters are per-invocation.
+    h.  Kernels are pure given parameters; counters are per-invocation.
     """
 
     def __init__(self, store: ParamStore, prefix: str, config: AttentionConfig,
@@ -412,53 +502,14 @@ class MultiHeadAttention:
                  rng: np.random.Generator | None = None,
                  budget: ScoreBudget | None = None, tracker=None, timer=None) -> Tensor:
         cfg = self.config
-        kind = cfg.kind
-        self_attention = x_kv is None
+        if x_kv is not None and cfg.kind != "canonical":
+            raise ValueError(f"cross-attention requires the canonical kernel, got {cfg.kind!r}")
         if x_kv is None:
             x_kv = x_q
-        if kind != "canonical" and not self_attention:
-            raise ValueError(f"cross-attention requires the canonical kernel, got {kind!r}")
-        timer = timer or _NULL_TIMER
-
-        q_full = matmul(x_q, self.w_q)
-        k_full = matmul(x_kv, self.w_k)
-        v_full = matmul(x_kv, self.w_v)
-        L = q_full.shape[0]
-
-        scores = None
-        if kind in ("neural_sparse", "masked_neural_sparse"):
-            with timer.phase(1):
-                scores = importance_scores(
-                    q_full, k_full, self.score_kernel, self.score_bias,
-                    causal=kind.startswith("masked"),
-                )
-        if kind in ("prob_sparse", "masked_prob_sparse") and rng is None:
-            raise ValueError("prob_sparse attention requires an rng")
-
-        heads = []
-        dh = cfg.d_head
-        for h in range(cfg.n_heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            qh, kh, vh = q_full[:, cols], k_full[:, cols], v_full[:, cols]
-            if kind == "canonical":
-                out = canonical_attention(qh, kh, vh, budget=budget, tracker=tracker,
-                                          timer=timer)
-            elif kind == "masked_canonical":
-                out = canonical_attention(qh, kh, vh, mask=causal_mask(L), budget=budget,
-                                          tracker=tracker, timer=timer)
-            elif kind == "neural_sparse":
-                out = neural_sparse_attention(qh, kh, vh, cfg.c, scores[:, h], budget=budget,
-                                              tracker=tracker, timer=timer)
-            elif kind == "masked_neural_sparse":
-                out = masked_neural_sparse_attention(qh, kh, vh, cfg.c, scores[:, h],
-                                                     budget=budget, tracker=tracker,
-                                                     timer=timer,
-                                                     cumsum_normalized=cfg.cumsum_normalized)
-            else:
-                out = prob_sparse_attention(qh, kh, vh, cfg.c, rng,
-                                            masked=kind.startswith("masked"), budget=budget,
-                                            tracker=tracker, timer=timer,
-                                            cumsum_normalized=cfg.cumsum_normalized)
-            heads.append(out)
-        merged = heads[0] if len(heads) == 1 else concat(heads, axis=1)
+        merged = attend_kind(
+            cfg.kind, matmul(x_q, self.w_q), matmul(x_kv, self.w_k), matmul(x_kv, self.w_v),
+            cfg.n_heads, cfg.c, score_kernel=self.score_kernel, score_bias=self.score_bias,
+            rng=rng, cumsum_normalized=cfg.cumsum_normalized, budget=budget,
+            tracker=tracker, timer=timer,
+        )
         return matmul(merged, self.w_o)

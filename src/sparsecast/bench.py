@@ -19,18 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    PhaseTimer,
-    ScoreBudget,
-    canonical_attention,
-    importance_scores,
-    neural_sparse_attention,
-    prob_sparse_attention,
-)
+from .attention import PhaseTimer, ScoreBudget, attend_kind
 from .layers import uniform_init
 from .tensor import AllocationTracker, Tensor, no_grad
 
+# The default sweep; the masked (decoder) kernels are appended after it so
+# that each kernel's index, and with it every cell's seed, stays fixed.
 BENCH_KERNELS = ("canonical", "prob_sparse", "neural_sparse")
+ALL_BENCH_KERNELS = BENCH_KERNELS + ("masked_canonical", "masked_neural_sparse",
+                                     "masked_prob_sparse")
 CSV_HEADER = ["kernel", "batch", "seq_len", "heads", "dims", "median_ns",
               "dot_products", "peak_bytes", "t1_ns", "t2_ns", "t3_ns"]
 DEFAULT_BATCHES = (1, 4, 16, 32, 64)
@@ -69,23 +66,10 @@ def _run_once(kernel: str, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     rng = np.random.default_rng(rng_seed)
     start = time.perf_counter_ns()
     for b in range(batch):
-        if kernel == "neural_sparse":
-            with timer.phase(1):
-                q_full = q[b].reshape(L, heads * dims)
-                k_full = k[b].reshape(L, heads * dims)
-                scores = importance_scores(q_full, k_full, score_kernel, score_bias)
-            for h in range(heads):
-                neural_sparse_attention(q[b, :, h], k[b, :, h], v[b, :, h], c,
-                                        scores[:, h], budget=budget, tracker=tracker,
-                                        timer=timer)
-        elif kernel == "prob_sparse":
-            for h in range(heads):
-                prob_sparse_attention(q[b, :, h], k[b, :, h], v[b, :, h], c, rng,
-                                      budget=budget, tracker=tracker, timer=timer)
-        else:
-            for h in range(heads):
-                canonical_attention(q[b, :, h], k[b, :, h], v[b, :, h],
-                                    budget=budget, tracker=tracker, timer=timer)
+        q_full, k_full, v_full = (Tensor(x[b].reshape(L, heads * dims)) for x in (q, k, v))
+        attend_kind(kernel, q_full, k_full, v_full, heads, c, score_kernel=score_kernel,
+                    score_bias=score_bias, rng=rng, budget=budget, tracker=tracker,
+                    timer=timer)
     elapsed = time.perf_counter_ns() - start
     return elapsed, budget, tracker.peak, timer
 
@@ -105,12 +89,12 @@ def bench_attention(batches=DEFAULT_BATCHES, seq_lens=DEFAULT_SEQ_LENS,
     records = []
     with no_grad():
         for kernel in kernels:
-            if kernel not in BENCH_KERNELS:
+            if kernel not in ALL_BENCH_KERNELS:
                 raise ValueError(f"unknown benchmark kernel {kernel!r}")
             for batch in batches:
                 for L in seq_lens:
                     cell_seed = np.random.SeedSequence(
-                        [seed, BENCH_KERNELS.index(kernel), batch, L]
+                        [seed, ALL_BENCH_KERNELS.index(kernel), batch, L]
                     ).generate_state(1)[0]
                     rng = np.random.default_rng(cell_seed)
                     try:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .ablation import format_table, run_ablation
-from .bench import BENCH_KERNELS, bench_attention, write_bench_csv
+from .bench import ALL_BENCH_KERNELS, BENCH_KERNELS, bench_attention, write_bench_csv
 from .data import (
     DataError,
     SCALER_MODES,
@@ -296,7 +296,7 @@ def _int_list(text: str):
 def cmd_bench(args) -> int:
     kernels = args.kernels.split(",") if args.kernels else list(BENCH_KERNELS)
     for k in kernels:
-        if k not in BENCH_KERNELS:
+        if k not in ALL_BENCH_KERNELS:
             raise ConfigError(f"bench: unknown kernel {k!r}")
     records = bench_attention(batches=_int_list(args.batches),
                               seq_lens=_int_list(args.seq_lens), kernels=kernels,

@@ -80,14 +80,27 @@ class TimeSeriesFrame:
 
 
 def _parse_timestamp(text: str, row: int) -> datetime:
+    stripped = text.strip()
     try:
-        return datetime.strptime(text.strip(), "%Y-%m-%d %H:%M:%S")
+        return datetime.fromisoformat(stripped)
     except ValueError:
         pass
     try:
-        return datetime.fromisoformat(text.strip())
+        return datetime.strptime(stripped, "%Y-%m-%d %H:%M:%S")
     except ValueError as exc:
         raise DataError(f"row {row}: cannot parse timestamp {text!r}") from exc
+
+
+def _raise_bad_cell(columns, cells, lineno: int):
+    """Name the first cell of a row that ``float`` rejects."""
+    for col, cell in zip(columns, cells):
+        try:
+            float(cell)
+        except ValueError:
+            raise DataError(
+                f"row {lineno}, column {col!r}: non-numeric cell {cell!r}"
+            ) from None
+    raise AssertionError(f"row {lineno}: no cell failed to parse on the second pass")
 
 
 def load_csv(path, schema: str = "generic", target: str | None = None) -> TimeSeriesFrame:
@@ -114,15 +127,10 @@ def load_csv(path, schema: str = "generic", target: str | None = None) -> TimeSe
             if len(record) != len(header):
                 raise DataError(f"row {lineno}: expected {len(header)} cells, got {len(record)}")
             timestamps.append(_parse_timestamp(record[0], lineno))
-            parsed = []
-            for col, cell in zip(columns, record[1:]):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"row {lineno}, column {col!r}: non-numeric cell {cell!r}"
-                    ) from None
-            rows.append(parsed)
+            try:
+                rows.append(list(map(float, record[1:])))
+            except ValueError:
+                _raise_bad_cell(columns, record[1:], lineno)
     if not rows:
         raise DataError("CSV has a header but no data rows")
     values = np.asarray(rows, dtype=np.float64)
@@ -258,11 +266,28 @@ def fit_apply_scaler(train: TimeSeriesFrame, others, mode: str = "standardize_pe
     return [f.with_values(scaler.apply(f.values)) for f in frames], scaler
 
 
+_EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
+
+
 def timestamp_features(timestamps) -> np.ndarray:
-    """(L, 5) integer stamp matrix: month, day, weekday, hour, 15-minute bucket."""
-    out = np.empty((len(timestamps), len(STAMP_CATEGORIES)), dtype=np.intp)
-    for i, ts in enumerate(timestamps):
-        out[i] = (ts.month, ts.day, ts.weekday(), ts.hour, ts.minute // 15)
+    """(L, 5) integer stamp matrix: month, day, weekday, hour, 15-minute bucket.
+
+    Fields are those of each timestamp's own (wall-clock) date and time;
+    calendar arithmetic runs on whole days since 1970-01-01 (a Thursday).
+    """
+    n = len(timestamps)
+    days = np.fromiter((ts.toordinal() for ts in timestamps), dtype=np.int64,
+                       count=n) - _EPOCH_ORDINAL
+    minutes = np.fromiter((ts.hour * 60 + ts.minute for ts in timestamps), dtype=np.int64,
+                          count=n)
+    dates = days.astype("datetime64[D]")
+    months = dates.astype("datetime64[M]")
+    out = np.empty((n, len(STAMP_CATEGORIES)), dtype=np.intp)
+    out[:, 0] = months.astype(np.int64) % 12 + 1
+    out[:, 1] = (dates - months).astype(np.int64) + 1
+    out[:, 2] = (days + 3) % 7
+    out[:, 3] = minutes // 60
+    out[:, 4] = minutes % 60 // 15
     return out
 
 

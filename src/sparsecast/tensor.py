@@ -207,8 +207,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(out, (a, b), bw)
 
@@ -218,8 +220,10 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out, (a, b), bw)
 
@@ -268,16 +272,21 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of 2-D tensors, or of stacks of them whose leading
+    axes match exactly (no broadcasting), e.g. (H, L, d) @ (H, d, m)."""
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D tensors")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
+        raise ValueError("matmul expects 2-D tensors (or stacks of them with matching "
+                         f"leading axes), got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(out, (a, b), bw)
 
@@ -323,12 +332,13 @@ def mean_(a, axis=None, keepdims=False) -> Tensor:
 
 
 def cumsum_time(a) -> Tensor:
-    """Inclusive cumulative sum along the time axis (axis 0)."""
+    """Inclusive cumulative sum along the time axis: axis 0 of an (L, C)
+    tensor, axis 1 of an (H, L, C) stack of heads."""
     a = _coerce(a)
-    out = np.cumsum(a.data, axis=0)
+    out = np.cumsum(a.data, axis=-2)
 
     def bw(g):
-        _accum(a, np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0))
+        _accum(a, np.flip(np.cumsum(np.flip(g, axis=-2), axis=-2), axis=-2))
 
     return _make(out, (a,), bw)
 
@@ -360,42 +370,68 @@ def _getitem(a: Tensor, key) -> Tensor:
     return _make(out, (a,), bw)
 
 
+def _rows_key(index: np.ndarray):
+    """Index for rows of axis -2: an (n,) index picks the same rows of every
+    leading slice, an (H, n) index picks rows of the (H, L, C) slice h from
+    index[h]."""
+    if index.ndim == 1:
+        return index
+    return (np.arange(index.shape[0])[:, None], index)
+
+
 def gather_rows(a, index) -> Tensor:
-    """Select rows ``index`` (int array) along axis 0."""
+    """Select rows ``index`` (int array) along axis 0 of an (L, C) tensor, or
+    per head along axis 1 of an (H, L, C) tensor with an (H, n) index."""
     a = _coerce(a)
-    idx = np.asarray(index, dtype=np.intp)
-    out = a.data[idx]
+    key = _rows_key(np.asarray(index, dtype=np.intp))
+    out = a.data[key]
 
     def bw(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        np.add.at(full, key, g)
         _accum(a, full)
 
     return _make(out, (a,), bw)
 
 
 def scatter_rows(index, rows, length: int) -> Tensor:
-    """Place ``rows`` at positions ``index`` of a zero tensor with ``length`` rows."""
+    """Place ``rows`` at positions ``index`` of a zero tensor with ``length``
+    rows; an (H, n) index places the rows of head h at index[h]."""
     rows = _coerce(rows)
     idx = np.asarray(index, dtype=np.intp)
-    out = np.zeros((length,) + rows.data.shape[1:], dtype=np.float64)
-    out[idx] = rows.data
+    key = _rows_key(idx)
+    lead = rows.data.shape[:-2] if idx.ndim > 1 else ()
+    out = np.zeros(lead + (length,) + rows.data.shape[idx.ndim:], dtype=np.float64)
+    out[key] = rows.data
 
     def bw(g):
-        _accum(rows, g[idx])
+        _accum(rows, g[key])
 
     return _make(out, (rows,), bw)
 
 
-def broadcast_rows(a, count: int) -> Tensor:
-    """Repeat a single-row tensor ``count`` times along axis 0."""
+def split_heads(a, n_heads: int) -> Tensor:
+    """(L, H*d) -> (H, L, d): head h is columns h*d..(h+1)*d-1 (a view)."""
     a = _coerce(a)
-    if a.data.shape[0] != 1:
-        raise ValueError("broadcast_rows expects a single-row tensor")
-    out = np.broadcast_to(a.data, (count,) + a.data.shape[1:]).copy()
+    L, width = a.data.shape
+    if width % n_heads:
+        raise ValueError(f"width {width} not divisible by {n_heads} heads")
+    out = a.data.reshape(L, n_heads, width // n_heads).transpose(1, 0, 2)
 
     def bw(g):
-        _accum(a, g.sum(axis=0, keepdims=True))
+        _accum(a, g.transpose(1, 0, 2).reshape(L, width))
+
+    return _make(out, (a,), bw)
+
+
+def merge_heads(a) -> Tensor:
+    """(H, L, d) -> (L, H*d), the inverse of ``split_heads``."""
+    a = _coerce(a)
+    H, L, d = a.data.shape
+    out = a.data.transpose(1, 0, 2).reshape(L, H * d)
+
+    def bw(g):
+        _accum(a, g.reshape(L, H, d).transpose(1, 0, 2))
 
     return _make(out, (a,), bw)
 
@@ -429,6 +465,41 @@ def softmax_lastdim(x, mask=None) -> Tensor:
     return _make(y, (x,), bw)
 
 
+def attention_weights(q, k, scale: float, mask=None) -> Tensor:
+    """Fused ``softmax(q k^T * scale)`` over the last axis.
+
+    ``q`` is (..., n, d) and ``k`` (..., m, d) with matching leading axes;
+    ``mask`` (boolean, broadcastable to (..., n, m), True = forbidden)
+    zeroes entries exactly; a fully forbidden row is an error.  The scale
+    is folded into ``q`` and the softmax runs in place, so the scores take
+    one buffer and the tape keeps only the weights; the backward pass
+    returns dq and dk directly.
+    """
+    q, k = _coerce(q), _coerce(k)
+    w = (q.data * scale) @ np.swapaxes(k.data, -1, -2)
+    if mask is not None:
+        forbidden = np.broadcast_to(np.asarray(mask, dtype=bool), w.shape)
+        if forbidden.all(axis=-1).any():
+            raise ValueError("empty attention row: every entry is masked")
+        np.copyto(w, -np.inf, where=forbidden)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        ds = g * w
+        inner = ds.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=ds)
+        ds *= w
+        ds *= scale
+        if q.requires_grad:
+            _accum(q, ds @ k.data)
+        if k.requires_grad:  # dk = (q^T ds)^T, the gradient of k^T transposed
+            _accum(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
+
+    return _make(w, (q, k), bw)
+
+
 def conv1d_time(x, kernel, padding: int) -> Tensor:
     """Cross-correlation along the time axis with zero padding.
 
@@ -454,16 +525,18 @@ def conv1d_time(x, kernel, padding: int) -> Tensor:
         raise ValueError(f"sequence of length {L} too short for kernel {k} with padding {padding}")
     xp = np.pad(x.data, ((padding, padding), (0, 0)))
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (l_out, C_in, k)
-    out = windows.reshape(l_out, c_in * k) @ kernel.data.reshape(c_out, c_in * k).T
+    flat_kernel = kernel.data.reshape(c_out, c_in * k)
+    out = windows.reshape(l_out, c_in * k) @ flat_kernel.T
 
     def bw(g):
-        gk = np.empty_like(kernel.data)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            gk[:, :, i] = np.einsum("to,tc->oc", g, xp[i : i + l_out])
-            gxp[i : i + l_out] += g @ kernel.data[:, :, i]
-        _accum(kernel, gk)
-        _accum(x, gxp[padding : padding + L] if padding else gxp)
+        if kernel.requires_grad:
+            _accum(kernel, (g.T @ windows.reshape(l_out, c_in * k)).reshape(c_out, c_in, k))
+        if x.requires_grad:
+            g_windows = (g @ flat_kernel).reshape(l_out, c_in, k)
+            gxp = np.zeros_like(xp)
+            for i in range(k):
+                gxp[i : i + l_out] += g_windows[:, :, i]
+            _accum(x, gxp[padding : padding + L] if padding else gxp)
 
     return _make(out, (x, kernel), bw)
 

@@ -1,6 +1,7 @@
 """Attention-kernel tests: dense oracle equivalence, lazy fills, selection rules,
 budget counters, and the multi-head wrapper."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import dense_attention
+import sparsecast.attention as attention
 from sparsecast.attention import (
     AttentionConfig,
     MultiHeadAttention,
@@ -23,7 +25,20 @@ from sparsecast.attention import (
     select_top_queries_causal,
     top_n_count,
 )
-from sparsecast.tensor import ParamStore, Tensor, finite_diff_check, sum_
+from sparsecast.tensor import (
+    ParamStore,
+    Tensor,
+    concat,
+    cumsum_time,
+    finite_diff_check,
+    gather_rows,
+    matmul,
+    mean_,
+    scatter_rows,
+    softmax_lastdim,
+    sum_,
+    transpose,
+)
 
 
 class TestCanonical:
@@ -127,6 +142,22 @@ class TestSelection:
         base = select_top_queries(scores, 2)
         permuted = select_top_queries(scores[perm], 2)
         npt.assert_array_equal(np.sort(perm[permuted]), np.sort(base))
+
+    def test_per_head_rows_match_lexsort_oracle(self):
+        """An (H, L) score array selects each head's rows exactly as a full
+        lexicographic sort of that head's scores does, ties and NaN included."""
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            L = int(rng.integers(1, 120))
+            scores = np.round(rng.standard_normal((3, L)) * 2)
+            scores[rng.random((3, L)) < 0.1] = np.nan
+            scores[rng.random((3, L)) < 0.1] = -np.inf
+            got = select_top_queries(scores, 2.0)
+            n = top_n_count(L, 2.0)
+            for h in range(3):
+                want = np.sort(np.lexsort((np.arange(L), -scores[h]))[:n])
+                npt.assert_array_equal(got[h], want)
+                npt.assert_array_equal(select_top_queries(scores[h], 2.0), want)
 
     def test_causal_selection_always_keeps_row_zero(self):
         rng = np.random.default_rng(9)
@@ -411,3 +442,182 @@ class TestMultiHead:
             return sum_(mha(Tensor(x_const)) * Tensor(w))
 
         assert finite_diff_check(f, store) < 1e-4
+
+
+def _oracle_head(q, k, v, selected, masked, cumsum_normalized, budget):
+    """One head as the per-head path computed it: gather the selected rows,
+    score them in a separate matmul, scale and softmax, then scatter them and
+    the lazy fill into place.  ``selected`` None means every row."""
+    L, d = q.shape
+    l_k = k.shape[0]
+    rows = np.arange(L) if selected is None else selected
+    budget.dot_products_materialized += rows.size * l_k
+    budget.rows_selected += rows.size
+    q_rows = q if selected is None else gather_rows(q, rows)
+    scores = matmul(q_rows, transpose(k)) * (1.0 / math.sqrt(d))
+    mask = np.arange(l_k)[None, :] > rows[:, None] if masked else None
+    out = matmul(softmax_lastdim(scores, mask), v)
+    if selected is None:
+        return out
+    out = scatter_rows(rows, out, L)
+    lazy = np.setdiff1d(np.arange(L), rows, assume_unique=True)
+    if lazy.size:
+        if masked:
+            source = cumsum_time(v)
+            if cumsum_normalized:
+                source = source * Tensor(1.0 / np.arange(1, L + 1)[:, None])
+            fill = gather_rows(source, lazy)
+        else:
+            fill = mean_(v, axis=0, keepdims=True) * Tensor(np.ones((lazy.size, 1)))
+        out = out + scatter_rows(lazy, fill, L)
+    return out
+
+
+def _oracle_sampled_measure(q, k, c, rng, masked):
+    L, d = q.shape
+    u = top_n_count(L, c)
+    sample = np.sort(rng.choice(L, size=u, replace=False))
+    scores = (q @ k[sample].T) / math.sqrt(d)
+    if not masked:
+        return scores.max(axis=1) - scores.mean(axis=1), L * u
+    visible = sample[None, :] <= np.arange(L)[:, None]
+    counts = visible.sum(axis=1)
+    peak = np.where(visible, scores, -np.inf).max(axis=1)
+    mean = np.where(visible, scores, 0.0).sum(axis=1) / np.maximum(counts, 1)
+    return np.where(counts > 0, peak - mean, -np.inf), L * u
+
+
+def _per_head_oracle(mha, x_q, x_kv=None, rng=None, budget=None):
+    """``MultiHeadAttention.__call__`` as a loop over heads, one kernel call
+    per head on column slices of the projections: the reference for the
+    all-heads core."""
+    cfg = mha.config
+    kind = cfg.kind
+    budget = ScoreBudget() if budget is None else budget
+    x_kv = x_q if x_kv is None else x_kv
+    q_full, k_full, v_full = (matmul(x, w) for x, w in
+                              ((x_q, mha.w_q), (x_kv, mha.w_k), (x_kv, mha.w_v)))
+    masked = kind.startswith("masked")
+    if kind.endswith("neural_sparse"):
+        scores = importance_scores(q_full, k_full, mha.score_kernel, mha.score_bias,
+                                   causal=masked)
+    heads = []
+    dh = cfg.d_head
+    for h in range(cfg.n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh, kh, vh = q_full[:, cols], k_full[:, cols], v_full[:, cols]
+        if kind.endswith("canonical"):
+            selected = None
+        else:
+            if kind.endswith("neural_sparse"):
+                ranking = scores[:, h]
+            else:
+                ranking, sampled = _oracle_sampled_measure(qh.data, kh.data, cfg.c, rng,
+                                                           masked)
+                budget.dot_products_materialized += sampled
+            select = select_top_queries_causal if masked else select_top_queries
+            selected = select(ranking, cfg.c)
+        heads.append(_oracle_head(qh, kh, vh, selected, masked, cfg.cumsum_normalized,
+                                  budget))
+    merged = heads[0] if len(heads) == 1 else concat(heads, axis=1)
+    return matmul(merged, mha.w_o)
+
+
+def _run_with_grads(fn, store, weights):
+    store.zero_grad()
+    budget = ScoreBudget()
+    out = fn(budget)
+    sum_(out * Tensor(weights)).backward()
+    grads = {name: t.grad.copy() for name, t in store.items()}
+    return out.data, grads, (budget.dot_products_materialized, budget.rows_selected)
+
+
+_KIND_CASES = [(kind, False) for kind in ("canonical", "masked_canonical", "neural_sparse",
+                                           "masked_neural_sparse", "prob_sparse",
+                                           "masked_prob_sparse")]
+_KIND_CASES += [(kind, True) for kind in ("masked_canonical", "masked_neural_sparse",
+                                          "masked_prob_sparse")]
+
+
+class TestAllHeadsCore:
+    """The all-heads core against the per-head oracle: outputs to 1e-12,
+    parameter gradients to 1e-10 relative, dot-product counts exactly."""
+
+    @pytest.mark.parametrize("kind,normalized", _KIND_CASES)
+    @pytest.mark.parametrize("n_heads", [1, 2, 8])
+    @pytest.mark.parametrize("L,c", [(7, 2.0), (40, 2.0), (40, 1.0), (25, 1000.0)])
+    def test_matches_per_head_oracle(self, kind, normalized, n_heads, L, c):
+        d_model = 24
+        store = ParamStore()
+        cfg = AttentionConfig(n_heads=n_heads, d_model=d_model, c=c, kind=kind,
+                              cumsum_normalized=normalized)
+        mha = MultiHeadAttention(store, "attn", cfg, np.random.default_rng(L + n_heads))
+        data = np.random.default_rng(L)
+        x = data.standard_normal((L, d_model))
+        weights = data.standard_normal((L, d_model))
+
+        def core(budget):
+            return mha(Tensor(x), rng=np.random.default_rng(9), budget=budget)
+
+        def oracle(budget):
+            return _per_head_oracle(mha, Tensor(x), rng=np.random.default_rng(9),
+                                    budget=budget)
+
+        out, grads, counts = _run_with_grads(core, store, weights)
+        want_out, want_grads, want_counts = _run_with_grads(oracle, store, weights)
+        npt.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        assert counts == want_counts
+        for name, want in want_grads.items():
+            scale = np.abs(want).max()
+            assert np.abs(grads[name] - want).max() <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 8])
+    def test_cross_attention_matches_oracle(self, n_heads):
+        store = ParamStore()
+        mha = MultiHeadAttention(store, "attn", AttentionConfig(n_heads=n_heads, d_model=16),
+                                 np.random.default_rng(1))
+        data = np.random.default_rng(2)
+        x_q, x_kv = data.standard_normal((9, 16)), data.standard_normal((13, 16))
+        weights = data.standard_normal((9, 16))
+        out, grads, counts = _run_with_grads(
+            lambda b: mha(Tensor(x_q), Tensor(x_kv), budget=b), store, weights)
+        want_out, want_grads, want_counts = _run_with_grads(
+            lambda b: _per_head_oracle(mha, Tensor(x_q), Tensor(x_kv), budget=b),
+            store, weights)
+        npt.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        assert counts == want_counts == (n_heads * 9 * 13, n_heads * 9)
+        for name, want in want_grads.items():
+            assert np.abs(grads[name] - want).max() <= 1e-10 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("kind", ["masked_neural_sparse", "masked_prob_sparse"])
+    def test_causal_heads_keep_different_counts(self, kind, monkeypatch):
+        """Heads that select fewer rows are padded; the padded rows are
+        neither counted nor visible in the output or the gradients."""
+        store = ParamStore()
+        mha = MultiHeadAttention(store, "attn",
+                                 AttentionConfig(n_heads=8, d_model=24, c=2.0, kind=kind),
+                                 np.random.default_rng(3))
+        data = np.random.default_rng(4)
+        x, weights = data.standard_normal((2, 40, 24))
+        counts = []
+        original = select_top_queries_causal
+
+        def spy(scores, c):
+            chosen = original(scores, c)
+            counts.append(chosen.size)
+            return chosen
+
+        monkeypatch.setattr(attention, "select_top_queries_causal", spy)
+        out, grads, (dots, rows) = _run_with_grads(
+            lambda b: mha(Tensor(x), rng=np.random.default_rng(5), budget=b), store, weights)
+        assert len(counts) == 8 and len(set(counts)) > 1
+        sampled = 8 * 40 * top_n_count(40, 2.0) if kind == "masked_prob_sparse" else 0
+        assert rows == sum(counts)
+        assert dots == sum(counts) * 40 + sampled
+        want_out, want_grads, want_counts = _run_with_grads(
+            lambda b: _per_head_oracle(mha, Tensor(x), rng=np.random.default_rng(5), budget=b),
+            store, weights)
+        npt.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        assert (dots, rows) == want_counts
+        for name, want in want_grads.items():
+            assert np.abs(grads[name] - want).max() <= 1e-10 * np.abs(want).max(), name

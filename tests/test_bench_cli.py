@@ -67,6 +67,41 @@ class TestBenchCounters:
         assert not ok[8].failed and ok[8].median_ns >= 0
         assert ok[16].failed and ok[16].median_ns == -1 and ok[16].dot_products == -1
 
+    def test_masked_kernels_count_causal_rows(self):
+        records = bench_attention(batches=[2], seq_lens=[16, 32],
+                                  kernels=["masked_canonical", "masked_neural_sparse",
+                                           "masked_prob_sparse"],
+                                  heads=4, dims=8, repeats=1, warmup=0, c=2.0)
+        assert [r.kernel for r in records[::2]] == ["masked_canonical",
+                                                    "masked_neural_sparse",
+                                                    "masked_prob_sparse"]
+        for r in records:
+            L = r.seq_len
+            if r.kernel == "masked_canonical":
+                assert r.dot_products == r.heads * r.batch * L * L
+                assert r.peak_bytes == r.heads * L * L * 8
+            else:
+                # each kept row costs L; every causal head keeps row 0 and
+                # fewer than all L rows at c = 2
+                sampled = r.heads * r.batch * L * top_n_count(L, 2.0)
+                attended = r.dot_products - (sampled if "prob" in r.kernel else 0)
+                assert attended % L == 0
+                assert r.heads * r.batch * L <= attended < r.heads * r.batch * L * L
+
+    def test_default_kernel_seeds_unchanged_by_masked_kernels(self):
+        alone = bench_attention(batches=[1], seq_lens=[16], kernels=["prob_sparse"],
+                                heads=2, dims=4, repeats=1, warmup=0)
+        mixed = bench_attention(batches=[1], seq_lens=[16],
+                                kernels=["masked_prob_sparse", "prob_sparse"],
+                                heads=2, dims=4, repeats=1, warmup=0)
+        assert mixed[1].dot_products == alone[0].dot_products
+        assert mixed[1].peak_bytes == alone[0].peak_bytes
+
+    def test_peak_bytes_hold_every_head_at_once(self):
+        record = bench_attention(batches=[1], seq_lens=[16], kernels=["canonical"],
+                                 heads=4, dims=4, repeats=1, warmup=0)[0]
+        assert record.peak_bytes == 4 * 16 * 16 * 8
+
     def test_csv_header_is_pinned(self):
         records = bench_attention(batches=[1], seq_lens=[8], kernels=["canonical"],
                                   heads=2, dims=4, repeats=1, warmup=0)
@@ -200,6 +235,17 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 2 * 3 * 3  # three kernels by default
+
+    def test_bench_accepts_masked_kernels(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = cli(["bench", "--batches", "1", "--seq-lens", "8", "--kernels",
+                    "masked_canonical,masked_neural_sparse,masked_prob_sparse",
+                    "--heads", "2", "--dims", "4", "--repeats", "1", "--warmup", "0",
+                    "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            "masked_canonical", "masked_neural_sparse", "masked_prob_sparse"]
 
     def test_missing_dataset_file(self, tmp_path, capsys):
         config = _config(tmp_path, tmp_path / "nope.csv")

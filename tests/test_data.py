@@ -1,5 +1,8 @@
 """Data tests: CSV loading, splits, scalers, windows, metrics."""
 
+import csv
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -93,6 +96,69 @@ class TestLoadCsv:
                                  "2021-01-01 01:00:00,1,2,3,4,5,6,7"], header=header)
         with pytest.raises(DataError, match="OT"):
             load_csv(path, schema="ett")
+
+
+def _per_cell_loader(path):
+    """Timestamps and values as the per-cell loader read them: every stamp
+    through ``strptime`` first, every cell through its own ``float``."""
+    timestamps, rows = [], []
+    with open(path, newline="") as fp:
+        reader = csv.reader(fp)
+        next(reader)
+        for record in reader:
+            if not record:
+                continue
+            text = record[0].strip()
+            try:
+                timestamps.append(datetime.strptime(text, "%Y-%m-%d %H:%M:%S"))
+            except ValueError:
+                timestamps.append(datetime.fromisoformat(text))
+            rows.append([float(cell) for cell in record[1:]])
+    return timestamps, np.asarray(rows, dtype=np.float64)
+
+
+def _stamp_loop(timestamps):
+    """The per-timestamp stamp builder: the oracle for ``timestamp_features``."""
+    out = np.empty((len(timestamps), 5), dtype=np.intp)
+    for i, ts in enumerate(timestamps):
+        out[i] = (ts.month, ts.day, ts.weekday(), ts.hour, ts.minute // 15)
+    return out
+
+
+class TestFastParsing:
+    def test_odd_valid_cells_match_per_cell_loader(self, tmp_path):
+        path = _write(tmp_path, [
+            "2021-01-01 00:00:00, 1.5,1e3",
+            "2021-01-01T01:00:00,-0,+2.25 ",
+            " 2021-1-1 2:00:00 ,1_000,-1E-3",
+            "",
+            "2021-01-01 03:00:00,0.1,.5",
+        ])
+        frame = load_csv(path)
+        timestamps, values = _per_cell_loader(path)
+        assert frame.timestamps == timestamps
+        assert frame.values.tobytes() == values.tobytes()  # -0.0 keeps its sign
+        assert np.signbit(frame.values[1, 0])
+
+    def test_bad_cell_after_good_cells_is_named(self, tmp_path):
+        path = _write(tmp_path, ["2021-01-01 00:00:00,1.0,2.0",
+                                 "2021-01-01 01:00:00,3.0,1.2.3"])
+        with pytest.raises(DataError, match=r"row 3, column 'b': non-numeric cell '1\.2\.3'"):
+            load_csv(path)
+
+    def test_timestamp_features_match_loop(self):
+        step = timedelta(days=3, hours=5, minutes=7, seconds=13)
+        cases = [
+            [datetime(1, 1, 1) + i * step for i in range(3000)],
+            [datetime(1969, 12, 25) + i * timedelta(minutes=7) for i in range(5000)],
+            [datetime(2020, 2, 27, tzinfo=timezone(timedelta(hours=-5))) + i * step
+             for i in range(500)],
+            [],
+        ]
+        for stamps in cases:
+            got = timestamp_features(stamps)
+            assert got.dtype == np.intp and got.shape == (len(stamps), 5)
+            npt.assert_array_equal(got, _stamp_loop(stamps))
 
 
 class TestSplit:

@@ -10,6 +10,8 @@ from sparsecast.tensor import (
     AllocationTracker,
     ParamStore,
     Tensor,
+    add,
+    attention_weights,
     concat,
     conv1d_time,
     cumsum_time,
@@ -19,11 +21,14 @@ from sparsecast.tensor import (
     gather_rows,
     matmul,
     mean_,
+    merge_heads,
+    mul,
     no_grad,
     pool1d,
     relu,
     scatter_rows,
     softmax_lastdim,
+    split_heads,
     sum_,
     transpose,
 )
@@ -62,6 +67,132 @@ class TestConv1d:
         rhs = (a * conv1d_time(Tensor(x1), kernel, padding=1).data
                + b * conv1d_time(Tensor(x2), kernel, padding=1).data)
         npt.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def _per_tap_conv_grads(x, kernel, g, padding):
+    """Kernel and input gradients of ``conv1d_time``, one einsum and one
+    GEMM per tap: the oracle for the single-GEMM backward."""
+    L = x.shape[0]
+    k = kernel.shape[2]
+    xp = np.pad(x, ((padding, padding), (0, 0)))
+    l_out = g.shape[0]
+    gk = np.empty_like(kernel)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        gk[:, :, i] = np.einsum("to,tc->oc", g, xp[i : i + l_out])
+        gxp[i : i + l_out] += g @ kernel[:, :, i]
+    return gk, gxp[padding : padding + L]
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("L,c_in,c_out,k,padding",
+                             [(9, 3, 4, 3, 1), (12, 5, 2, 3, 0), (7, 2, 3, 5, 2),
+                              (96, 16, 16, 3, 1), (1, 2, 2, 1, 0)])
+    def test_matches_per_tap_oracle(self, L, c_in, c_out, k, padding):
+        rng = np.random.default_rng(L * 100 + k)
+        x = Tensor(rng.standard_normal((L, c_in)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((c_out, c_in, k)), requires_grad=True)
+        out = conv1d_time(x, kernel, padding=padding)
+        g = rng.standard_normal(out.shape)
+        sum_(out * Tensor(g)).backward()
+        gk, gx = _per_tap_conv_grads(x.data, kernel.data, g, padding)
+        npt.assert_allclose(kernel.grad, gk, rtol=1e-12, atol=1e-12 * np.abs(gk).max())
+        npt.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12 * np.abs(gx).max())
+
+
+class TestConstantOperands:
+    """A constant operand gets no gradient buffer; the other one's gradient
+    still matches central differences."""
+
+    OPS = {
+        "matmul": (lambda a, b: matmul(a, b), (4, 3), (3, 5)),
+        "mul": (mul, (4, 3), (4, 3)),
+        "mul_scalar": (mul, (4, 3), ()),
+        "add": (add, (4, 3), (3,)),
+        "conv1d": (lambda a, b: conv1d_time(a, b, padding=1), (6, 3), (2, 3, 3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_gets_no_gradient(self, name, constant):
+        op, shape_a, shape_b = self.OPS[name]
+        rng = np.random.default_rng(len(name) + 10 * constant)
+        values = [rng.standard_normal(shape_a), rng.standard_normal(shape_b)]
+        const = Tensor(values[constant])
+        store = ParamStore()
+        store.add("p", values[1 - constant])
+        w = {}
+
+        def f(p):
+            args = [const, p["p"]] if constant == 0 else [p["p"], const]
+            out = op(*args)
+            w.setdefault("w", np.random.default_rng(3).standard_normal(out.shape))
+            return sum_(out * Tensor(w["w"]))
+
+        assert finite_diff_check(f, store) < 1e-6
+        assert const.grad is None
+
+
+class TestHeads:
+    def test_split_merge_round_trip(self):
+        x = np.random.default_rng(0).standard_normal((5, 12))
+        heads = split_heads(Tensor(x), 3)
+        assert heads.shape == (3, 5, 4)
+        npt.assert_array_equal(heads.data[1], x[:, 4:8])
+        npt.assert_array_equal(merge_heads(heads).data, x)
+
+    def test_split_rejects_uneven_width(self):
+        with pytest.raises(ValueError, match="divisible"):
+            split_heads(Tensor(np.zeros((5, 7))), 2)
+
+    def test_batched_matmul_is_per_slice(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 5, 2))
+        out = matmul(Tensor(a), Tensor(b)).data
+        for h in range(3):
+            npt.assert_array_equal(out[h], a[h] @ b[h])
+
+    def test_matmul_rejects_mismatched_stacks(self):
+        with pytest.raises(ValueError, match="2-D"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
+
+    def test_per_head_gather_and_scatter(self):
+        x = np.arange(2 * 5 * 3, dtype=np.float64).reshape(2, 5, 3)
+        idx = np.array([[4, 0], [1, 3]])
+        got = gather_rows(Tensor(x), idx).data
+        npt.assert_array_equal(got[0], x[0, [4, 0]])
+        npt.assert_array_equal(got[1], x[1, [1, 3]])
+        placed = scatter_rows(idx, Tensor(got), 5).data
+        npt.assert_array_equal(placed[0, [4, 0]], got[0])
+        npt.assert_array_equal(placed[1, [0, 2, 4]], 0.0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_weights_equal_softmax_of_scaled_scores(self, masked):
+        rng = np.random.default_rng(2)
+        q, k = rng.standard_normal((2, 3, 6, 4))
+        mask = np.triu(np.ones((6, 6), dtype=bool), k=1) if masked else None
+        fused = attention_weights(Tensor(q), Tensor(k), 0.5, mask).data
+        for h in range(3):
+            chain = softmax_lastdim(matmul(Tensor(q[h]), transpose(Tensor(k[h]))) * 0.5, mask)
+            npt.assert_array_equal(fused[h], chain.data)
+
+    def test_attention_weights_tape_holds_only_the_weights(self):
+        q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        k = Tensor(np.ones((2, 5, 4)), requires_grad=True)
+        w = attention_weights(q, k, 0.5)
+        assert w._parents == (q, k)
+        cells = [c.cell_contents for c in w._backward.__closure__]
+        score_sized = [c for c in cells if isinstance(c, np.ndarray)]
+        assert len(score_sized) == 1 and score_sized[0] is w.data
+
+    def test_attention_weights_fully_masked_row_errors(self):
+        with pytest.raises(ValueError, match="empty attention row"):
+            attention_weights(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 3, 3))), 1.0,
+                              mask=np.array([[True, True, True], [False, True, True]]))
 
 
 class TestPool1d:
@@ -180,6 +311,21 @@ PRIMITIVES = {
     "slice": lambda p, rng: p["a"][2:5],
     "gather": lambda p, rng: gather_rows(p["a"], np.array([3, 1, 1, 0])),
     "scatter": lambda p, rng: scatter_rows(np.array([1, 4, 2]), p["a"][0:3], 6),
+    "split_heads": lambda p, rng: split_heads(p["a"][:, :4], 2),
+    "merge_heads": lambda p, rng: merge_heads(split_heads(p["a"][:, :4], 2)
+                                              * split_heads(p["b"][:, :4], 2)),
+    "matmul_heads": lambda p, rng: matmul(split_heads(p["a"][:, :4], 2),
+                                          split_heads(p["b"][:2, :4], 2)),
+    "gather_heads": lambda p, rng: gather_rows(split_heads(p["a"][:, :4], 2),
+                                               np.array([[3, 1, 1], [0, 5, 2]])),
+    "scatter_heads": lambda p, rng: scatter_rows(np.array([[1, 4], [5, 0]]),
+                                                 split_heads(p["a"][:2, :4], 2), 6),
+    "cumsum_heads": lambda p, rng: cumsum_time(split_heads(p["a"][:, :4], 2)),
+    "attention_weights": lambda p, rng: attention_weights(
+        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2), 0.7),
+    "attention_weights_masked": lambda p, rng: attention_weights(
+        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2), 0.7,
+        mask=np.triu(np.ones((6, 6), bool), k=1)),
 }
 
 

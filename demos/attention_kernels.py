@@ -18,6 +18,7 @@ from sparsecast import (
     Tensor,
     bench_attention,
     canonical_attention,
+    counting,
     importance_scores,
     masked_neural_sparse_attention,
     neural_sparse_attention,
@@ -39,8 +40,8 @@ scores = importance_scores(q, k, kernel)[:, 0]
 selected = select_top_queries(scores, c)
 print("selected query rows:", selected)
 
-budget = ScoreBudget()
-sparse_out = neural_sparse_attention(q, k, v, c, scores, budget=budget).data
+with counting(ScoreBudget()) as budget:
+    sparse_out = neural_sparse_attention(q, k, v, c, scores).data
 dense_out = canonical_attention(q, k, v).data
 
 err = np.abs(sparse_out[selected] - dense_out[selected]).max()

@@ -5,6 +5,7 @@ from .attention import (
     AttentionConfig,
     ScoreBudget,
     canonical_attention,
+    counting,
     importance_scores,
     masked_neural_sparse_attention,
     neural_sparse_attention,
@@ -28,7 +29,7 @@ from .data import (
 from .embedding import embed_window, positional_encoding, stamp_embedding_sum
 from .encoder import conv_elu_feature, distill_step, encoder_output_length
 from .model import Forecast, Forecaster, ModelConfig, build_decoder_input, mse_loss
-from .tensor import AllocationTracker, ParamStore, Tensor, finite_diff_check, no_grad
+from .tensor import ParamStore, Tensor, finite_diff_check, no_grad
 from .training import (
     TrainConfig,
     adam_step,

@@ -43,21 +43,6 @@ class AblationRow:
     failed: bool = False
     error: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "horizon": self.horizon,
-            "toggles": self.toggles,
-            "train_seconds": self.train_seconds,
-            "corr": self.corr,
-            "mse": self.mse,
-            "mae": self.mae,
-            "attention_kernel": self.attention_kernel,
-            "dot_products_sample": self.dot_products_sample,
-            "failed": self.failed,
-            "error": self.error,
-        }
-
 
 def run_ablation(base_config: ModelConfig, train_samples: dict, val_samples: dict,
                  test_samples: dict, horizons, train_config: TrainConfig,

@@ -28,6 +28,7 @@ kinds differ only in the (H, L) ranking they hand it.
 import math
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,50 +94,39 @@ class AttentionConfig:
 
 @dataclass
 class ScoreBudget:
-    """Counters for materialized query-key dot products and selected rows."""
+    """What the attention kernels of one ``counting`` block did: materialized
+    query-key dot products, selected rows, the bytes of the largest transient
+    score buffer, and nanoseconds in the three kernel phases (1 scoring,
+    2 selection, 3 weighted aggregation)."""
 
     dot_products_materialized: int = 0
     rows_selected: int = 0
+    peak_bytes: int = 0
+    t1_ns: int = 0
+    t2_ns: int = 0
+    t3_ns: int = 0
 
 
-class PhaseTimer:
-    """Accumulates nanoseconds in the three kernel phases:
-    1 scoring, 2 selection, 3 weighted aggregation."""
-
-    def __init__(self):
-        self.t1_ns = 0
-        self.t2_ns = 0
-        self.t3_ns = 0
-
-    @contextmanager
-    def phase(self, k: int):
-        start = time.perf_counter_ns()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter_ns() - start
-            if k == 1:
-                self.t1_ns += elapsed
-            elif k == 2:
-                self.t2_ns += elapsed
-            else:
-                self.t3_ns += elapsed
+_ACTIVE = ContextVar("sparsecast_score_budget", default=None)
 
 
-class _NullTimer:
-    @contextmanager
-    def phase(self, k: int):
-        yield
+@contextmanager
+def counting(record: ScoreBudget):
+    """Count every attention kernel call made in the block into ``record``.
+
+    The active record is per thread and per context; a nested block counts
+    into its own record and restores the outer one on exit.
+    """
+    token = _ACTIVE.set(record)
+    try:
+        yield record
+    finally:
+        _ACTIVE.reset(token)
 
 
-class _NullTracker:
-    @contextmanager
-    def hold(self, nbytes: int):
-        yield
-
-
-_NULL_TIMER = _NullTimer()
-_NULL_TRACKER = _NullTracker()
+def _now(record) -> int:
+    """The clock, read only while a record is active."""
+    return time.perf_counter_ns() if record is not None else 0
 
 
 def top_n_count(length: int, c: float) -> int:
@@ -275,8 +265,7 @@ def _select_heads(ranking: np.ndarray, c: float, causal: bool):
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
-           causal: bool = False, cumsum_normalized: bool = False, mask=None,
-           budget: ScoreBudget | None = None, tracker=None, timer=None) -> Tensor:
+           causal: bool = False, cumsum_normalized: bool = False, mask=None) -> Tensor:
     """The one attention core: all H heads of (H, L, d) inputs in each op.
 
     With ``ranking`` None every query row attends (canonical; ``causal``
@@ -285,36 +274,31 @@ def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
     top-n rows of each head get exact attention over all keys (each row
     masked to keys at or before it when ``causal``) and the lazy rows are
     filled with the column mean of V, or with its inclusive prefix sum
-    (``cumsum_normalized``: prefix mean) when ``causal``.  Only real rows
-    are counted in ``budget``; the transient score buffer of every head is
-    held in ``tracker`` at once.
+    (``cumsum_normalized``: prefix mean) when ``causal``.  Inside
+    ``counting`` only real rows are counted, and the score buffer of every
+    head, materialized at once, is one buffer.
     """
-    timer = timer or _NULL_TIMER
-    tracker = tracker or _NULL_TRACKER
+    budget = _ACTIVE.get()
     H, l_q, d = q.shape
     l_k = k.shape[1]
     rows = real = None
     if ranking is not None:
-        with timer.phase(2):
-            rows, real = _select_heads(ranking, c, causal)
+        start = _now(budget)
+        rows, real = _select_heads(ranking, c, causal)
+        if budget is not None:
+            budget.t2_ns += time.perf_counter_ns() - start
+    start = _now(budget)
     n = l_q if rows is None else rows.shape[1]
-    if budget is not None:
-        counted = H * n if real is None else int(real.sum())
-        budget.dot_products_materialized += counted * l_k
-        budget.rows_selected += counted
-    with timer.phase(3):
-        if rows is None:
-            q_rows = q
-            if causal:
-                mask = causal_mask(l_q)
-        else:
-            q_rows = gather_rows(q, rows)
-            mask = np.arange(l_k) > rows[:, :, None] if causal else None
-        with tracker.hold(H * n * l_k * 8):
-            weights = attention_weights(q_rows, k, 1.0 / math.sqrt(d), mask)
-            out = matmul(weights, v)
-        if rows is None:
-            return out
+    if rows is None:
+        q_rows = q
+        if causal:
+            mask = causal_mask(l_q)
+    else:
+        q_rows = gather_rows(q, rows)
+        mask = np.arange(l_k) > rows[:, :, None] if causal else None
+    weights = attention_weights(q_rows, k, 1.0 / math.sqrt(d), mask)
+    out = matmul(weights, v)
+    if rows is not None:
         if real is not None:
             out = out * Tensor(real[:, :, None])
         out = scatter_rows(rows, out, l_q)
@@ -329,12 +313,17 @@ def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
             else:
                 fill = mean_(v, axis=1, keepdims=True)
             out = out + fill * Tensor(keep)
+    if budget is not None:
+        budget.t3_ns += time.perf_counter_ns() - start
+        counted = H * n if real is None else int(real.sum())
+        budget.dot_products_materialized += counted * l_k
+        budget.rows_selected += counted
+        budget.peak_bytes = max(budget.peak_bytes, H * n * l_k * 8)
     return out
 
 
 def sampled_sparsity(q: Tensor, k: Tensor, c: float, rng: np.random.Generator,
-                     causal: bool = False, budget: ScoreBudget | None = None,
-                     tracker=None, timer=None) -> np.ndarray:
+                     causal: bool = False) -> np.ndarray:
     """(H, L) ``prob_sparse`` ranking: per head, max - mean of the scaled dot
     products with u = c*ln(L) keys sampled uniformly without replacement.
 
@@ -342,34 +331,33 @@ def sampled_sparsity(q: Tensor, k: Tensor, c: float, rng: np.random.Generator,
     the statistic of row i uses only sampled keys at or before i, and rows
     that see no sampled key rank lowest.
     """
-    timer = timer or _NULL_TIMER
-    tracker = tracker or _NULL_TRACKER
+    budget = _ACTIVE.get()
     H, L, d = q.shape
     if k.shape[1] != L:
         raise ValueError("prob_sparse attention is self-attention only (L_Q must equal L_K)")
-    with timer.phase(1):
-        u = top_n_count(L, c)
-        sample = np.stack([np.sort(rng.choice(L, size=u, replace=False)) for _ in range(H)])
-        with tracker.hold(H * L * u * 8):
-            keys = np.take_along_axis(k.data, sample[:, :, None], axis=1)
-            sampled_scores = (q.data @ np.swapaxes(keys, -1, -2)) / math.sqrt(d)
-            if causal:
-                visible = sample[:, None, :] <= np.arange(L)[:, None]
-                counts = visible.sum(axis=-1)
-                peak = np.where(visible, sampled_scores, -np.inf).max(axis=-1)
-                mean = np.where(visible, sampled_scores, 0.0).sum(axis=-1) / np.maximum(counts, 1)
-                measure = np.where(counts > 0, peak - mean, -np.inf)
-            else:
-                measure = sampled_scores.max(axis=-1) - sampled_scores.mean(axis=-1)
+    start = _now(budget)
+    u = top_n_count(L, c)
+    sample = np.stack([np.sort(rng.choice(L, size=u, replace=False)) for _ in range(H)])
+    keys = np.take_along_axis(k.data, sample[:, :, None], axis=1)
+    sampled_scores = (q.data @ np.swapaxes(keys, -1, -2)) / math.sqrt(d)
+    if causal:
+        visible = sample[:, None, :] <= np.arange(L)[:, None]
+        counts = visible.sum(axis=-1)
+        peak = np.where(visible, sampled_scores, -np.inf).max(axis=-1)
+        mean = np.where(visible, sampled_scores, 0.0).sum(axis=-1) / np.maximum(counts, 1)
+        measure = np.where(counts > 0, peak - mean, -np.inf)
+    else:
+        measure = sampled_scores.max(axis=-1) - sampled_scores.mean(axis=-1)
     if budget is not None:
+        budget.t1_ns += time.perf_counter_ns() - start
         budget.dot_products_materialized += H * L * u
+        budget.peak_bytes = max(budget.peak_bytes, H * L * u * 8)
     return measure
 
 
 def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
                 score_kernel=None, score_bias=None, rng: np.random.Generator | None = None,
-                cumsum_normalized: bool = False, budget: ScoreBudget | None = None,
-                tracker=None, timer=None) -> Tensor:
+                cumsum_normalized: bool = False) -> Tensor:
     """Multi-head attention of one ``kind`` on full-width (L, H*d) projections.
 
     The kinds differ only in how queries are ranked: ``canonical`` keeps
@@ -378,27 +366,27 @@ def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
     ``masked_*`` kinds add the causal mask.  Returns the merged (L, H*d)
     output.
     """
-    timer = timer or _NULL_TIMER
     causal = kind.startswith("masked")
     ranking = None
     if kind.endswith("neural_sparse"):
-        with timer.phase(1):
-            ranking = importance_scores(q_full, k_full, score_kernel, score_bias,
-                                        causal=causal).T
+        budget = _ACTIVE.get()
+        start = _now(budget)
+        ranking = importance_scores(q_full, k_full, score_kernel, score_bias,
+                                    causal=causal).T
+        if budget is not None:
+            budget.t1_ns += time.perf_counter_ns() - start
     q = split_heads(q_full, n_heads)
     k = split_heads(k_full, n_heads)
     v = split_heads(v_full, n_heads)
     if kind.endswith("prob_sparse"):
         if rng is None:
             raise ValueError("prob_sparse attention requires an rng")
-        ranking = sampled_sparsity(q, k, c, rng, causal, budget, tracker, timer)
-    out = attend(q, k, v, ranking, c=c, causal=causal, cumsum_normalized=cumsum_normalized,
-                 budget=budget, tracker=tracker, timer=timer)
+        ranking = sampled_sparsity(q, k, c, rng, causal)
+    out = attend(q, k, v, ranking, c=c, causal=causal, cumsum_normalized=cumsum_normalized)
     return merge_heads(out)
 
 
-def canonical_attention(q, k, v, mask=None, budget: ScoreBudget | None = None,
-                        tracker=None, timer=None) -> Tensor:
+def canonical_attention(q, k, v, mask=None) -> Tensor:
     """Dense attention: softmax(Q K^T / sqrt(d)) V.
 
     ``mask`` is an optional boolean (L_Q, L_K) array, True = forbidden;
@@ -411,12 +399,10 @@ def canonical_attention(q, k, v, mask=None, budget: ScoreBudget | None = None,
         raise ValueError(f"query dim {d} does not match key dim {k.shape[1]}")
     if v.shape[0] != l_k:
         raise ValueError(f"keys have {l_k} rows but values have {v.shape[0]}")
-    out = attend(*_one_head(q, k, v), mask=mask, budget=budget, tracker=tracker, timer=timer)
-    return merge_heads(out)
+    return merge_heads(attend(*_one_head(q, k, v), mask=mask))
 
 
-def neural_sparse_attention(q, k, v, c: float, scores, budget: ScoreBudget | None = None,
-                            tracker=None, timer=None) -> Tensor:
+def neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
     """Sparse self-attention ranked by precomputed importance scores.
 
     The top-n rows get exact dense attention over all keys; lazy rows are
@@ -427,14 +413,11 @@ def neural_sparse_attention(q, k, v, c: float, scores, budget: ScoreBudget | Non
     if q.shape[0] != k.shape[0]:
         raise ValueError("neural_sparse attention is self-attention only (L_Q must equal L_K)")
     ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
-    out = attend(*_one_head(q, k, v), ranking, c=c, budget=budget, tracker=tracker,
-                 timer=timer)
-    return merge_heads(out)
+    return merge_heads(attend(*_one_head(q, k, v), ranking, c=c))
 
 
 def masked_neural_sparse_attention(q, k, v, c: float, scores,
-                                   budget: ScoreBudget | None = None, tracker=None,
-                                   timer=None, cumsum_normalized: bool = False) -> Tensor:
+                                   cumsum_normalized: bool = False) -> Tensor:
     """Causal sparse self-attention: selected rows attend to keys at or
     before them; lazy row i is the inclusive prefix sum of V rows 0..i.
 
@@ -447,15 +430,12 @@ def masked_neural_sparse_attention(q, k, v, c: float, scores,
         raise ValueError("masked attention needs L_Q == L_K")
     ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
     out = attend(*_one_head(q, k, v), ranking, c=c, causal=True,
-                 cumsum_normalized=cumsum_normalized, budget=budget, tracker=tracker,
-                 timer=timer)
+                 cumsum_normalized=cumsum_normalized)
     return merge_heads(out)
 
 
 def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
-                          masked: bool = False, budget: ScoreBudget | None = None,
-                          tracker=None, timer=None,
-                          cumsum_normalized: bool = False) -> Tensor:
+                          masked: bool = False, cumsum_normalized: bool = False) -> Tensor:
     """Sparse self-attention ranked by a sampled sparsity statistic.
 
     u = c*ln(L) keys are sampled uniformly without replacement; each
@@ -465,9 +445,8 @@ def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
     selection is causal.
     """
     q, k, v = _one_head(_as_tensor(q), _as_tensor(k), _as_tensor(v))
-    ranking = sampled_sparsity(q, k, c, rng, masked, budget, tracker, timer)
-    out = attend(q, k, v, ranking, c=c, causal=masked, cumsum_normalized=cumsum_normalized,
-                 budget=budget, tracker=tracker, timer=timer)
+    ranking = sampled_sparsity(q, k, c, rng, masked)
+    out = attend(q, k, v, ranking, c=c, causal=masked, cumsum_normalized=cumsum_normalized)
     return merge_heads(out)
 
 
@@ -478,7 +457,8 @@ class MultiHeadAttention:
     The projections W_Q, W_K, W_V, W_O are d_model x d_model without
     biases.  For the learned-score kinds one convolution scores all heads
     at once on the full-width projected Q and K; head h selects by column
-    h.  Kernels are pure given parameters; counters are per-invocation.
+    h.  Kernels are pure given parameters; inside ``counting`` each call adds
+    its counts to the active record.
     """
 
     def __init__(self, store: ParamStore, prefix: str, config: AttentionConfig,
@@ -499,8 +479,7 @@ class MultiHeadAttention:
             self.score_bias = None
 
     def __call__(self, x_q: Tensor, x_kv: Tensor | None = None, *,
-                 rng: np.random.Generator | None = None,
-                 budget: ScoreBudget | None = None, tracker=None, timer=None) -> Tensor:
+                 rng: np.random.Generator | None = None) -> Tensor:
         cfg = self.config
         if x_kv is not None and cfg.kind != "canonical":
             raise ValueError(f"cross-attention requires the canonical kernel, got {cfg.kind!r}")
@@ -509,7 +488,6 @@ class MultiHeadAttention:
         merged = attend_kind(
             cfg.kind, matmul(x_q, self.w_q), matmul(x_kv, self.w_k), matmul(x_kv, self.w_v),
             cfg.n_heads, cfg.c, score_kernel=self.score_kernel, score_bias=self.score_bias,
-            rng=rng, cumsum_normalized=cfg.cumsum_normalized, budget=budget,
-            tracker=tracker, timer=timer,
+            rng=rng, cumsum_normalized=cfg.cumsum_normalized,
         )
         return matmul(merged, self.w_o)

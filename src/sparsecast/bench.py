@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import PhaseTimer, ScoreBudget, attend_kind
+from .attention import ScoreBudget, attend_kind, counting
 from .layers import uniform_init
-from .tensor import AllocationTracker, Tensor, no_grad
+from .tensor import Tensor, no_grad
 
 # The default sweep; the masked (decoder) kernels are appended after it so
 # that each kernel's index, and with it every cell's seed, stays fixed.
@@ -58,20 +58,17 @@ class BenchRecord:
 def _run_once(kernel: str, q: np.ndarray, k: np.ndarray, v: np.ndarray,
               c: float, score_kernel, score_bias, rng_seed: int):
     """One full pass over a (batch, L, heads, dims) input; returns
-    (elapsed_ns, budget, tracker_peak, timer)."""
+    (elapsed_ns, budget)."""
     batch, L, heads, dims = q.shape
-    budget = ScoreBudget()
-    tracker = AllocationTracker()
-    timer = PhaseTimer()
     rng = np.random.default_rng(rng_seed)
-    start = time.perf_counter_ns()
-    for b in range(batch):
-        q_full, k_full, v_full = (Tensor(x[b].reshape(L, heads * dims)) for x in (q, k, v))
-        attend_kind(kernel, q_full, k_full, v_full, heads, c, score_kernel=score_kernel,
-                    score_bias=score_bias, rng=rng, budget=budget, tracker=tracker,
-                    timer=timer)
-    elapsed = time.perf_counter_ns() - start
-    return elapsed, budget, tracker.peak, timer
+    with counting(ScoreBudget()) as budget:
+        start = time.perf_counter_ns()
+        for b in range(batch):
+            q_full, k_full, v_full = (Tensor(x[b].reshape(L, heads * dims)) for x in (q, k, v))
+            attend_kind(kernel, q_full, k_full, v_full, heads, c, score_kernel=score_kernel,
+                        score_bias=score_bias, rng=rng)
+        elapsed = time.perf_counter_ns() - start
+    return elapsed, budget
 
 
 def bench_attention(batches=DEFAULT_BATCHES, seq_lens=DEFAULT_SEQ_LENS,
@@ -116,13 +113,13 @@ def bench_attention(batches=DEFAULT_BATCHES, seq_lens=DEFAULT_SEQ_LENS,
                         times = sorted(r[0] for r in runs)
                         median_ns = int(statistics.median(times))
                         # phases from the repeat whose time is closest to the median
-                        rep = min(runs, key=lambda r: abs(r[0] - median_ns))
+                        rep = min(runs, key=lambda r: abs(r[0] - median_ns))[1]
                         records.append(BenchRecord(
                             kernel=kernel, batch=batch, seq_len=L, heads=heads,
                             dims=dims, median_ns=median_ns,
-                            dot_products=rep[1].dot_products_materialized,
-                            peak_bytes=rep[2], t1_ns=rep[3].t1_ns,
-                            t2_ns=rep[3].t2_ns, t3_ns=rep[3].t3_ns,
+                            dot_products=rep.dot_products_materialized,
+                            peak_bytes=rep.peak_bytes, t1_ns=rep.t1_ns,
+                            t2_ns=rep.t2_ns, t3_ns=rep.t3_ns,
                         ))
                     except MemoryError:
                         records.append(BenchRecord(

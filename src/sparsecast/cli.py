@@ -9,6 +9,7 @@ stderr and exit nonzero.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -175,25 +176,37 @@ def load_config(path) -> dict:
     return validate_config(raw)
 
 
-def prepare_data(config: dict):
-    """Load, split, scale and window the dataset named by the config."""
+def _scaled_splits(config: dict, L_y: int):
+    """Load the dataset named by the config, split it with room for windows
+    of horizon ``L_y``, and scale the splits.  Returns the frame, the
+    (train, val, test) splits, the scaler and the model config."""
     ds = config["dataset"]
     frame = load_csv(ds["path"], schema=ds["schema"], target=ds["target"])
     md = config["model"]
-    min_len = md["L_x"] + md["h"] + md["L_y"]
-    train_f, val_f, test_f = split_622(frame, min_len=min_len)
-    (train_s, val_s, test_s), scaler = fit_apply_scaler(
+    train_f, val_f, test_f = split_622(frame, min_len=md["L_x"] + md["h"] + L_y)
+    splits, scaler = fit_apply_scaler(
         train_f, [val_f, test_f], mode=config["preprocess"]["mode"],
         scope=config["preprocess"]["scope"])
-    univariate = ds["mode"] == "univariate"
-    dims = len(frame.target_columns) if univariate else len(frame.columns)
-    model_config = ModelConfig(d_x=dims, d_y=dims, **md)
-    windows = {
-        name: make_windows(f, md["L_x"], md["label_len"], md["L_y"], h=md["h"],
+    dims = len(frame.target_columns) if ds["mode"] == "univariate" else len(frame.columns)
+    return frame, tuple(splits), scaler, ModelConfig(d_x=dims, d_y=dims, **md)
+
+
+def _split_windows(config: dict, splits, L_y: int) -> dict:
+    """Windows of horizon ``L_y`` over each split, keyed train/val/test."""
+    md = config["model"]
+    univariate = config["dataset"]["mode"] == "univariate"
+    return {
+        name: make_windows(f, md["L_x"], md["label_len"], L_y, h=md["h"],
                            univariate=univariate)
-        for name, f in (("train", train_s), ("val", val_s), ("test", test_s))
+        for name, f in zip(("train", "val", "test"), splits)
     }
-    return frame, (train_s, val_s, test_s), scaler, model_config, windows
+
+
+def prepare_data(config: dict):
+    """Load, split, scale and window the dataset named by the config."""
+    frame, splits, scaler, model_config = _scaled_splits(config, config["model"]["L_y"])
+    return frame, splits, scaler, model_config, _split_windows(config, splits,
+                                                               model_config.L_y)
 
 
 def _train_config(config: dict) -> TrainConfig:
@@ -314,33 +327,19 @@ def cmd_bench(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
     horizons = _int_list(args.horizons)
-    ds = config["dataset"]
-    frame = load_csv(ds["path"], schema=ds["schema"], target=ds["target"])
-    md = dict(config["model"])
     train_cfg = _train_config(config)
     if args.steps is not None:
         train_cfg.max_steps = args.steps
-    univariate = ds["mode"] == "univariate"
-    dims = len(frame.target_columns) if univariate else len(frame.columns)
-
-    min_len = md["L_x"] + md["h"] + max(horizons)
-    train_f, val_f, test_f = split_622(frame, min_len=min_len)
-    (train_s, val_s, test_s), _ = fit_apply_scaler(
-        train_f, [val_f, test_f], mode=config["preprocess"]["mode"],
-        scope=config["preprocess"]["scope"])
-
-    train_w, val_w, test_w = {}, {}, {}
-    for horizon in horizons:
-        for store, f in ((train_w, train_s), (val_w, val_s), (test_w, test_s)):
-            store[horizon] = make_windows(f, md["L_x"], md["label_len"], horizon,
-                                          h=md["h"], univariate=univariate)
-    base = ModelConfig(d_x=dims, d_y=dims, **md)
+    _, splits, _, base = _scaled_splits(config, max(horizons))
+    windows = {horizon: _split_windows(config, splits, horizon) for horizon in horizons}
+    train_w, val_w, test_w = ({horizon: w[name] for horizon, w in windows.items()}
+                              for name in ("train", "val", "test"))
     rows = run_ablation(base, train_w, val_w, test_w, horizons, train_cfg)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "ablation.json", "w") as fp:
-        json.dump([row.to_dict() for row in rows], fp, indent=2)
+        json.dump([asdict(row) for row in rows], fp, indent=2)
     print(format_table(rows))
     print(f"wrote {outdir / 'ablation.json'}")
     return 0

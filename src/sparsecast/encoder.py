@@ -14,7 +14,7 @@ branch and no residual.
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget
+from .attention import AttentionConfig, MultiHeadAttention
 from .layers import FeedForward, LayerNorm, uniform_init
 from .tensor import ParamStore, Tensor, conv1d_time, dropout, elu, pool1d
 
@@ -66,15 +66,15 @@ class AttentionBlock:
         self.pre_norm = pre_norm
 
     def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None,
-                 train: bool = False, budget: ScoreBudget | None = None) -> Tensor:
+                 train: bool = False) -> Tensor:
         def maybe_drop(t):
             return dropout(t, self.drop, rng) if train and self.drop > 0 else t
 
         attn_rng = rng if train else np.random.default_rng(0)
         if self.pre_norm:
-            x = x + maybe_drop(self.attn(self.norm1(x), rng=attn_rng, budget=budget))
+            x = x + maybe_drop(self.attn(self.norm1(x), rng=attn_rng))
             return x + maybe_drop(self.ffn(self.norm2(x)))
-        x = self.norm1(x + maybe_drop(self.attn(x, rng=attn_rng, budget=budget)))
+        x = self.norm1(x + maybe_drop(self.attn(x, rng=attn_rng)))
         return self.norm2(x + maybe_drop(self.ffn(x)))
 
 
@@ -99,9 +99,9 @@ class Encoder:
         ]
 
     def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None,
-                 train: bool = False, budget: ScoreBudget | None = None) -> Tensor:
+                 train: bool = False) -> Tensor:
         for j, block in enumerate(self.blocks):
-            x = block(x, rng=rng, train=train, budget=budget)
+            x = block(x, rng=rng, train=train)
             if j < len(self.distills):
                 x = distill_step(x, self.distills[j], kind=self.distill_kind)
         return x

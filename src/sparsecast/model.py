@@ -7,11 +7,13 @@ the masked (causal) variant of the configured sparse kernel, followed by
 canonical cross-attention against the encoder output.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget
+from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget, counting
+from .data import DataError
 from .embedding import WindowEmbedding
 from .encoder import Encoder
 from .layers import Dense, FeedForward, LayerNorm, dropout
@@ -108,20 +110,17 @@ class DecoderLayer:
         self.pre_norm = config.pre_norm
 
     def __call__(self, x: Tensor, enc_out: Tensor, *,
-                 rng: np.random.Generator | None = None, train: bool = False,
-                 budget: ScoreBudget | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
         def maybe_drop(t):
             return dropout(t, self.drop, rng) if train and self.drop > 0 else t
 
         attn_rng = rng if train else np.random.default_rng(0)
         if self.pre_norm:
-            x = x + maybe_drop(self.self_attn(self.norm1(x), rng=attn_rng, budget=budget))
-            x = x + maybe_drop(self.cross_attn(self.norm2(x), enc_out, rng=attn_rng,
-                                               budget=budget))
+            x = x + maybe_drop(self.self_attn(self.norm1(x), rng=attn_rng))
+            x = x + maybe_drop(self.cross_attn(self.norm2(x), enc_out, rng=attn_rng))
             return x + maybe_drop(self.ffn(self.norm3(x)))
-        x = self.norm1(x + maybe_drop(self.self_attn(x, rng=attn_rng, budget=budget)))
-        x = self.norm2(x + maybe_drop(self.cross_attn(x, enc_out, rng=attn_rng,
-                                                      budget=budget)))
+        x = self.norm1(x + maybe_drop(self.self_attn(x, rng=attn_rng)))
+        x = self.norm2(x + maybe_drop(self.cross_attn(x, enc_out, rng=attn_rng)))
         return self.norm3(x + maybe_drop(self.ffn(x)))
 
 
@@ -158,17 +157,24 @@ class Forecaster:
 
     def forward(self, sample, *, rng: np.random.Generator | None = None,
                 train: bool = False, budget: ScoreBudget | None = None) -> Tensor:
-        """One-shot forecast: returns the scaled (L_y, d_y) prediction block."""
+        """One-shot forecast: returns the scaled (L_y, d_y) prediction block.
+
+        The attention of the forward is counted into ``budget`` when one is
+        given, else into the record of an enclosing ``counting`` block.
+        Raises ``DataError`` for a window that does not fit the config.
+        """
         if train and rng is None:
             raise ValueError("training-mode forward requires an rng (dropout/sampling)")
         cfg = self.config
-        enc_x = self.enc_embed(sample.enc_values, sample.enc_stamps)
-        enc_out = self.encoder(enc_x, rng=rng, train=train, budget=budget)
-        dec_values = build_decoder_input(sample.known_tail, cfg.label_len, cfg.L_y)
-        dec_x = self.dec_embed(dec_values, sample.dec_stamps)
-        for layer in self.decoder_layers:
-            dec_x = layer(dec_x, enc_out, rng=rng, train=train, budget=budget)
-        out = self.proj(dec_x)
+        _check_window(sample, cfg)
+        with nullcontext() if budget is None else counting(budget):
+            enc_x = self.enc_embed(sample.enc_values, sample.enc_stamps)
+            enc_out = self.encoder(enc_x, rng=rng, train=train)
+            dec_values = build_decoder_input(sample.known_tail, cfg.label_len, cfg.L_y)
+            dec_x = self.dec_embed(dec_values, sample.dec_stamps)
+            for layer in self.decoder_layers:
+                dec_x = layer(dec_x, enc_out, rng=rng, train=train)
+            out = self.proj(dec_x)
         return out[out.shape[0] - cfg.L_y:]
 
     def loss(self, sample, *, rng: np.random.Generator | None = None,
@@ -183,6 +189,28 @@ class Forecaster:
             return Forecast(predictions=scaled.copy(), scaled_predictions=scaled)
         original = scaler.inverse(scaled, columns=target_columns)
         return Forecast(predictions=original, scaled_predictions=scaled)
+
+
+def _check_window(sample, config: ModelConfig) -> None:
+    """Raise ``DataError`` naming the first window field whose shape does not
+    fit ``config``, or whose values are not finite.  ``target`` is left to
+    the loss."""
+    shapes = (
+        ("enc_values", np.shape(sample.enc_values), (config.L_x, config.d_x)),
+        ("enc_stamps rows", np.shape(sample.enc_stamps)[:1], (config.L_x,)),
+        ("dec_stamps rows", np.shape(sample.dec_stamps)[:1], (config.dec_len,)),
+        ("known_tail", np.shape(sample.known_tail), (config.label_len, config.d_y)),
+    )
+    for name, got, want in shapes:
+        if got != want:
+            raise DataError(f"window {name}: got {got}, the model expects {want}")
+    for name in ("enc_values", "known_tail"):
+        finite = np.isfinite(getattr(sample, name))
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            value = np.asarray(getattr(sample, name))[row, col]
+            raise DataError(f"window {name}: non-finite value {value} at row {row}, "
+                            f"column {col}")
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:

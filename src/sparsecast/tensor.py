@@ -673,39 +673,6 @@ class ParamStore:
             t.data[...] = src.data
 
 
-class AllocationTracker:
-    """Byte counter for transient score buffers.
-
-    Attention kernels ``hold`` the bytes of each score matrix they
-    materialize; ``peak`` is the largest number of bytes held at once
-    and is the hardware-independent memory figure the benchmark reports.
-    """
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-
-    def grab(self, nbytes: int):
-        self.current += int(nbytes)
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def release(self, nbytes: int):
-        self.current -= int(nbytes)
-
-    @contextmanager
-    def hold(self, nbytes: int):
-        self.grab(nbytes)
-        try:
-            yield
-        finally:
-            self.release(nbytes)
-
-    def reset(self):
-        self.current = 0
-        self.peak = 0
-
-
 # -- gradient checking --------------------------------------------------
 
 

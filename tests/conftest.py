@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
+import sparsecast.attention as attention
 from sparsecast.data import synthetic_seasonal_frame, make_windows, split_622, fit_apply_scaler
 from sparsecast.model import Forecaster, ModelConfig
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_counting():
+    """Fail any test that leaves a ``counting`` record active."""
+    yield
+    leaked = attention._ACTIVE.get()
+    if leaked is not None:
+        attention._ACTIVE.set(None)
+        pytest.fail(f"test left a counting record active: {leaked}")
 
 
 def dense_attention(q, k, v, causal=False):

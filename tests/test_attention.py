@@ -2,6 +2,8 @@
 budget counters, and the multi-head wrapper."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from sparsecast.attention import (
     ScoreBudget,
     canonical_attention,
     causal_mask,
+    counting,
     importance_scores,
     masked_neural_sparse_attention,
     neural_sparse_attention,
@@ -71,11 +74,63 @@ class TestCanonical:
             canonical_attention(np.zeros((3, 4)), np.zeros((3, 5)), np.zeros((3, 5)))
 
     def test_budget_counts_full_grid(self):
-        budget = ScoreBudget()
         rng = np.random.default_rng(3)
-        canonical_attention(rng.standard_normal((7, 4)), rng.standard_normal((9, 4)),
-                            rng.standard_normal((9, 4)), budget=budget)
+        with counting(ScoreBudget()) as budget:
+            canonical_attention(rng.standard_normal((7, 4)), rng.standard_normal((9, 4)),
+                                rng.standard_normal((9, 4)))
         assert budget.dot_products_materialized == 7 * 9
+
+
+class TestCounting:
+    def test_record_inactive_after_exit(self):
+        x = np.ones((3, 2))
+        with counting(ScoreBudget()) as budget:
+            canonical_attention(x, x, x)
+        canonical_attention(x, x, x)
+        assert budget.dot_products_materialized == 9
+        with pytest.raises(RuntimeError, match="inside"):
+            with counting(ScoreBudget()) as failed:
+                raise RuntimeError("inside")
+        canonical_attention(x, x, x)
+        assert failed.dot_products_materialized == 0
+        assert attention._ACTIVE.get() is None
+
+    def test_nested_block_restores_outer_record(self):
+        x3, x4 = np.ones((3, 2)), np.ones((4, 2))
+        with counting(ScoreBudget()) as outer:
+            canonical_attention(x3, x3, x3)
+            with counting(ScoreBudget()) as inner:
+                canonical_attention(x4, x4, x4)
+            canonical_attention(x3, x3, x3)
+        assert (outer.dot_products_materialized, inner.dot_products_materialized) == (18, 16)
+
+    def test_threads_count_into_their_own_records(self):
+        """Four threads, more than the cores, count at once with a short
+        switch interval; a shared record would mix their counts."""
+        workers, calls = 4, 40
+        barrier = threading.Barrier(workers, timeout=30)
+        counted = {}
+
+        def work(i):
+            x = np.ones((3 + i, 2))
+            barrier.wait()
+            with counting(ScoreBudget()) as budget:
+                for _ in range(calls):
+                    canonical_attention(x, x, x)
+            counted[i] = budget.dot_products_materialized
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counted == {i: calls * (3 + i) ** 2 for i in range(workers)}
 
 
 class TestImportanceScores:
@@ -264,8 +319,8 @@ class TestNeuralSparse:
     def test_budget_counts_n_times_keys(self):
         rng = np.random.default_rng(14)
         q, k, v, scores, _ = _scored_instance(rng, 20, 4)
-        budget = ScoreBudget()
-        neural_sparse_attention(q, k, v, 2.0, scores, budget=budget)
+        with counting(ScoreBudget()) as budget:
+            neural_sparse_attention(q, k, v, 2.0, scores)
         n = top_n_count(20, 2.0)
         assert budget.dot_products_materialized == n * 20
         assert budget.rows_selected == n
@@ -346,17 +401,15 @@ class TestProbSparse:
         rng = np.random.default_rng(20)
         k, v = rng.standard_normal((2, 16, 4))
         q = np.tile(rng.standard_normal(4), (16, 1))
-        budget = ScoreBudget()
-        prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(1), budget=budget)
+        with counting(ScoreBudget()) as budget:
+            prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(1))
         n = top_n_count(16, 2.0)
         assert budget.rows_selected == n  # ties resolved, exactly n rows
 
     def test_selected_rows_match_oracle(self):
         rng = np.random.default_rng(21)
         q, k, v = rng.standard_normal((3, 16, 4))
-        budget = ScoreBudget()
-        out = prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(7),
-                                    budget=budget).data
+        out = prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(7)).data
         oracle = dense_attention(q, k, v)
         lazy_fill = v.mean(axis=0)
         n = top_n_count(16, 2.0)
@@ -368,8 +421,8 @@ class TestProbSparse:
     def test_budget_includes_sampling(self):
         rng = np.random.default_rng(22)
         q, k, v = rng.standard_normal((3, 20, 4))
-        budget = ScoreBudget()
-        prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(3), budget=budget)
+        with counting(ScoreBudget()) as budget:
+            prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(3))
         n = top_n_count(20, 2.0)
         assert budget.dot_products_materialized == 20 * n + n * 20
 
@@ -524,9 +577,11 @@ def _per_head_oracle(mha, x_q, x_kv=None, rng=None, budget=None):
 
 
 def _run_with_grads(fn, store, weights):
+    """Run ``fn(budget)`` counted into ``budget``: the core counts through
+    ``counting``, the oracle by hand."""
     store.zero_grad()
-    budget = ScoreBudget()
-    out = fn(budget)
+    with counting(ScoreBudget()) as budget:
+        out = fn(budget)
     sum_(out * Tensor(weights)).backward()
     grads = {name: t.grad.copy() for name, t in store.items()}
     return out.data, grads, (budget.dot_products_materialized, budget.rows_selected)
@@ -557,7 +612,7 @@ class TestAllHeadsCore:
         weights = data.standard_normal((L, d_model))
 
         def core(budget):
-            return mha(Tensor(x), rng=np.random.default_rng(9), budget=budget)
+            return mha(Tensor(x), rng=np.random.default_rng(9))
 
         def oracle(budget):
             return _per_head_oracle(mha, Tensor(x), rng=np.random.default_rng(9),
@@ -580,7 +635,7 @@ class TestAllHeadsCore:
         x_q, x_kv = data.standard_normal((9, 16)), data.standard_normal((13, 16))
         weights = data.standard_normal((9, 16))
         out, grads, counts = _run_with_grads(
-            lambda b: mha(Tensor(x_q), Tensor(x_kv), budget=b), store, weights)
+            lambda b: mha(Tensor(x_q), Tensor(x_kv)), store, weights)
         want_out, want_grads, want_counts = _run_with_grads(
             lambda b: _per_head_oracle(mha, Tensor(x_q), Tensor(x_kv), budget=b),
             store, weights)
@@ -609,7 +664,7 @@ class TestAllHeadsCore:
 
         monkeypatch.setattr(attention, "select_top_queries_causal", spy)
         out, grads, (dots, rows) = _run_with_grads(
-            lambda b: mha(Tensor(x), rng=np.random.default_rng(5), budget=b), store, weights)
+            lambda b: mha(Tensor(x), rng=np.random.default_rng(5)), store, weights)
         assert len(counts) == 8 and len(set(counts)) > 1
         sampled = 8 * 40 * top_n_count(40, 2.0) if kind == "masked_prob_sparse" else 0
         assert rows == sum(counts)

@@ -9,7 +9,7 @@ import pytest
 from sparsecast.ablation import VARIANTS, run_ablation
 from sparsecast.attention import canonical_attention, neural_sparse_attention, \
     prob_sparse_attention, importance_scores, top_n_count
-from sparsecast.bench import CSV_HEADER, bench_attention, bench_csv_text
+from sparsecast.bench import ALL_BENCH_KERNELS, CSV_HEADER, bench_attention, bench_csv_text
 from sparsecast import cli as cli_module
 from sparsecast.cli import cli, validate_config, ConfigError
 from sparsecast.data import synthetic_aiops_frame, write_csv, make_windows, split_622, \
@@ -101,6 +101,17 @@ class TestBenchCounters:
         record = bench_attention(batches=[1], seq_lens=[16], kernels=["canonical"],
                                  heads=4, dims=4, repeats=1, warmup=0)[0]
         assert record.peak_bytes == 4 * 16 * 16 * 8
+
+    def test_phases_attributed_to_their_kernels(self):
+        records = bench_attention(batches=[1], seq_lens=[32], kernels=ALL_BENCH_KERNELS,
+                                  heads=2, dims=4, repeats=1, warmup=0, c=2.0)
+        assert [r.kernel for r in records] == list(ALL_BENCH_KERNELS)
+        for r in records:
+            if r.kernel.endswith("canonical"):
+                assert r.t1_ns == r.t2_ns == 0 < r.t3_ns, r
+            else:
+                assert r.t1_ns > 0 and r.t2_ns > 0 and r.t3_ns > 0, r
+            assert r.t1_ns + r.t2_ns + r.t3_ns <= r.median_ns, r
 
     def test_csv_header_is_pinned(self):
         records = bench_attention(batches=[1], seq_lens=[8], kernels=["canonical"],
@@ -262,6 +273,9 @@ class TestCli:
         assert code == 0
         rows = json.loads((out / "ablation.json").read_text())
         assert len(rows) == 8
+        assert all(list(r) == ["variant", "horizon", "toggles", "train_seconds", "corr",
+                               "mse", "mae", "attention_kernel", "dot_products_sample",
+                               "failed", "error"] for r in rows)
         assert {r["variant"] for r in rows} == set(VARIANTS)
         assert all(not r["failed"] for r in rows)
 

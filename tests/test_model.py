@@ -1,10 +1,13 @@
 """Model tests: decoder input assembly, loss, shape law, determinism, causality."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sparsecast.data import make_windows, synthetic_seasonal_frame
+from sparsecast.attention import ScoreBudget, counting
+from sparsecast.data import DataError, make_windows, synthetic_seasonal_frame
 from sparsecast.model import (
     DecoderLayer,
     Forecaster,
@@ -233,3 +236,57 @@ class TestForecaster:
             expected = model.forward(sample).data
         assert np.array_equal(forecast.scaled_predictions, expected)
 
+
+
+class TestWindowChecks:
+    """tiny_model: L_x 12, label_len 4, L_y 4, d_x = d_y = 2."""
+
+    @pytest.mark.parametrize("field,shape,message", [
+        ("enc_values", (16, 2), r"enc_values: got \(16, 2\), the model expects \(12, 2\)"),
+        ("enc_values", (12, 3), r"enc_values: got \(12, 3\), the model expects \(12, 2\)"),
+        ("enc_stamps", (16, 5), r"enc_stamps rows: got \(16,\), the model expects \(12,\)"),
+        ("dec_stamps", (12, 5), r"dec_stamps rows: got \(12,\), the model expects \(8,\)"),
+        ("known_tail", (6, 2), r"known_tail: got \(6, 2\), the model expects \(4, 2\)"),
+        ("known_tail", (4, 1), r"known_tail: got \(4, 1\), the model expects \(4, 2\)"),
+    ])
+    def test_mismatched_field_named(self, tiny_model, field, shape, message):
+        model, sample = tiny_model
+        bad = dataclasses.replace(sample, **{field: np.zeros(shape)})
+        with pytest.raises(DataError, match=message):
+            model.forward(bad)
+
+    @pytest.mark.parametrize("L_x,L_y,message", [
+        (16, 4, r"enc_values: got \(16, 2\)"),
+        (12, 8, r"dec_stamps rows: got \(12,\)"),
+    ])
+    def test_window_built_for_another_shape(self, tiny_model, L_x, L_y, message):
+        model, _ = tiny_model
+        sample = make_windows(synthetic_seasonal_frame(120, 2, seed=9), L_x, 4, L_y)[0]
+        with pytest.raises(DataError, match=message):
+            model.predict(sample)
+
+    @pytest.mark.parametrize("field", ["enc_values", "known_tail"])
+    def test_non_finite_value_named(self, tiny_model, field):
+        model, sample = tiny_model
+        values = np.array(getattr(sample, field))
+        values[2, 1] = np.nan
+        with pytest.raises(DataError,
+                           match=f"{field}: non-finite value nan at row 2, column 1"):
+            model.predict(dataclasses.replace(sample, **{field: values}))
+
+
+class TestCountedForward:
+    def test_forward_counts_into_enclosing_or_given_record(self, tiny_model):
+        model, sample = tiny_model
+        alone = ScoreBudget()
+        model.forward(sample, budget=alone)
+        with counting(ScoreBudget()) as outer:
+            model.forward(sample)
+            given = ScoreBudget()
+            model.forward(sample, budget=given)
+
+        def counts(b):
+            return b.dot_products_materialized, b.rows_selected, b.peak_bytes
+
+        assert alone.dot_products_materialized > 0
+        assert counts(outer) == counts(given) == counts(alone)

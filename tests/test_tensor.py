@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from sparsecast.tensor import (
-    AllocationTracker,
     ParamStore,
     Tensor,
     add,
@@ -389,15 +388,6 @@ class TestTensorBasics:
         store = ParamStore()
         with pytest.raises(ValueError, match="non-finite"):
             store.add("x", np.array([np.nan]))
-
-    def test_allocation_tracker_peak(self):
-        tracker = AllocationTracker()
-        with tracker.hold(100):
-            with tracker.hold(50):
-                pass
-        with tracker.hold(120):
-            pass
-        assert tracker.peak == 150 and tracker.current == 0
 
     def test_embedding_out_of_range(self):
         with pytest.raises(IndexError, match="out of range"):

@@ -5,9 +5,9 @@ One record covers one (kernel, batch, seq_len) cell at fixed heads and
 head width.  Inputs are seeded standard-normal tensors shaped
 (batch, seq_len, heads, dims); each repeat times a full pass over every
 batch item and head.  Counters are exact and identical across repeats;
-the reported wall time is the raw median (no smoothing), and the three
-phase times (scoring / selection / aggregation) come from the median
-repeat.  A cell that cannot allocate is recorded with -1 fields and the
+the reported wall time is the lower median (a real repeat, no smoothing),
+and the three phase times (scoring / selection / aggregation) come from
+that repeat.  A cell that cannot allocate is recorded with -1 fields and the
 sweep continues.
 """
 
@@ -110,10 +110,9 @@ def bench_attention(batches=DEFAULT_BATCHES, seq_lens=DEFAULT_SEQ_LENS,
                         budgets = {r[1].dot_products_materialized for r in runs}
                         if len(budgets) != 1:
                             raise RuntimeError("nondeterministic dot-product counter")
-                        times = sorted(r[0] for r in runs)
-                        median_ns = int(statistics.median(times))
-                        # phases from the repeat whose time is closest to the median
-                        rep = min(runs, key=lambda r: abs(r[0] - median_ns))[1]
+                        # the lower median is a real repeat: its phases fit in its time
+                        median_ns = statistics.median_low(r[0] for r in runs)
+                        rep = next(r[1] for r in runs if r[0] == median_ns)
                         records.append(BenchRecord(
                             kernel=kernel, batch=batch, seq_len=L, heads=heads,
                             dims=dims, median_ns=median_ns,

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .layers import uniform_init
-from .tensor import ParamStore, Tensor, conv1d_time, embedding_lookup, matmul, relu
+from .tensor import ParamStore, Tensor, conv1d_time, embedding_lookup, linear, relu
 
 # calendar stamp categories and their vocabulary sizes
 STAMP_CATEGORIES = ("month", "day", "weekday", "hour", "minute15")
@@ -75,17 +75,16 @@ def stamp_embedding_sum(stamps: np.ndarray, tables: dict) -> Tensor:
 
 def beta_gate(pe_plus_se: Tensor, gate_w: Tensor, gate_b: Tensor) -> Tensor:
     """Nonnegative per-position scalar: ReLU of a d_model -> 1 affine map."""
-    return relu(matmul(pe_plus_se, gate_w) + gate_b)
+    return relu(linear(pe_plus_se, gate_w, gate_b))
 
 
 class WindowEmbedding:
-    """Trainable embedding parameters for windows of one fixed length."""
+    """Trainable embedding parameters; windows of any length share them."""
 
     def __init__(self, store: ParamStore, prefix: str, d_in: int, d_model: int,
-                 length: int, rng: np.random.Generator, gated: bool = True):
+                 rng: np.random.Generator, gated: bool = True):
         self.d_in = d_in
         self.d_model = d_model
-        self.length = length
         self.gated = gated
         # token projection: width-3 conv, zero padding, no bias
         self.token_kernel = store.add(

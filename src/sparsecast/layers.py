@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .tensor import ParamStore, Tensor, dropout, elu, matmul, mean_, power
+from .tensor import ParamStore, Tensor, dropout, elu, layer_norm, linear
 
 __all__ = ["Dense", "LayerNorm", "FeedForward", "uniform_init", "dropout"]
 
@@ -22,10 +22,7 @@ class Dense:
         self.b = store.add(f"{prefix}.b", np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.w)
-        if self.b is not None:
-            out = out + self.b
-        return out
+        return linear(x, self.w, self.b)
 
 
 class LayerNorm:
@@ -37,11 +34,7 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = mean_(x, axis=-1, keepdims=True)
-        centered = x - mu
-        var = mean_(centered * centered, axis=-1, keepdims=True)
-        inv = power(var + self.eps, -0.5)
-        return centered * inv * self.g + self.b
+        return layer_norm(x, self.g, self.b, self.eps)
 
 
 class FeedForward:

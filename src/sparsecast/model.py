@@ -136,15 +136,14 @@ class Forecaster:
         store = ParamStore()
         self.params = store
         self.enc_embed = WindowEmbedding(store, "enc_embed", config.d_x, config.d_model,
-                                         config.L_x, rng, gated=config.gated_embedding)
+                                         rng, gated=config.gated_embedding)
         enc_attn = AttentionConfig(config.n_heads, config.d_model, c=config.c,
                                    kind=config.attention)
         self.encoder = Encoder(store, "encoder", config.enc_blocks, enc_attn,
                                config.d_ff, config.dropout, rng,
                                distill_kind=config.distill, pre_norm=config.pre_norm)
         self.dec_embed = WindowEmbedding(store, "dec_embed", config.d_y, config.d_model,
-                                         config.dec_len, rng,
-                                         gated=config.gated_embedding)
+                                         rng, gated=config.gated_embedding)
         self.decoder_layers = [
             DecoderLayer(store, f"decoder{i}", config, rng)
             for i in range(config.dec_layers)

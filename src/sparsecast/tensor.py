@@ -17,6 +17,7 @@ belong to a single training loop at a time.
 
 import struct
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -291,6 +292,31 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w + b`` as one node: ``x`` is (L, d_in), ``w`` (d_in, d_out) and
+    the optional bias ``b`` (d_out,)."""
+    x, w = _coerce(x), _coerce(w)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
+    out = x.data @ w.data
+    if b is None:
+        parents = (x, w)
+    else:
+        b = _coerce(b)
+        out += b.data
+        parents = (x, w, b)
+
+    def bw(g):
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b is not None and b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _make(out, parents, bw)
+
+
 def transpose(a) -> Tensor:
     a = _coerce(a)
     out = a.data.T
@@ -381,14 +407,22 @@ def _rows_key(index: np.ndarray):
 
 def gather_rows(a, index) -> Tensor:
     """Select rows ``index`` (int array) along axis 0 of an (L, C) tensor, or
-    per head along axis 1 of an (H, L, C) tensor with an (H, n) index."""
+    per head along axis 1 of an (H, L, C) tensor with an (H, n) index.
+
+    An (n,) index may repeat rows; an (H, n) index names distinct rows
+    within each head, as ``scatter_rows`` requires, so its gradient is
+    placed by assignment."""
     a = _coerce(a)
-    key = _rows_key(np.asarray(index, dtype=np.intp))
+    idx = np.asarray(index, dtype=np.intp)
+    key = _rows_key(idx)
     out = a.data[key]
 
     def bw(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if idx.ndim == 1:
+            np.add.at(full, key, g)
+        else:
+            full[key] = g
         _accum(a, full)
 
     return _make(out, (a,), bw)
@@ -500,6 +534,43 @@ def attention_weights(q, k, scale: float, mask=None) -> Tensor:
     return _make(w, (q, k), bw)
 
 
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by ``gain`` and shift by
+    ``bias`` (both (d,)), as one node.
+
+    The forward is the chain mean, centre, variance, (var + eps)^-1/2,
+    scale, shift, in that order.  The backward pass returns dx, dgain and
+    dbias in closed form, summed in the order the reverse walk of that
+    chain sums them, so both passes give the chain's bits.  The tape keeps
+    the centred input and the per-row variance terms.
+    """
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    d = x.data.shape[-1]
+    # sum / d is how ndarray.mean computes, without its Python wrapper
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var_eps = (centered * centered).sum(axis=-1, keepdims=True) / d + eps
+    inv = var_eps ** -0.5
+    out = centered * inv * gain.data + bias.data
+
+    def bw(g):
+        if bias.requires_grad:
+            _accum(bias, _unbroadcast(g, bias.data.shape))
+        if gain.requires_grad:
+            _accum(gain, _unbroadcast(g * (centered * inv), gain.data.shape))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            d_var = (dxhat * centered).sum(axis=-1, keepdims=True) * -0.5 * var_eps ** -1.5
+            d_sq = d_var / d
+            dx = dxhat * inv
+            dx += d_sq * centered  # the square's two operands, one at a time
+            dx += d_sq * centered
+            d_mean = dx.sum(axis=-1, keepdims=True) * -1.0 / d
+            _accum(x, dx)  # through the centring, then through the mean
+            _accum(x, np.broadcast_to(d_mean, dx.shape))
+
+    return _make(out, (x, gain, bias), bw)
+
+
 def conv1d_time(x, kernel, padding: int) -> Tensor:
     """Cross-correlation along the time axis with zero padding.
 
@@ -523,8 +594,14 @@ def conv1d_time(x, kernel, padding: int) -> Tensor:
     l_out = L + 2 * padding - k + 1
     if l_out < 1:
         raise ValueError(f"sequence of length {L} too short for kernel {k} with padding {padding}")
-    xp = np.pad(x.data, ((padding, padding), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (l_out, C_in, k)
+    if padding:
+        xp = np.zeros((L + 2 * padding, c_in))
+        xp[padding : padding + L] = x.data
+    else:
+        xp = np.ascontiguousarray(x.data)
+    step, item = xp.strides
+    windows = np.ndarray((l_out, c_in, k), dtype=np.float64, buffer=xp,
+                         strides=(step, item, step))  # windows[t, c, i] = xp[t + i, c]
     flat_kernel = kernel.data.reshape(c_out, c_in * k)
     out = windows.reshape(l_out, c_in * k) @ flat_kernel.T
 
@@ -541,6 +618,30 @@ def conv1d_time(x, kernel, padding: int) -> Tensor:
     return _make(out, (x, kernel), bw)
 
 
+@lru_cache(maxsize=64)
+def _pool_plan(L: int, kernel: int, stride: int, padding: int):
+    """Read-only index plan shared by every ``pool1d`` call of one shape.
+
+    ``mask`` (l_out, kernel, 1) marks the in-range taps of each window,
+    ``safe`` (l_out, kernel) is each tap's input row clipped into range and
+    ``counts`` the in-range taps per window; ``tap_window``/``tap_row``
+    list the window and input row of every in-range tap, row-major.
+    """
+    l_out = (L + 2 * padding - kernel) // stride + 1
+    if l_out < 1:
+        raise ValueError("sequence too short to pool")
+    idx = -padding + stride * np.arange(l_out)[:, None] + np.arange(kernel)[None, :]
+    valid = (idx >= 0) & (idx < L)
+    if not valid.any(axis=1).all():
+        raise ValueError("pooling window contains no in-range elements")
+    safe = np.clip(idx, 0, L - 1)
+    tap_window, tap_col = np.nonzero(valid)
+    plan = (valid[:, :, None], safe, valid.sum(axis=1), tap_window, safe[tap_window, tap_col])
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
 def pool1d(x, kind: str, kernel: int, stride: int, padding: int) -> Tensor:
     """Per-channel max or average pooling along the time axis.
 
@@ -553,37 +654,27 @@ def pool1d(x, kind: str, kernel: int, stride: int, padding: int) -> Tensor:
     if kernel < 1 or stride < 1:
         raise ValueError("kernel and stride must be >= 1")
     L, C = x.data.shape
-    l_out = (L + 2 * padding - kernel) // stride + 1
-    if l_out < 1:
-        raise ValueError("sequence too short to pool")
-    idx = -padding + stride * np.arange(l_out)[:, None] + np.arange(kernel)[None, :]
-    valid = (idx >= 0) & (idx < L)
-    if not valid.any(axis=1).all():
-        raise ValueError("pooling window contains no in-range elements")
-    safe = np.clip(idx, 0, L - 1)
+    mask, safe, counts, tap_window, tap_row = _pool_plan(L, kernel, stride, padding)
     win = x.data[safe]  # (l_out, kernel, C)
 
     if kind == "max":
-        masked = np.where(valid[:, :, None], win, -np.inf)
+        masked = np.where(mask, win, -np.inf)
         out = masked.max(axis=1)
         arg = masked.argmax(axis=1)  # (l_out, C)
 
         def bw(g):
-            full = np.zeros_like(x.data)
-            rows = safe[np.arange(l_out)[:, None], arg]
-            cols = np.broadcast_to(np.arange(C)[None, :], rows.shape)
-            np.add.at(full, (rows, cols), g)
-            _accum(x, full)
+            flat = np.take_along_axis(safe, arg, axis=1) * C + np.arange(C)
+            _accum(x, np.bincount(flat.ravel(), weights=g.ravel(),
+                                  minlength=L * C).reshape(L, C))
 
     else:
-        counts = valid.sum(axis=1)
-        out = (win * valid[:, :, None]).sum(axis=1) / counts[:, None]
+        out = (win * mask).sum(axis=1) / counts[:, None]
 
         def bw(g):
-            full = np.zeros_like(x.data)
-            jj, ii = np.nonzero(valid)
-            np.add.at(full, safe[jj, ii], g[jj] / counts[jj, None])
-            _accum(x, full)
+            flat = tap_row[:, None] * C + np.arange(C)
+            share = (g / counts[:, None])[tap_window]
+            _accum(x, np.bincount(flat.ravel(), weights=share.ravel(),
+                                  minlength=L * C).reshape(L, C))
 
     return _make(out, (x,), bw)
 
@@ -600,9 +691,10 @@ def embedding_lookup(table, index) -> Tensor:
     out = table.data[idx]
 
     def bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        _accum(table, full)
+        V, d = table.data.shape
+        flat = idx[:, None] * d + np.arange(d)
+        _accum(table, np.bincount(flat.ravel(), weights=g.ravel(),
+                                  minlength=V * d).reshape(V, d))
 
     return _make(out, (table,), bw)
 

@@ -131,7 +131,7 @@ def test_c03_gradient_suite():
 
     # embedding block
     store = ParamStore()
-    emb = WindowEmbedding(store, "emb", 2, 8, 12, np.random.default_rng(1))
+    emb = WindowEmbedding(store, "emb", 2, 8, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     values = rng.standard_normal((12, 2))
     stamps = np.stack([rng.integers(0, 13, 12), rng.integers(0, 32, 12),

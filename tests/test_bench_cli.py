@@ -113,6 +113,13 @@ class TestBenchCounters:
                 assert r.t1_ns > 0 and r.t2_ns > 0 and r.t3_ns > 0, r
             assert r.t1_ns + r.t2_ns + r.t3_ns <= r.median_ns, r
 
+    @pytest.mark.parametrize("repeats", [2, 4])
+    def test_even_repeats_report_a_real_repeat(self, repeats):
+        records = bench_attention(batches=[1], seq_lens=[32], kernels=ALL_BENCH_KERNELS,
+                                  heads=2, dims=4, repeats=repeats, warmup=0, c=2.0)
+        for r in records:
+            assert r.t1_ns + r.t2_ns + r.t3_ns <= r.median_ns, r
+
     def test_csv_header_is_pinned(self):
         records = bench_attention(batches=[1], seq_lens=[8], kernels=["canonical"],
                                   heads=2, dims=4, repeats=1, warmup=0)

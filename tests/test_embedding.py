@@ -136,9 +136,9 @@ class TestBetaGate:
 
 
 class TestEmbedWindow:
-    def _params(self, d_in=2, d_model=8, L=10, gated=True, seed=0):
+    def _params(self, d_in=2, d_model=8, gated=True, seed=0):
         store = ParamStore()
-        return WindowEmbedding(store, "emb", d_in, d_model, L, np.random.default_rng(seed),
+        return WindowEmbedding(store, "emb", d_in, d_model, np.random.default_rng(seed),
                                gated=gated), store
 
     def test_zero_tables_reduce_to_projection_plus_pe(self):

@@ -18,12 +18,15 @@ from sparsecast.tensor import (
     embedding_lookup,
     finite_diff_check,
     gather_rows,
+    layer_norm,
+    linear,
     matmul,
     mean_,
     merge_heads,
     mul,
     no_grad,
     pool1d,
+    power,
     relu,
     scatter_rows,
     softmax_lastdim,
@@ -31,6 +34,7 @@ from sparsecast.tensor import (
     sum_,
     transpose,
 )
+from sparsecast.tensor import _pool_plan
 
 
 class TestConv1d:
@@ -97,6 +101,65 @@ class TestConvBackward:
         gk, gx = _per_tap_conv_grads(x.data, kernel.data, g, padding)
         npt.assert_allclose(kernel.grad, gk, rtol=1e-12, atol=1e-12 * np.abs(gk).max())
         npt.assert_allclose(x.grad, gx, rtol=1e-12, atol=1e-12 * np.abs(gx).max())
+
+
+def _pad_window_conv(x, kernel, padding, g):
+    """``conv1d_time`` as it was built on ``np.pad`` and
+    ``sliding_window_view``: output, kernel gradient and input gradient for
+    the output gradient ``g``.  The oracle for the strided-view version."""
+    L, c_in = x.shape
+    c_out, _, k = kernel.shape
+    l_out = L + 2 * padding - k + 1
+    xp = np.pad(x, ((padding, padding), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
+    flat_kernel = kernel.reshape(c_out, c_in * k)
+    out = windows.reshape(l_out, c_in * k) @ flat_kernel.T
+    gk = (g.T @ windows.reshape(l_out, c_in * k)).reshape(c_out, c_in, k)
+    g_windows = (g @ flat_kernel).reshape(l_out, c_in, k)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        gxp[i : i + l_out] += g_windows[:, :, i]
+    return out, gk, gxp[padding : padding + L]
+
+
+class TestConvAgainstPadOracle:
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("L", [1, 2, 5, 48])
+    def test_bit_identical_outputs_and_gradients(self, L, k, padding):
+        rng = np.random.default_rng(1000 * L + 10 * k + padding)
+        x = Tensor(rng.standard_normal((L, 3)), requires_grad=True)
+        kernel = Tensor(rng.standard_normal((4, 3, k)), requires_grad=True)
+        if L + 2 * padding - k + 1 < 1:
+            with pytest.raises(ValueError, match=f"length {L} too short for kernel {k}"):
+                conv1d_time(x, kernel, padding=padding)
+            return
+        out = conv1d_time(x, kernel, padding=padding)
+        g = rng.standard_normal(out.shape)
+        sum_(out * Tensor(g)).backward()
+        want_out, want_gk, want_gx = _pad_window_conv(x.data, kernel.data, padding, g)
+        npt.assert_array_equal(out.data, want_out)
+        npt.assert_array_equal(kernel.grad, want_gk)
+        npt.assert_array_equal(x.grad, want_gx)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_strided_and_read_only_inputs(self, padding):
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((3, 10))
+        base.setflags(write=False)
+        kernel = rng.standard_normal((2, 3, 3))
+        x = base.T  # (10, 3), not C-contiguous, read-only
+        out = conv1d_time(Tensor(x), Tensor(kernel), padding=padding)
+        want, _, _ = _pad_window_conv(x, kernel, padding, np.zeros(out.shape))
+        npt.assert_array_equal(out.data, want)
+
+    def test_closure_holds_the_padded_input_once(self):
+        x = Tensor(np.ones((6, 2)), requires_grad=True)
+        out = conv1d_time(x, Tensor(np.ones((3, 2, 3)), requires_grad=True), padding=1)
+        arrays = [c.cell_contents for c in out._backward.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        owned = [a for a in arrays if a.base is None]
+        assert [a.shape for a in owned] == [(8, 2)]  # the padded input
 
 
 class TestConstantOperands:
@@ -194,6 +257,126 @@ class TestHeads:
                               mask=np.array([[True, True, True], [False, True, True]]))
 
 
+def _layer_norm_chain(x, gain, bias, eps):
+    """Layer norm as a chain of elementwise nodes: the oracle for ``layer_norm``."""
+    mu = mean_(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = mean_(centered * centered, axis=-1, keepdims=True)
+    inv = power(var + eps, -0.5)
+    return centered * inv * gain + bias
+
+
+def _linear_chain(x, w, b):
+    """``matmul`` then bias ``add``: the oracle for ``linear``."""
+    out = matmul(x, w)
+    return out if b is None else out + b
+
+
+def _fused_vs_chain(fused, chain, arrays, seed, residual=False):
+    """Run both on fresh leaves of ``arrays``; return (outputs, gradients)
+    of each.  ``residual`` adds the first input to the output, so that it
+    also gets a gradient from outside the node."""
+    results = []
+    for op in (fused, chain):
+        leaves = [None if a is None else Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        if residual:
+            out = out + leaves[0]
+        weights = np.random.default_rng(seed).standard_normal(out.shape)
+        sum_(out * Tensor(weights)).backward()
+        results.append((out.data, [t.grad for t in leaves if t is not None]))
+    return results
+
+
+def _assert_same_bits(got, want):
+    (out, grads), (want_out, want_grads) = got, want
+    npt.assert_array_equal(out, want_out)
+    assert len(grads) == len(want_grads)
+    for g, w in zip(grads, want_grads):
+        npt.assert_array_equal(g, w)
+
+
+class TestFusedNodes:
+    """The one-node forms compute the chains they replace with the same
+    bits, forward and backward."""
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("shape", [(7, 6), (1, 4), (2, 5, 6), (24, 32)])
+    def test_layer_norm_matches_chain(self, shape, residual):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        gain, bias = rng.standard_normal((2, shape[-1]))
+        _assert_same_bits(*_fused_vs_chain(
+            lambda *t: layer_norm(*t, 1e-5), lambda *t: _layer_norm_chain(*t, 1e-5),
+            [x, gain, bias], seed=1, residual=residual))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("shape", [(7, 6, 3), (1, 4, 4), (24, 32, 64)])
+    def test_linear_matches_chain(self, shape, bias):
+        rng = np.random.default_rng(sum(shape))
+        L, d_in, d_out = shape
+        arrays = [rng.standard_normal((L, d_in)), rng.standard_normal((d_in, d_out)),
+                  rng.standard_normal(d_out) if bias else None]
+        _assert_same_bits(*_fused_vs_chain(linear, _linear_chain, arrays, seed=2))
+
+    def test_linear_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"linear shape mismatch: \(3, 4\) @ \(5, 2\)"):
+            linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
+
+    def test_layer_norm_tape_keeps_centred_input_and_row_terms(self):
+        x = Tensor(np.random.default_rng(3).standard_normal((5, 4)), requires_grad=True)
+        out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+        arrays = [c.cell_contents for c in out._backward.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        assert sorted(a.shape for a in arrays) == [(5, 1), (5, 1), (5, 4)]
+
+
+def _add_at(shape, index, values):
+    full = np.zeros(shape)
+    np.add.at(full, index, values)
+    return full
+
+
+class TestScatterBackward:
+    """Backward passes that scatter by ``np.bincount`` or by assignment give
+    the bits ``np.add.at`` gives."""
+
+    def _grad(self, op, x, seed):
+        x = Tensor(x, requires_grad=True)
+        out = op(x)
+        g = np.random.default_rng(seed).standard_normal(out.shape)
+        sum_(out * Tensor(g)).backward()
+        return x.grad, g, out
+
+    def test_embedding(self):
+        idx = np.array([2, 0, 5, 2, 2, 31, 0])
+        grad, g, _ = self._grad(lambda t: embedding_lookup(t, idx),
+                                np.random.default_rng(0).standard_normal((32, 8)), 1)
+        npt.assert_array_equal(grad, _add_at((32, 8), idx, g))
+
+    @pytest.mark.parametrize("L", [1, 5, 48])
+    def test_pools(self, L):
+        x = np.random.default_rng(L).standard_normal((L, 4))
+        grad, g, _ = self._grad(lambda t: pool1d(t, "avg", 3, 2, 1), x, 2)
+        idx = -1 + 2 * np.arange(g.shape[0])[:, None] + np.arange(3)[None, :]
+        valid = (idx >= 0) & (idx < L)
+        jj, ii = np.nonzero(valid)
+        counts = valid.sum(axis=1)
+        npt.assert_array_equal(grad, _add_at(x.shape, idx[jj, ii], g[jj] / counts[jj, None]))
+
+        grad, g, out = self._grad(lambda t: pool1d(t, "max", 3, 2, 1), x, 3)
+        masked = np.where(valid[:, :, None], x[np.clip(idx, 0, L - 1)], -np.inf)
+        rows = np.clip(idx, 0, L - 1)[np.arange(g.shape[0])[:, None], masked.argmax(axis=1)]
+        cols = np.broadcast_to(np.arange(4), rows.shape)
+        npt.assert_array_equal(grad, _add_at(x.shape, (rows, cols), g))
+
+    def test_per_head_gather(self):
+        x = np.random.default_rng(4).standard_normal((3, 9, 4))
+        rows = np.array([[8, 0, 3], [1, 2, 7], [4, 6, 5]])
+        grad, g, _ = self._grad(lambda t: gather_rows(t, rows), x, 5)
+        npt.assert_array_equal(grad, _add_at(x.shape, (np.arange(3)[:, None], rows), g))
+
+
 class TestPool1d:
     def test_max_hand_pooling(self):
         x = Tensor(np.array([[1.0], [3.0], [2.0], [4.0]]))
@@ -215,6 +398,19 @@ class TestPool1d:
     def test_too_short_errors(self):
         with pytest.raises(ValueError, match="too short to pool"):
             pool1d(Tensor(np.zeros((2, 1))), "avg", kernel=6, stride=2, padding=0)
+
+    def test_index_plan_is_cached_read_only(self):
+        x = Tensor(np.random.default_rng(5).standard_normal((11, 3)))
+        first = [pool1d(x, kind, 3, 2, 1).data for kind in ("max", "avg")]
+        plan = _pool_plan(11, 3, 2, 1)
+        assert _pool_plan(11, 3, 2, 1) is plan
+        for a in plan:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+        again = [pool1d(x, kind, 3, 2, 1).data for kind in ("max", "avg")]
+        for a, b in zip(first, again):
+            npt.assert_array_equal(a, b)
 
     def test_max_dominates_avg(self):
         rng = np.random.default_rng(3)
@@ -316,7 +512,7 @@ PRIMITIVES = {
     "matmul_heads": lambda p, rng: matmul(split_heads(p["a"][:, :4], 2),
                                           split_heads(p["b"][:2, :4], 2)),
     "gather_heads": lambda p, rng: gather_rows(split_heads(p["a"][:, :4], 2),
-                                               np.array([[3, 1, 1], [0, 5, 2]])),
+                                               np.array([[3, 1, 4], [0, 5, 2]])),
     "scatter_heads": lambda p, rng: scatter_rows(np.array([[1, 4], [5, 0]]),
                                                  split_heads(p["a"][:2, :4], 2), 6),
     "cumsum_heads": lambda p, rng: cumsum_time(split_heads(p["a"][:, :4], 2)),
@@ -325,6 +521,9 @@ PRIMITIVES = {
     "attention_weights_masked": lambda p, rng: attention_weights(
         split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2), 0.7,
         mask=np.triu(np.ones((6, 6), bool), k=1)),
+    "layer_norm": lambda p, rng: layer_norm(p["a"], p["b"][0], p["b"][1], 1e-5),
+    "linear": lambda p, rng: linear(p["a"], p["b"][:5], p["b"][5]),
+    "linear_no_bias": lambda p, rng: linear(p["a"], transpose(p["b"][:3])),
 }
 
 

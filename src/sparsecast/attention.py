@@ -355,6 +355,16 @@ def sampled_sparsity(q: Tensor, k: Tensor, c: float, rng: np.random.Generator,
     return measure
 
 
+def eval_rng(kind: str) -> np.random.Generator | None:
+    """The generator a forward outside training hands ``attend_kind``.
+
+    Only the ``prob_sparse`` kinds draw: each call gets a fresh seed-0
+    generator, so their eval outputs repeat from call to call.  The other
+    kinds get None and build nothing.
+    """
+    return np.random.default_rng(0) if kind.endswith("prob_sparse") else None
+
+
 def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
                 score_kernel=None, score_bias=None, rng: np.random.Generator | None = None,
                 cumsum_normalized: bool = False) -> Tensor:

@@ -22,6 +22,8 @@ from .tensor import ParamStore, Tensor, conv1d_time, embedding_lookup, linear, r
 # calendar stamp categories and their vocabulary sizes
 STAMP_CATEGORIES = ("month", "day", "weekday", "hour", "minute15")
 STAMP_VOCAB = {"month": 13, "day": 32, "weekday": 7, "hour": 24, "minute15": 4}
+_VOCAB_SIZES = np.array([STAMP_VOCAB[name] for name in STAMP_CATEGORIES])
+_VOCAB_SIZES.setflags(write=False)
 
 
 @lru_cache(maxsize=64)
@@ -54,13 +56,13 @@ def validate_stamps(stamps: np.ndarray) -> np.ndarray:
     stamps = np.asarray(stamps)
     if stamps.ndim != 2 or stamps.shape[1] != len(STAMP_CATEGORIES):
         raise ValueError(f"stamps must be (L, {len(STAMP_CATEGORIES)}), got {stamps.shape}")
-    for col, name in enumerate(STAMP_CATEGORIES):
-        vocab = STAMP_VOCAB[name]
-        bad = (stamps[:, col] < 0) | (stamps[:, col] >= vocab)
-        if bad.any():
-            value = int(stamps[bad, col][0])
-            raise ValueError(f"stamp {name!r} index {value} outside [0, {vocab})")
-    return stamps.astype(np.intp)
+    bad = (stamps < 0) | (stamps >= _VOCAB_SIZES)
+    if bad.any():
+        col = int(np.flatnonzero(bad.any(axis=0))[0])
+        name = STAMP_CATEGORIES[col]
+        value = int(stamps[bad[:, col], col][0])
+        raise ValueError(f"stamp {name!r} index {value} outside [0, {STAMP_VOCAB[name]})")
+    return stamps.astype(np.intp, copy=False)
 
 
 def stamp_embedding_sum(stamps: np.ndarray, tables: dict) -> Tensor:

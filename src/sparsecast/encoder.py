@@ -14,7 +14,7 @@ branch and no residual.
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadAttention
+from .attention import AttentionConfig, MultiHeadAttention, eval_rng
 from .layers import FeedForward, LayerNorm, uniform_init
 from .tensor import ParamStore, Tensor, conv1d_time, dropout, elu, pool1d
 
@@ -70,7 +70,7 @@ class AttentionBlock:
         def maybe_drop(t):
             return dropout(t, self.drop, rng) if train and self.drop > 0 else t
 
-        attn_rng = rng if train else np.random.default_rng(0)
+        attn_rng = rng if train else eval_rng(self.attn.config.kind)
         if self.pre_norm:
             x = x + maybe_drop(self.attn(self.norm1(x), rng=attn_rng))
             return x + maybe_drop(self.ffn(self.norm2(x)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget, counting
+from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget, counting, eval_rng
 from .data import DataError
 from .embedding import WindowEmbedding
 from .encoder import Encoder
@@ -114,7 +114,7 @@ class DecoderLayer:
         def maybe_drop(t):
             return dropout(t, self.drop, rng) if train and self.drop > 0 else t
 
-        attn_rng = rng if train else np.random.default_rng(0)
+        attn_rng = rng if train else eval_rng(self.self_attn.config.kind)
         if self.pre_norm:
             x = x + maybe_drop(self.self_attn(self.norm1(x), rng=attn_rng))
             x = x + maybe_drop(self.cross_attn(self.norm2(x), enc_out, rng=attn_rng))

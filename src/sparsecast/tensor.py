@@ -809,9 +809,9 @@ def finite_diff_check(f, params: ParamStore, step: float = 1e-5) -> float:
     return max_rel
 
 
-def fnv1a64(payload: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
-    h = 0xCBF29CE484222325
+def fnv1a64(payload: bytes, h: int = 0xCBF29CE484222325) -> int:
+    """64-bit FNV-1a hash of a byte string.  Passing the hash of the bytes
+    before ``payload`` as ``h`` continues it, so a stream hashes in chunks."""
     for b in payload:
         h ^= b
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF

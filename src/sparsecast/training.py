@@ -9,6 +9,9 @@ magic ``HGNT2`` with a trailing 64-bit BLAKE2b digest of the payload.
 
 import gc
 import hashlib
+import math
+import os
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -76,6 +79,13 @@ def adam_step(params: ParamStore, state: OptimizerState, lr: float,
             raise ValueError(f"parameter {name!r} has no gradient")
     state.step += 1
     k = state.step
+    # Every intermediate goes through ``out=`` into two scratch buffers
+    # sized to the largest parameter.  The operations and their order are
+    # those of ``data -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so the
+    # update is the same to the bit.
+    largest = max((t.data.size for _, t in params.items()), default=0)
+    scratch_a, scratch_b = np.empty(largest), np.empty(largest)
+    c1, c2 = 1.0 - beta1**k, 1.0 - beta2**k
     for name, t in params.items():
         if weight_decay:
             t.data *= 1.0 - lr * weight_decay
@@ -85,13 +95,20 @@ def adam_step(params: ParamStore, state: OptimizerState, lr: float,
             m = state.m[name] = np.zeros_like(t.data)
             state.v[name] = np.zeros_like(t.data)
         v = state.v[name]
+        a = scratch_a[:g.size].reshape(g.shape)
+        b = scratch_b[:g.size].reshape(g.shape)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**k)
-        v_hat = v / (1.0 - beta2**k)
-        t.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(g, 1.0 - beta2, out=b)
+        v += np.multiply(b, g, out=b)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        np.divide(m, c1, out=a)
+        a *= lr
+        a /= b
+        t.data -= a
 
 
 def evaluate(model, samples, *, units: str = "scaled", scaler=None,
@@ -152,22 +169,26 @@ def _train_step(model, batch, rng, state: OptimizerState, lr: float,
                 config: TrainConfig) -> float:
     """Forward, backward and Adam update on one batch; returns the mean loss.
 
-    A non-finite loss is returned before any parameter changes.  The tape
-    is freed when this returns.
+    Each window is back-propagated as soon as its loss is taken, seeded
+    with 1/B, so a step holds one window's tape at a time.  The leaf
+    gradients add the same terms in the same order as one backward through
+    the sum of the B losses would.  A non-finite running loss stops the
+    step before any parameter changes; the next ``zero_grad`` discards the
+    partial gradients.
     """
     params = model.params
     params.zero_grad()
-    total = None
+    scale = 1.0 / len(batch)
+    total = 0.0
     for sample in batch:
         loss = model.loss(sample, rng=rng, train=True)
-        total = loss if total is None else total + loss
-    total = total * (1.0 / len(batch))
-    loss_value = total.item()
-    if np.isfinite(loss_value):
-        total.backward()
-        adam_step(params, state, lr, config.weight_decay,
-                  config.adam_beta1, config.adam_beta2, config.adam_eps)
-    return loss_value
+        total += loss.item()
+        if not np.isfinite(total):
+            return total * scale
+        (loss * scale).backward()
+    adam_step(params, state, lr, config.weight_decay,
+              config.adam_beta1, config.adam_beta2, config.adam_eps)
+    return total * scale
 
 
 def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainResult:
@@ -225,13 +246,6 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
 # -- checkpoint format ---------------------------------------------------
 
 
-def _checksum(magic: bytes, payload: bytes) -> int:
-    """Trailing u64 of a checkpoint: FNV-1a for ``HGNT1``, else BLAKE2b-64."""
-    if magic == b"HGNT1":
-        return fnv1a64(payload)
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
-
-
 _CHUNK_BYTES = 1 << 20
 
 
@@ -266,7 +280,7 @@ def _payload_chunks(params: ParamStore):
 def checkpoint_bytes(params: ParamStore) -> bytes:
     """Serialize: magic, the payload, then a BLAKE2b-64 checksum of the payload."""
     payload = b"".join(_payload_chunks(params))
-    return CHECKPOINT_MAGIC + payload + pack_u64(_checksum(CHECKPOINT_MAGIC, payload))
+    return CHECKPOINT_MAGIC + payload + hashlib.blake2b(payload, digest_size=8).digest()
 
 
 def save_checkpoint(params: ParamStore, path):
@@ -277,57 +291,97 @@ def save_checkpoint(params: ParamStore, path):
         for chunk in _payload_chunks(params):
             digest.update(chunk)
             fp.write(chunk)
-        fp.write(pack_u64(int.from_bytes(digest.digest(), "little")))
+        fp.write(digest.digest())
 
 
-def _parse_checkpoint(blob: bytes):
-    magic = blob[: len(CHECKPOINT_MAGIC)]
-    if magic not in _READABLE_MAGICS:
-        raise ValueError("not a checkpoint file (bad magic)")
-    if len(blob) < len(magic) + 8:
+def _read_exact(fp, n: int) -> bytes:
+    data = fp.read(n)
+    if len(data) != n:
         raise ValueError("truncated checkpoint file")
-    payload = memoryview(blob)[len(magic):-8]
-    stored, _ = unpack_u64(blob, len(blob) - 8)
-    if _checksum(magic, payload) != stored:
+    return data
+
+
+def _verify_checksum(fp, magic: bytes, size: int) -> None:
+    """Hash the next ``size`` bytes of ``fp`` in chunks of at most
+    ``_CHUNK_BYTES`` and compare with the u64 that follows them: FNV-1a for
+    ``HGNT1``, else BLAKE2b-64."""
+    fnv = magic == b"HGNT1"
+    state = fnv1a64(b"") if fnv else hashlib.blake2b(digest_size=8)
+    chunk = memoryview(bytearray(min(size, _CHUNK_BYTES)))
+    while size:
+        n = fp.readinto(chunk[:size])
+        if not n:
+            raise ValueError("truncated checkpoint file")
+        if fnv:
+            state = fnv1a64(chunk[:n], state)
+        else:
+            state.update(chunk[:n])
+        size -= n
+    computed = state if fnv else int.from_bytes(state.digest(), "little")
+    if computed != unpack_u64(_read_exact(fp, 8), 0)[0]:
         raise ValueError("checkpoint checksum mismatch")
-    entries = []
-    offset = 0
-    while offset < len(payload):
-        name_len, offset = unpack_u64(payload, offset)
-        name = str(payload[offset:offset + name_len], "utf-8")
-        offset += name_len
-        rank, offset = unpack_u64(payload, offset)
-        shape = []
-        for _ in range(rank):
-            extent, offset = unpack_u64(payload, offset)
-            shape.append(extent)
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        entries.append((name, data.reshape(shape).astype(np.float64)))
+
+
+def _read_entries(path) -> list:
+    """Verify a checkpoint file, then read its (name, array) entries in order.
+
+    Each parameter is read straight into a fresh array, so a load holds the
+    payload once.  A header that asks for more bytes than the payload has
+    left is rejected before anything is allocated.
+    """
+    with open(path, "rb") as fp:
+        magic = fp.read(len(CHECKPOINT_MAGIC))
+        if magic not in _READABLE_MAGICS:
+            raise ValueError("not a checkpoint file (bad magic)")
+        left = os.fstat(fp.fileno()).st_size - len(magic) - 8
+        if left < 0:
+            raise ValueError("truncated checkpoint file")
+        _verify_checksum(fp, magic, left)
+        fp.seek(len(magic))
+
+        def read(n: int) -> bytes:
+            nonlocal left
+            if n > left:
+                raise ValueError("truncated checkpoint file")
+            left -= n
+            return _read_exact(fp, n)
+
+        def read_u64() -> int:
+            return unpack_u64(read(8), 0)[0]
+
+        entries = []
+        while left:
+            name = str(read(read_u64()), "utf-8")
+            rank = read_u64()
+            shape = struct.unpack(f"<{rank}Q", read(8 * rank))
+            nbytes = 8 * math.prod(shape)
+            if nbytes > left:
+                raise ValueError("truncated checkpoint file")
+            left -= nbytes
+            data = np.empty(shape, dtype="<f8")
+            if fp.readinto(data.reshape(-1).view(np.uint8)) != nbytes:
+                raise ValueError("truncated checkpoint file")
+            entries.append((name, data))
     return entries
 
 
 def load_checkpoint(path) -> ParamStore:
-    with open(path, "rb") as fp:
-        blob = fp.read()
+    """Read a checkpoint after verifying its checksum in bounded chunks."""
     store = ParamStore()
-    for name, data in _parse_checkpoint(blob):
+    for name, data in _read_entries(path):
         store.add(name, data)
     return store
 
 
 def inspect_checkpoint(path) -> dict:
     """Names, shapes and checksum status without loading into a model."""
-    with open(path, "rb") as fp:
-        blob = fp.read()
-    entries = _parse_checkpoint(blob)
+    entries = _read_entries(path)
     return {
         "parameters": [{"name": n, "shape": list(d.shape), "elements": int(d.size)}
                        for n, d in entries],
         "total_parameters": int(sum(d.size for _, d in entries)),
         "checksum_ok": True,
-        "file_bytes": len(blob),
+        "file_bytes": os.path.getsize(path),
     }
 
 

@@ -12,6 +12,7 @@ from sparsecast.embedding import (
     embed_window,
     positional_encoding,
     stamp_embedding_sum,
+    validate_stamps,
 )
 from sparsecast.tensor import ParamStore, Tensor, conv1d_time
 
@@ -112,6 +113,32 @@ class TestStampEmbedding:
         stamps[1, STAMP_CATEGORIES.index("weekday")] = 9
         with pytest.raises(ValueError, match="weekday.*9"):
             stamp_embedding_sum(stamps, _zero_tables(4))
+
+
+    def test_first_bad_column_and_value_are_named(self):
+        """The vectorised check names the first bad category in column
+        order and its first bad value in row order, as a per-column loop
+        does, and returns intp indices without copying intp input."""
+        def loop_message(stamps):
+            for col, name in enumerate(STAMP_CATEGORIES):
+                vocab = STAMP_VOCAB[name]
+                bad = (stamps[:, col] < 0) | (stamps[:, col] >= vocab)
+                if bad.any():
+                    return f"stamp {name!r} index {int(stamps[bad, col][0])} outside [0, {vocab})"
+
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            stamps = _stamps(8, rng)
+            for _ in range(rng.integers(1, 4)):
+                col = rng.integers(len(STAMP_CATEGORIES))
+                vocab = STAMP_VOCAB[STAMP_CATEGORIES[col]]
+                stamps[rng.integers(8), col] = rng.choice([-1 - rng.integers(3),
+                                                           vocab + rng.integers(3)])
+            with pytest.raises(ValueError) as raised:
+                validate_stamps(stamps)
+            assert str(raised.value) == loop_message(stamps)
+        good = _stamps(8, rng).astype(np.intp)
+        assert validate_stamps(good) is good
 
 
 class TestBetaGate:

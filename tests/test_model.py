@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sparsecast.attention as attention_module
 from sparsecast.attention import ScoreBudget, counting
 from sparsecast.data import DataError, make_windows, synthetic_seasonal_frame
 from sparsecast.model import (
@@ -175,6 +176,30 @@ class TestForecaster:
         a = model.forward(sample).data
         b = model.forward(sample).data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("attention", ["neural_sparse", "prob_sparse", "canonical"])
+    def test_eval_attention_rng_only_for_sampled_ranking(self, attention, monkeypatch):
+        """Outside training each attention call that samples gets its own
+        fresh seed-0 generator; the kinds that draw nothing get none."""
+        calls = []
+        original = attention_module.attend_kind
+
+        def spy(kind, *args, rng=None, **kwargs):
+            calls.append((kind, rng, None if rng is None else rng.bit_generator.state))
+            return original(kind, *args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(attention_module, "attend_kind", spy)
+        frame = synthetic_seasonal_frame(120, 2, seed=7)
+        config = ModelConfig(L_x=12, label_len=4, L_y=4, d_x=2, d_y=2, d_model=8,
+                             n_heads=2, enc_blocks=2, dropout=0.0, attention=attention)
+        Forecaster(config, np.random.default_rng(2)).forward(make_windows(frame, 12, 4, 4)[0])
+        fresh = np.random.default_rng(0).bit_generator.state
+        sampled = [(rng, state) for kind, rng, state in calls if kind.endswith("prob_sparse")]
+        assert len(sampled) == (3 if attention == "prob_sparse" else 0)
+        assert all(state == fresh for _, state in sampled)
+        assert len({id(rng) for rng, _ in sampled}) == len(sampled)
+        if attention != "prob_sparse":
+            assert all(rng is None for _, rng, _ in calls)
 
     def test_single_row_decoder(self):
         """label_len=0, L_y=1: the decoder runs on one position."""

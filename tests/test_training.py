@@ -4,12 +4,14 @@ import dataclasses
 import gc
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import make_split_windows
+from sparsecast import training
 from sparsecast.model import Forecaster, ModelConfig
 from sparsecast.tensor import ParamStore, fnv1a64
 from sparsecast.training import (
@@ -51,6 +53,39 @@ class TestAdam:
         adam_step(store, OptimizerState(), lr=0.1, weight_decay=0.5)
         npt.assert_allclose(t.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5), atol=1e-15)
 
+    def test_in_place_update_equals_the_formula(self):
+        """The scratch-buffer update is bit-identical to the textbook
+        expressions over three steps with weight decay, for scalar, empty,
+        non-contiguous and matrix parameters."""
+        def reference(data, grad, m, v, k, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+            data = data * (1.0 - lr * wd)
+            m = m * beta1 + (1.0 - beta1) * grad
+            v = v * beta2 + (1.0 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1**k)
+            v_hat = v / (1.0 - beta2**k)
+            return data - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+        rng = np.random.default_rng(3)
+        store = ParamStore()
+        store.add("scalar", np.array(0.7))
+        store.add("empty", np.zeros((0, 3)))
+        store.add("strided", rng.normal(size=(4, 6)).T)
+        store.add("w", rng.normal(size=(5, 7)))
+        expected = {name: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape))
+                    for name, t in store.items()}
+        state = OptimizerState()
+        for k in (1, 2, 3):
+            for name, t in store.items():
+                t.grad = rng.normal(size=t.shape)
+                data, m, v = expected[name]
+                expected[name] = reference(data, t.grad, m, v, k, lr=1e-2, wd=5e-4)
+            adam_step(store, state, lr=1e-2, weight_decay=5e-4)
+        for name, t in store.items():
+            data, m, v = expected[name]
+            assert t.data.tobytes() == data.tobytes(), name
+            assert state.m[name].tobytes() == m.tobytes(), name
+            assert state.v[name].tobytes() == v.tobytes(), name
+
     def test_missing_grad_names_parameter(self):
         store = ParamStore()
         store.add("hidden.w", np.zeros(2))
@@ -79,6 +114,100 @@ def _tiny_trainable(seed=5):
                          n_heads=2, enc_blocks=2)
     model = Forecaster(config, np.random.default_rng(seed))
     return model, train_w, val_w, test_w
+
+
+def _one_tape_step(model, batch, rng, state, lr, config):
+    """Reference step: the B window losses summed into one graph and one
+    backward, which holds all B tapes at its peak."""
+    params = model.params
+    params.zero_grad()
+    total = None
+    for sample in batch:
+        loss = model.loss(sample, rng=rng, train=True)
+        total = loss if total is None else total + loss
+    total = total * (1.0 / len(batch))
+    loss_value = total.item()
+    if np.isfinite(loss_value):
+        total.backward()
+        adam_step(params, state, lr, config.weight_decay,
+                  config.adam_beta1, config.adam_beta2, config.adam_eps)
+    return loss_value
+
+
+def _step_model(attention="neural_sparse", seed=5):
+    (train_w, _, _), _ = make_split_windows(length=400, dims=2, L_x=24, label_len=12,
+                                            L_y=12, seed=seed)
+    config = ModelConfig(L_x=24, label_len=12, L_y=12, d_x=2, d_y=2, d_model=16,
+                         n_heads=2, enc_blocks=2, dropout=0.1, attention=attention)
+    return Forecaster(config, np.random.default_rng(seed)), train_w
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("attention", ["neural_sparse", "prob_sparse"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_equals_one_tape_reference(self, attention, batch_size):
+        """Back-propagating window by window gives the parameters, Adam
+        moments and losses of one backward through the summed batch, bit
+        for bit, with dropout and sampled ranking drawing from the rng."""
+        runs = []
+        for step in (training._train_step, _one_tape_step):
+            model, train_w = _step_model(attention)
+            rng = np.random.default_rng(1)
+            state = OptimizerState()
+            losses = [step(model, train_w[i * batch_size:(i + 1) * batch_size], rng, state,
+                           1e-3, TrainConfig()) for i in range(2)]
+            runs.append((losses, model.params, state))
+        (losses, params, state), (ref_losses, ref_params, ref_state) = runs
+        assert losses == ref_losses
+        for name, t in params.items():
+            assert t.data.tobytes() == ref_params[name].data.tobytes(), name
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+    def test_peak_memory_holds_one_window_tape(self):
+        """After a warm-up step, a step over 8 windows peaks at most 1.5x a
+        step over one window; the one-tape reference peaks near 8x."""
+        model, train_w = _step_model()
+        rng = np.random.default_rng(0)
+        state = OptimizerState()
+        training._train_step(model, train_w[:8], rng, state, 1e-3, TrainConfig())
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for batch_size in (1, 8):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                training._train_step(model, train_w[:batch_size], rng, state, 1e-3,
+                                     TrainConfig())
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[8] <= 1.5 * peaks[1], peaks
+
+    def test_non_finite_second_window_leaves_parameters(self):
+        model, train_w = _step_model()
+        poisoned = dataclasses.replace(train_w[1], target=np.full_like(train_w[1].target, np.nan))
+        before = checkpoint_bytes(model.params)
+        state = OptimizerState()
+        loss = training._train_step(model, [train_w[0], poisoned, train_w[2]],
+                                    np.random.default_rng(0), state, 1e-3, TrainConfig())
+        assert not np.isfinite(loss)
+        assert checkpoint_bytes(model.params) == before
+        assert state.step == 0 and not state.m
+
+    def test_divergence_names_the_batch_of_the_bad_window(self):
+        """A NaN target in the second window of the second batch raises
+        ``TrainingDiverged`` for that epoch and batch."""
+        model, train_w = _step_model()
+        train_w = train_w[:6]
+        config = TrainConfig(batch_size=2, epochs=1, seed=4)
+        order = np.random.default_rng(config.seed).permutation(len(train_w))
+        bad = int(order[3])
+        train_w[bad] = dataclasses.replace(
+            train_w[bad], target=np.full_like(train_w[bad].target, np.nan))
+        with pytest.raises(TrainingDiverged) as raised:
+            train_loop(model, train_w, [], config)
+        assert (raised.value.epoch, raised.value.batch) == (0, 1)
 
 
 class TestTrainLoop:
@@ -247,11 +376,53 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_loaded_arrays_own_memory_and_peak_is_one_payload(self, tmp_path):
+        """Loaded arrays are fresh, writeable and own their memory; a load
+        holds the payload once plus at most one hash chunk and the
+        finiteness check of the largest parameter."""
+        store = ParamStore()
+        rng = np.random.default_rng(0)
+        for j in range(24):
+            store.add(f"layer{j}.w", rng.normal(size=(256, 256)))
+        path = tmp_path / "big.hgnt"
+        save_checkpoint(store, path)
+        payload = path.stat().st_size - 5 - 8
+        load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= payload + (1 << 20) + (64 << 10), (peak, payload)
+        for name, t in loaded.items():
+            assert t.data.flags.writeable and t.data.flags.owndata
+            npt.assert_array_equal(t.data, store[name].data)
+
+    @pytest.mark.parametrize("version", [b"HGNT1", b"HGNT2"])
+    @pytest.mark.parametrize("header", [
+        struct.pack("<Q", 1 << 62),                                  # name length
+        struct.pack("<Q", 1) + b"w" + struct.pack("<Q", 1 << 61),    # rank
+        struct.pack("<Q", 1) + b"w" + struct.pack("<QQQ", 2, 1 << 40, 1 << 20),  # extents
+    ], ids=["name", "rank", "extents"])
+    def test_forged_header_with_valid_checksum_is_truncated(self, tmp_path, version, header):
+        """A header asking for more bytes than the file holds fails with
+        ``ValueError`` before anything that size is allocated."""
+        checksum = (struct.pack("<Q", fnv1a64(header)) if version == b"HGNT1"
+                    else hashlib.blake2b(header, digest_size=8).digest())
+        path = tmp_path / "forged.hgnt"
+        path.write_bytes(version + header + checksum)
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="truncated"):
+            inspect_checkpoint(path)
+
     def test_fnv1a_reference_vectors(self):
         from sparsecast.tensor import fnv1a64
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+        assert fnv1a64(b"bar", fnv1a64(b"foo")) == fnv1a64(b"foobar")
 
     def test_reads_hgnt1(self, tmp_path):
         name = b"enc.w"

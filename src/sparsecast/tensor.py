@@ -1,13 +1,23 @@
 """Dense float64 tensor engine with taped reverse-mode gradients.
 
-Every operation evaluates eagerly with numpy and, when gradients are
-enabled and at least one input requires them, records a backward closure.
+Every operation evaluates eagerly with numpy.  When gradients are enabled
+and at least one input requires them, the operation also records a graph
+node on its output: a ``_Node`` holding the output's gradient buffer, the
+nodes of the inputs that require gradients, the output shape and a
+backward closure.  The closure captures those parent nodes plus exactly
+the arrays its own gradient formula reads (a matmul keeps its operands, a
+ReLU a boolean mask, dropout its boolean mask, an add only shapes), never
+the input tensors, so the tape holds only what backward reads: an output
+that no formula reads is freed as soon as the caller drops it.  A leaf (a
+tensor that requires gradients but was not made by a recorded operation,
+such as a parameter) is its own node.  Under ``no_grad``, or when every
+input is a constant, an operation records nothing and builds no closure.
+
 Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates ``grad`` buffers on every
-reachable leaf (a tensor that requires gradients but records no backward
-closure, such as a parameter).  The walk consumes the tape: once a node
-has passed its gradient on, its gradient, closure and parent links are
-dropped, so activations are freed as the walk passes them and a second
+reachable leaf.  The walk consumes the tape: once a node has passed its
+gradient on, its gradient, closure and parent links are dropped, so the
+saved arrays are freed as the walk passes them and a second
 ``backward()`` through the same graph raises ``RuntimeError``.
 
 Tensors are value-semantic (no operation mutates an input array), so a
@@ -36,17 +46,46 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """A dense float64 array plus an optional same-shape gradient buffer."""
+class _Node:
+    """One recorded operation: its output's gradient buffer and shape, the
+    nodes of its inputs that require gradients, and its backward closure.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    ``_parents`` and ``_backward`` carry the names ``Tensor`` exposes, so a
+    walk reads op nodes and leaves alike."""
+
+    __slots__ = ("grad", "shape", "_parents", "_backward")
+
+    def __init__(self, shape, parents, backward):
+        self.grad = None
+        self.shape = shape
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    """A dense float64 array plus an optional same-shape gradient buffer.
+
+    A leaf keeps its gradient in ``grad``; the output of a recorded
+    operation keeps it on its ``_node``, until backward passes it on."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = None
+
+    @property
+    def _parents(self):
+        """Parent nodes of the operation that made this tensor; () for a leaf."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        """Backward closure of the operation that made this tensor; None for
+        a leaf."""
+        return None if self._node is None else self._node._backward
 
     @property
     def shape(self):
@@ -79,9 +118,12 @@ class Tensor:
         """Reverse-mode pass seeded at this scalar; consumes the tape."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
+        root = self if self._node is None else self._node
+        if root is self and not self.requires_grad:
+            return  # a constant: no graph, no gradient
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -94,10 +136,10 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
+                if id(p) not in visited:
                     stack.append((p, False))
-        _accum(self, np.ones_like(self.data))
-        # Popping drops the list's reference, so each node's activations die
+        _accum(root, np.ones(self.data.shape), fresh=True)
+        # Popping drops the list's reference, so each node's saved arrays die
         # as soon as its gradient has been passed on.
         while topo:
             node = topo.pop()
@@ -170,25 +212,43 @@ def _consumed(g):
     raise RuntimeError(_CONSUMED)
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        # A private copy: ``g`` may be shared with another parent (add) or be
-        # a view of a buffer the caller still uses (concat, _getitem).
-        t.grad = np.empty_like(t.data)
-        np.copyto(t.grad, g)
-    else:
-        t.grad += g
+def _inputs(*tensors):
+    """The graph nodes of an operation's inputs (None for a constant), or
+    None when the operation records nothing: gradients are disabled, or
+    every input is a constant."""
+    if not _grad_enabled:
+        return None
+    nodes = tuple([t._node or (t if t.requires_grad else None) for t in tensors])
+    return None if nodes.count(None) == len(nodes) else nodes
 
 
-def _make(data, parents, backward) -> Tensor:
+def _make(data, nodes, backward) -> Tensor:
+    """Wrap an operation's output and record its node; ``nodes`` come from
+    ``_inputs``."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    out.requires_grad = True
+    parents = tuple([n for n in nodes if n is not None]) if None in nodes else nodes
+    out._node = _Node(out.data.shape, parents, backward)
     return out
+
+
+def _accum(node, g, fresh: bool = False):
+    """Add ``g`` into the gradient buffer of ``node`` (an op node or a leaf).
+
+    A ``fresh`` ``g`` is one the caller has just computed and hands over, so
+    a first gradient adopts it, when it is a C-contiguous array, instead of
+    copying it.  Any other first gradient is copied into a new C-ordered
+    buffer: ``g`` may be shared with another parent (add) or be a view of a
+    buffer the caller still uses (concat, split_heads).
+    """
+    if node.grad is None:
+        if fresh and isinstance(g, np.ndarray) and g.flags.c_contiguous:
+            node.grad = g
+        else:
+            node.grad = np.empty(node.shape)
+            np.copyto(node.grad, g)
+    else:
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -206,67 +266,108 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     out = a.data + b.data
+    nodes = _inputs(a, b)
+    if nodes is None:
+        return Tensor(out)
+    na, nb = nodes
+    shape_a, shape_b = a.data.shape, b.data.shape
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        # g is this node's own buffer, dropped after this call: the first
+        # parent may keep it, the second reads it before anything writes it.
+        if na is not None:
+            _accum(na, _unbroadcast(g, shape_a), fresh=True)
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, shape_b))
 
-    return _make(out, (a, b), bw)
+    return _make(out, nodes, bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     out = a.data * b.data
+    nodes = _inputs(a, b)
+    if nodes is None:
+        return Tensor(out)
+    na, nb = nodes
+    shape_a, shape_b = a.data.shape, b.data.shape
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            _accum(na, _unbroadcast(g * b_data, shape_a), fresh=True)
+        if nb is not None:
+            _accum(nb, _unbroadcast(g * a_data, shape_b), fresh=True)
 
-    return _make(out, (a, b), bw)
+    return _make(out, nodes, bw)
 
 
 def power(a, p) -> Tensor:
     a = _coerce(a)
     p = float(p)
     out = a.data**p
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+    a_data = a.data
 
     def bw(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
+        _accum(na, g * p * a_data ** (p - 1.0), fresh=True)
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def relu(a) -> Tensor:
     a = _coerce(a)
     out = np.maximum(a.data, 0.0)
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+    positive = a.data > 0.0
 
     def bw(g):
-        _accum(a, g * (a.data > 0.0))
+        _accum(na, g * positive, fresh=True)
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def elu(a) -> Tensor:
     a = _coerce(a)
     pos = a.data > 0.0
     out = np.where(pos, a.data, np.expm1(a.data))
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
 
     def bw(g):
-        _accum(a, g * np.where(pos, 1.0, out + 1.0))
+        # out > 0 exactly where a > 0, since expm1 of a non-positive a is not
+        # positive, so the tape keeps only the output
+        _accum(na, g * np.where(out > 0.0, 1.0, out + 1.0), fresh=True)
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; the mask is a constant drawn from ``rng``."""
+    """Inverted dropout: an entry is kept where a uniform draw from ``rng``
+    is at least ``p`` and scaled by 1 / (1 - p).  The tape keeps the
+    boolean mask and rebuilds the scaled mask from it."""
     if p <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    return mul(a, Tensor(keep))
+    kept = rng.random(a.data.shape) >= p
+    out = a.data * (kept / (1.0 - p))
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+
+    def bw(g):
+        _accum(na, g * (kept / (1.0 - p)), fresh=True)
+
+    return _make(out, nodes, bw)
 
 
 # -- linear algebra ---------------------------------------------------
@@ -282,14 +383,20 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
+    nodes = _inputs(a, b)
+    if nodes is None:
+        return Tensor(out)
+    na, nb = nodes
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        if na is not None:
+            _accum(na, g @ np.swapaxes(b_data, -1, -2), fresh=True)
+        if nb is not None:
+            _accum(nb, np.swapaxes(a_data, -1, -2) @ g, fresh=True)
 
-    return _make(out, (a, b), bw)
+    return _make(out, nodes, bw)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -300,31 +407,41 @@ def linear(x, w, b=None) -> Tensor:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
     out = x.data @ w.data
     if b is None:
-        parents = (x, w)
+        nodes = _inputs(x, w)
     else:
         b = _coerce(b)
         out += b.data
-        parents = (x, w, b)
+        nodes = _inputs(x, w, b)
+    if nodes is None:
+        return Tensor(out)
+    nx, nw = nodes[:2]
+    nb = nodes[2] if len(nodes) == 3 else None
+    x_data = x.data if nw is not None else None
+    w_data = w.data if nx is not None else None
 
     def bw(g):
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
-        if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=0))
+        if nx is not None:
+            _accum(nx, g @ w_data.T, fresh=True)
+        if nw is not None:
+            _accum(nw, x_data.T @ g, fresh=True)
+        if nb is not None:
+            _accum(nb, g.sum(axis=0), fresh=True)
 
-    return _make(out, parents, bw)
+    return _make(out, nodes, bw)
 
 
 def transpose(a) -> Tensor:
     a = _coerce(a)
     out = a.data.T
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
 
     def bw(g):
-        _accum(a, g.T)
+        _accum(na, g.T)
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 # -- reductions and rearrangement -------------------------------------
@@ -333,28 +450,38 @@ def transpose(a) -> Tensor:
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = _coerce(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+    shape = a.data.shape
 
     def bw(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accum(na, np.broadcast_to(gg, shape).copy(), fresh=True)
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def mean_(a, axis=None, keepdims=False) -> Tensor:
     a = _coerce(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+    shape = a.data.shape
+    count = a.data.size if axis is None else shape[axis]
 
     def bw(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg / count, a.data.shape).copy())
+        _accum(na, np.broadcast_to(gg / count, shape).copy(), fresh=True)
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def cumsum_time(a) -> Tensor:
@@ -362,38 +489,51 @@ def cumsum_time(a) -> Tensor:
     tensor, axis 1 of an (H, L, C) stack of heads."""
     a = _coerce(a)
     out = np.cumsum(a.data, axis=-2)
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
 
     def bw(g):
-        _accum(a, np.flip(np.cumsum(np.flip(g, axis=-2), axis=-2), axis=-2))
+        _accum(na, np.flip(np.cumsum(np.flip(g, axis=-2), axis=-2), axis=-2))
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def concat(tensors, axis=0) -> Tensor:
     ts = [_coerce(t) for t in tensors]
     out = np.concatenate([t.data for t in ts], axis=axis)
+    nodes = _inputs(*ts)
+    if nodes is None:
+        return Tensor(out)
     sizes = [t.data.shape[axis] for t in ts]
 
     def bw(g):
         off = 0
-        for t, s in zip(ts, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(off, off + s)
-            _accum(t, g[tuple(sl)])
+        for node, s in zip(nodes, sizes):
+            if node is not None:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(off, off + s)
+                _accum(node, g[tuple(sl)])
             off += s
 
-    return _make(out, tuple(ts), bw)
+    return _make(out, nodes, bw)
 
 
 def _getitem(a: Tensor, key) -> Tensor:
     out = a.data[key]
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+    shape = a.data.shape
 
     def bw(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[key] = g
-        _accum(a, full)
+        _accum(na, full, fresh=True)
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def _rows_key(index: np.ndarray):
@@ -416,16 +556,21 @@ def gather_rows(a, index) -> Tensor:
     idx = np.asarray(index, dtype=np.intp)
     key = _rows_key(idx)
     out = a.data[key]
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+    shape = a.data.shape
 
     def bw(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         if idx.ndim == 1:
             np.add.at(full, key, g)
         else:
             full[key] = g
-        _accum(a, full)
+        _accum(na, full, fresh=True)
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def scatter_rows(index, rows, length: int) -> Tensor:
@@ -437,11 +582,15 @@ def scatter_rows(index, rows, length: int) -> Tensor:
     lead = rows.data.shape[:-2] if idx.ndim > 1 else ()
     out = np.zeros(lead + (length,) + rows.data.shape[idx.ndim:], dtype=np.float64)
     out[key] = rows.data
+    nodes = _inputs(rows)
+    if nodes is None:
+        return Tensor(out)
+    nr, = nodes
 
     def bw(g):
-        _accum(rows, g[key])
+        _accum(nr, g[key], fresh=True)
 
-    return _make(out, (rows,), bw)
+    return _make(out, nodes, bw)
 
 
 def split_heads(a, n_heads: int) -> Tensor:
@@ -451,11 +600,15 @@ def split_heads(a, n_heads: int) -> Tensor:
     if width % n_heads:
         raise ValueError(f"width {width} not divisible by {n_heads} heads")
     out = a.data.reshape(L, n_heads, width // n_heads).transpose(1, 0, 2)
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
 
     def bw(g):
-        _accum(a, g.transpose(1, 0, 2).reshape(L, width))
+        _accum(na, g.transpose(1, 0, 2).reshape(L, width))
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 def merge_heads(a) -> Tensor:
@@ -463,40 +616,38 @@ def merge_heads(a) -> Tensor:
     a = _coerce(a)
     H, L, d = a.data.shape
     out = a.data.transpose(1, 0, 2).reshape(L, H * d)
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
 
     def bw(g):
-        _accum(a, g.reshape(L, H, d).transpose(1, 0, 2))
+        _accum(na, g.reshape(L, H, d).transpose(1, 0, 2))
 
-    return _make(out, (a,), bw)
+    return _make(out, nodes, bw)
 
 
 # -- neural-network primitives -----------------------------------------
 
+# Elements of one block of ``g * w`` in the ``attention_weights`` backward.
+_ROW_BLOCK = 1 << 16
 
-def softmax_lastdim(x, mask=None) -> Tensor:
-    """Softmax over the last axis.
 
-    ``mask`` (boolean, True = forbidden) zeroes entries exactly and
-    renormalizes the rest; a fully forbidden row is an error.  The shift
-    by the row maximum keeps the exponentials bounded.
-    """
-    x = _coerce(x)
-    if mask is not None:
-        forbidden = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
-        if np.any(forbidden.all(axis=-1)):
-            raise ValueError("empty attention row: every entry is masked")
-        scores = np.where(forbidden, -np.inf, x.data)
-    else:
-        scores = x.data
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - inner))
-
-    return _make(y, (x,), bw)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a * b).sum(axis=-1, keepdims=True)`` for two arrays of one shape,
+    made a block of rows at a time, so that no product of their full size
+    exists.  Each row sums its products as the one-shot expression does."""
+    m = a.shape[-1]
+    a2, b2 = a.reshape(-1, m), b.reshape(-1, m)
+    n = a2.shape[0]
+    out = np.empty((n, 1))
+    step = max(1, _ROW_BLOCK // max(m, 1))
+    block = np.empty((min(step, n), m))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        part = np.multiply(a2[start:stop], b2[start:stop], out=block[:stop - start])
+        part.sum(axis=-1, keepdims=True, out=out[start:stop])
+    return out.reshape(a.shape[:-1] + (1,))
 
 
 def attention_weights(q, k, scale: float, mask=None) -> Tensor:
@@ -506,8 +657,10 @@ def attention_weights(q, k, scale: float, mask=None) -> Tensor:
     ``mask`` (boolean, broadcastable to (..., n, m), True = forbidden)
     zeroes entries exactly; a fully forbidden row is an error.  The scale
     is folded into ``q`` and the softmax runs in place, so the scores take
-    one buffer and the tape keeps only the weights; the backward pass
-    returns dq and dk directly.
+    one buffer.  The tape keeps the weights plus ``q`` and ``k``; the
+    backward pass forms the score gradient in the node's own gradient
+    buffer and returns dq and dk directly, so backward adds no second
+    score-sized array.
     """
     q, k = _coerce(q), _coerce(k)
     w = (q.data * scale) @ np.swapaxes(k.data, -1, -2)
@@ -517,21 +670,32 @@ def attention_weights(q, k, scale: float, mask=None) -> Tensor:
             raise ValueError("empty attention row: every entry is masked")
         np.copyto(w, -np.inf, where=forbidden)
     w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
+    if mask is None:
+        np.exp(w, out=w)
+    else:
+        # exp(-inf) is 0.0 but slow: skip the forbidden entries and zero them
+        np.exp(w, out=w, where=~forbidden)
+        np.copyto(w, 0.0, where=forbidden)
     w /= w.sum(axis=-1, keepdims=True)
+    nodes = _inputs(q, k)
+    if nodes is None:
+        return Tensor(w)
+    nq, nk = nodes
+    q_data = q.data if nk is not None else None
+    k_data = k.data if nq is not None else None
 
     def bw(g):
-        ds = g * w
-        inner = ds.sum(axis=-1, keepdims=True)
-        np.subtract(g, inner, out=ds)
-        ds *= w
-        ds *= scale
-        if q.requires_grad:
-            _accum(q, ds @ k.data)
-        if k.requires_grad:  # dk = (q^T ds)^T, the gradient of k^T transposed
-            _accum(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
+        # ds = (g - rowsum(g * w)) * w * scale, written over g, which is
+        # this node's own buffer and dropped after this call
+        g -= _row_dot(g, w)
+        g *= w
+        g *= scale
+        if nq is not None:
+            _accum(nq, g @ k_data, fresh=True)
+        if nk is not None:  # dk = (q^T ds)^T, the gradient of k^T transposed
+            _accum(nk, np.swapaxes(np.swapaxes(q_data, -1, -2) @ g, -1, -2))
 
-    return _make(w, (q, k), bw)
+    return _make(w, nodes, bw)
 
 
 def layer_norm(x, gain, bias, eps: float) -> Tensor:
@@ -542,7 +706,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     scale, shift, in that order.  The backward pass returns dx, dgain and
     dbias in closed form, summed in the order the reverse walk of that
     chain sums them, so both passes give the chain's bits.  The tape keeps
-    the centred input and the per-row variance terms.
+    the centred input, the per-row variance terms and the gain.
     """
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     d = x.data.shape[-1]
@@ -551,31 +715,47 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     var_eps = (centered * centered).sum(axis=-1, keepdims=True) / d + eps
     inv = var_eps ** -0.5
     out = centered * inv * gain.data + bias.data
+    nodes = _inputs(x, gain, bias)
+    if nodes is None:
+        return Tensor(out)
+    nx, ng, nb = nodes
+    gain_data = gain.data
+    shape_gain, shape_bias = gain.data.shape, bias.data.shape
 
     def bw(g):
-        if bias.requires_grad:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
-        if gain.requires_grad:
-            _accum(gain, _unbroadcast(g * (centered * inv), gain.data.shape))
-        if x.requires_grad:
-            dxhat = g * gain.data
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, shape_bias))
+        if ng is not None:
+            _accum(ng, _unbroadcast(g * (centered * inv), shape_gain), fresh=True)
+        if nx is not None:
+            dxhat = g * gain_data
             d_var = (dxhat * centered).sum(axis=-1, keepdims=True) * -0.5 * var_eps ** -1.5
             d_sq = d_var / d
             dx = dxhat * inv
             dx += d_sq * centered  # the square's two operands, one at a time
             dx += d_sq * centered
             d_mean = dx.sum(axis=-1, keepdims=True) * -1.0 / d
-            _accum(x, dx)  # through the centring, then through the mean
-            _accum(x, np.broadcast_to(d_mean, dx.shape))
+            _accum(nx, dx, fresh=True)  # through the centring, then through the mean
+            _accum(nx, np.broadcast_to(d_mean, dx.shape))
 
-    return _make(out, (x, gain, bias), bw)
+    return _make(out, nodes, bw)
+
+
+def _conv_windows(xp: np.ndarray, l_out: int, k: int) -> np.ndarray:
+    """(l_out, C_in*k) rows of the C-contiguous padded input ``xp``: row t
+    is windows[t, c, i] = xp[t + i, c], flattened channel-major."""
+    step, item = xp.strides
+    windows = np.ndarray((l_out, xp.shape[1], k), dtype=np.float64, buffer=xp,
+                         strides=(step, item, step))
+    return windows.reshape(l_out, xp.shape[1] * k)
 
 
 def conv1d_time(x, kernel, padding: int) -> Tensor:
     """Cross-correlation along the time axis with zero padding.
 
     ``x`` is (L, C_in), ``kernel`` is (C_out, C_in, k) with odd k; the
-    result is (L + 2*padding - k + 1, C_out).
+    result is (L + 2*padding - k + 1, C_out).  The tape keeps the padded
+    input for the kernel's gradient and the kernel for the input's.
     """
     x, kernel = _coerce(x), _coerce(kernel)
     if x.data.ndim != 2 or kernel.data.ndim != 3:
@@ -599,23 +779,28 @@ def conv1d_time(x, kernel, padding: int) -> Tensor:
         xp[padding : padding + L] = x.data
     else:
         xp = np.ascontiguousarray(x.data)
-    step, item = xp.strides
-    windows = np.ndarray((l_out, c_in, k), dtype=np.float64, buffer=xp,
-                         strides=(step, item, step))  # windows[t, c, i] = xp[t + i, c]
     flat_kernel = kernel.data.reshape(c_out, c_in * k)
-    out = windows.reshape(l_out, c_in * k) @ flat_kernel.T
+    out = _conv_windows(xp, l_out, k) @ flat_kernel.T
+    nodes = _inputs(x, kernel)
+    if nodes is None:
+        return Tensor(out)
+    nx, nk = nodes
+    padded_shape = xp.shape
+    xp = xp if nk is not None else None
+    flat_kernel = flat_kernel if nx is not None else None
 
     def bw(g):
-        if kernel.requires_grad:
-            _accum(kernel, (g.T @ windows.reshape(l_out, c_in * k)).reshape(c_out, c_in, k))
-        if x.requires_grad:
+        if nk is not None:
+            _accum(nk, (g.T @ _conv_windows(xp, l_out, k)).reshape(c_out, c_in, k),
+                   fresh=True)
+        if nx is not None:
             g_windows = (g @ flat_kernel).reshape(l_out, c_in, k)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(padded_shape)
             for i in range(k):
                 gxp[i : i + l_out] += g_windows[:, :, i]
-            _accum(x, gxp[padding : padding + L] if padding else gxp)
+            _accum(nx, gxp[padding : padding + L] if padding else gxp, fresh=True)
 
-    return _make(out, (x, kernel), bw)
+    return _make(out, nodes, bw)
 
 
 @lru_cache(maxsize=64)
@@ -646,7 +831,8 @@ def pool1d(x, kind: str, kernel: int, stride: int, padding: int) -> Tensor:
     """Per-channel max or average pooling along the time axis.
 
     Average pooling divides by the number of in-range elements in each
-    window, so padding never dilutes the result.
+    window, so padding never dilutes the result.  The tape keeps the
+    argmax of each max window and nothing for an average.
     """
     x = _coerce(x)
     if kind not in ("max", "avg"):
@@ -656,27 +842,32 @@ def pool1d(x, kind: str, kernel: int, stride: int, padding: int) -> Tensor:
     L, C = x.data.shape
     mask, safe, counts, tap_window, tap_row = _pool_plan(L, kernel, stride, padding)
     win = x.data[safe]  # (l_out, kernel, C)
-
     if kind == "max":
         masked = np.where(mask, win, -np.inf)
         out = masked.max(axis=1)
+    else:
+        out = (win * mask).sum(axis=1) / counts[:, None]
+    nodes = _inputs(x)
+    if nodes is None:
+        return Tensor(out)
+    nx, = nodes
+
+    if kind == "max":
         arg = masked.argmax(axis=1)  # (l_out, C)
 
         def bw(g):
             flat = np.take_along_axis(safe, arg, axis=1) * C + np.arange(C)
-            _accum(x, np.bincount(flat.ravel(), weights=g.ravel(),
-                                  minlength=L * C).reshape(L, C))
+            _accum(nx, np.bincount(flat.ravel(), weights=g.ravel(),
+                                   minlength=L * C).reshape(L, C), fresh=True)
 
     else:
-        out = (win * mask).sum(axis=1) / counts[:, None]
-
         def bw(g):
             flat = tap_row[:, None] * C + np.arange(C)
             share = (g / counts[:, None])[tap_window]
-            _accum(x, np.bincount(flat.ravel(), weights=share.ravel(),
-                                  minlength=L * C).reshape(L, C))
+            _accum(nx, np.bincount(flat.ravel(), weights=share.ravel(),
+                                   minlength=L * C).reshape(L, C), fresh=True)
 
-    return _make(out, (x,), bw)
+    return _make(out, nodes, bw)
 
 
 def embedding_lookup(table, index) -> Tensor:
@@ -689,14 +880,18 @@ def embedding_lookup(table, index) -> Tensor:
             f"min={idx.min()}, max={idx.max()}"
         )
     out = table.data[idx]
+    nodes = _inputs(table)
+    if nodes is None:
+        return Tensor(out)
+    nt, = nodes
+    V, d = table.data.shape
 
     def bw(g):
-        V, d = table.data.shape
         flat = idx[:, None] * d + np.arange(d)
-        _accum(table, np.bincount(flat.ravel(), weights=g.ravel(),
-                                  minlength=V * d).reshape(V, d))
+        _accum(nt, np.bincount(flat.ravel(), weights=g.ravel(),
+                               minlength=V * d).reshape(V, d), fresh=True)
 
-    return _make(out, (table,), bw)
+    return _make(out, nodes, bw)
 
 
 # -- parameter management ----------------------------------------------

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import dense_attention
+from test_tensor import softmax_lastdim
 import sparsecast.attention as attention
 from sparsecast.attention import (
     AttentionConfig,
@@ -38,7 +39,6 @@ from sparsecast.tensor import (
     matmul,
     mean_,
     scatter_rows,
-    softmax_lastdim,
     sum_,
     transpose,
 )

@@ -1,6 +1,7 @@
 """Model tests: decoder input assembly, loss, shape law, determinism, causality."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -340,3 +341,28 @@ def test_smoke_training_window_tape_stays_fused():
     sample = make_windows(synthetic_seasonal_frame(200, 3, seed=2), 48, 24, 24)[0]
     loss = model.loss(sample, rng=np.random.default_rng(3), train=True)
     assert _tape_nodes(loss) <= 170
+
+
+def test_long_horizon_training_window_memory():
+    """A training window at the long_horizon shape (L_x 1440, L_y 576,
+    d_model 64, 4 heads, dropout on) keeps a tape of at most 64 MiB, and
+    backward peaks at most 80 MiB above the state before the forward: the
+    tape keeps only the arrays backward reads, and the attention backward
+    forms its score gradient in the node's own buffer."""
+    config = ModelConfig(L_x=1440, label_len=720, L_y=576, d_x=1, d_y=1, d_model=64,
+                         n_heads=4, enc_blocks=3, dec_layers=1)
+    model = Forecaster(config, np.random.default_rng(1))
+    model.params.zero_grad()
+    sample = make_windows(synthetic_seasonal_frame(2030, 1, seed=2), 1440, 720, 576)[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = model.loss(sample, rng=np.random.default_rng(3), train=True)
+        tape = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tape <= 64 * 2**20
+    assert peak <= 80 * 2**20

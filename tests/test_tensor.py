@@ -1,5 +1,6 @@
 """Tensor-core tests: op semantics, hand-computed examples, and the reverse-gradient contract."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from sparsecast.tensor import (
     concat,
     conv1d_time,
     cumsum_time,
+    dropout,
     elu,
     embedding_lookup,
     finite_diff_check,
@@ -29,12 +31,42 @@ from sparsecast.tensor import (
     power,
     relu,
     scatter_rows,
-    softmax_lastdim,
     split_heads,
     sum_,
     transpose,
 )
-from sparsecast.tensor import _pool_plan
+import sparsecast.tensor as tensor_module
+from sparsecast.tensor import _accum, _inputs, _make, _pool_plan
+
+
+def softmax_lastdim(x, mask=None) -> Tensor:
+    """Softmax over the last axis as one tape node: the oracle of the fused
+    ``attention_weights``.
+
+    ``mask`` (boolean, True = forbidden) zeroes entries exactly and
+    renormalizes the rest; a fully forbidden row is an error.  The shift
+    by the row maximum keeps the exponentials bounded.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    if mask is not None:
+        forbidden = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
+        if np.any(forbidden.all(axis=-1)):
+            raise ValueError("empty attention row: every entry is masked")
+        scores = np.where(forbidden, -np.inf, x.data)
+    else:
+        scores = x.data
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    nodes = _inputs(x)
+    if nodes is None:
+        return Tensor(y)
+
+    def bw(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        _accum(nodes[0], y * (g - inner))
+
+    return _make(y, nodes, bw)
 
 
 class TestConv1d:
@@ -243,13 +275,19 @@ class TestHeads:
             npt.assert_array_equal(fused[h], chain.data)
 
     def test_attention_weights_tape_holds_only_the_weights(self):
+        """The node keeps the weights as its one score-sized array, besides
+        the inputs' arrays, and never the input tensors."""
         q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
         k = Tensor(np.ones((2, 5, 4)), requires_grad=True)
         w = attention_weights(q, k, 0.5)
         assert w._parents == (q, k)
         cells = [c.cell_contents for c in w._backward.__closure__]
-        score_sized = [c for c in cells if isinstance(c, np.ndarray)]
+        arrays = [c for c in cells if isinstance(c, np.ndarray)]
+        score_sized = [a for a in arrays if a.shape == w.shape]
         assert len(score_sized) == 1 and score_sized[0] is w.data
+        assert all(a is w.data or a is q.data or a is k.data for a in arrays)
+        held = [c for c in cells if isinstance(c, Tensor)]
+        assert all(t is q or t is k for t in held)  # leaves are their own nodes
 
     def test_attention_weights_fully_masked_row_errors(self):
         with pytest.raises(ValueError, match="empty attention row"):
@@ -324,11 +362,42 @@ class TestFusedNodes:
             linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
 
     def test_layer_norm_tape_keeps_centred_input_and_row_terms(self):
+        """Of the (L, d) arrays the node keeps only the centred input; beside
+        it, the two per-row terms and the gain's values."""
         x = Tensor(np.random.default_rng(3).standard_normal((5, 4)), requires_grad=True)
-        out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+        gain = Tensor(np.ones(4))
+        out = layer_norm(x, gain, Tensor(np.zeros(4)), 1e-5)
         arrays = [c.cell_contents for c in out._backward.__closure__
                   if isinstance(c.cell_contents, np.ndarray)]
-        assert sorted(a.shape for a in arrays) == [(5, 1), (5, 1), (5, 4)]
+        assert sorted(a.shape for a in arrays) == [(4,), (5, 1), (5, 1), (5, 4)]
+        assert [a for a in arrays if a.shape == (4,)][0] is gain.data
+
+
+def _dropout_chain(a, p, rng):
+    """Dropout as a float64 mask, (draw >= p) / (1 - p), multiplied in as a
+    constant operand: the oracle for ``dropout``."""
+    keep = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    return mul(a, Tensor(keep))
+
+
+class TestDropout:
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.5])
+    def test_matches_float_mask_chain_bit_for_bit(self, p, residual):
+        x = np.random.default_rng(8).standard_normal((40, 16))
+        got, want = _fused_vs_chain(lambda t: dropout(t, p, np.random.default_rng(5)),
+                                    lambda t: _dropout_chain(t, p, np.random.default_rng(5)),
+                                    [x], seed=3, residual=residual)
+        _assert_same_bits(got, want)
+        assert got[0].tobytes() == want[0].tobytes()  # signed zeros included
+        assert got[1][0].tobytes() == want[1][0].tobytes()
+
+    def test_tape_keeps_a_boolean_mask(self):
+        a = Tensor(np.ones((6, 4)), requires_grad=True)
+        out = dropout(a, 0.5, np.random.default_rng(0))
+        arrays = [c.cell_contents for c in out._backward.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        assert [(x.shape, x.dtype) for x in arrays] == [((6, 4), np.dtype(bool))]
 
 
 def _add_at(shape, index, values):
@@ -548,6 +617,44 @@ def test_reverse_gradient_contract(name):
     assert finite_diff_check(f, store) < 1e-4
 
 
+def _op_leaves(requires_grad: bool) -> dict:
+    rng = np.random.default_rng(12)
+    shapes = {"a": (6, 4), "b": (6, 4), "w": (4, 3), "bias": (3,), "vec": (4,),
+              "kernel": (2, 4, 3), "heads": (2, 6, 3), "table": (7, 4)}
+    return {name: Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+            for name, shape in shapes.items()}
+
+
+# Every public op, keyed by function name ("[...]" marks a second form).
+PUBLIC_OPS = {
+    "add": lambda t: add(t["a"], t["b"]),
+    "mul": lambda t: mul(t["a"], t["b"]),
+    "power": lambda t: power(t["a"], 2.0),
+    "relu": lambda t: relu(t["a"]),
+    "elu": lambda t: elu(t["a"]),
+    "dropout": lambda t: dropout(t["a"], 0.5, np.random.default_rng(0)),
+    "matmul": lambda t: matmul(t["a"], t["w"]),
+    "linear": lambda t: linear(t["a"], t["w"], t["bias"]),
+    "transpose": lambda t: transpose(t["a"]),
+    "sum_": lambda t: sum_(t["a"], axis=0),
+    "mean_": lambda t: mean_(t["a"]),
+    "cumsum_time": lambda t: cumsum_time(t["a"]),
+    "concat": lambda t: concat([t["a"], t["b"]], axis=1),
+    "_getitem": lambda t: t["a"][1:4],
+    "gather_rows": lambda t: gather_rows(t["a"], np.array([3, 0, 3])),
+    "scatter_rows": lambda t: scatter_rows(np.array([[1, 4], [0, 5]]), t["heads"][:, :2], 6),
+    "split_heads": lambda t: split_heads(t["a"], 2),
+    "merge_heads": lambda t: merge_heads(t["heads"]),
+    "attention_weights": lambda t: attention_weights(t["heads"], t["heads"], 0.5,
+                                                     np.triu(np.ones((6, 6), bool), k=1)),
+    "layer_norm": lambda t: layer_norm(t["a"], t["vec"], t["vec"], 1e-5),
+    "conv1d_time": lambda t: conv1d_time(t["a"], t["kernel"], padding=1),
+    "pool1d": lambda t: pool1d(t["a"], "max", 3, 2, 1),
+    "pool1d[avg]": lambda t: pool1d(t["a"], "avg", 3, 2, 1),
+    "embedding_lookup": lambda t: embedding_lookup(t["table"], np.array([6, 0, 2])),
+}
+
+
 class TestTensorBasics:
     def test_backward_needs_scalar(self):
         t = Tensor(np.ones(3), requires_grad=True)
@@ -555,10 +662,34 @@ class TestTensorBasics:
             (t * 2.0).backward()
 
     def test_no_grad_blocks_tape(self):
+        """Under ``no_grad`` no public op records a node, whatever its inputs."""
         t = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
             out = sum_(t * 2.0)
         assert out._backward is None and not out.requires_grad
+        with no_grad():
+            outputs = {name: op(_op_leaves(True)) for name, op in PUBLIC_OPS.items()}
+        for name, out in outputs.items():
+            assert out._node is None and not out.requires_grad, name
+            assert out._backward is None and out._parents == (), name
+
+    def test_constant_inputs_record_nothing(self):
+        for name, op in PUBLIC_OPS.items():
+            out = op(_op_leaves(False))
+            assert out._node is None and not out.requires_grad, name
+
+    def test_every_public_op_records_a_node(self):
+        """The op table covers every public op, and each one records a node
+        when an input requires gradients."""
+        public = {name for name, f in vars(tensor_module).items()
+                  if inspect.isfunction(f) and f.__module__ == tensor_module.__name__
+                  and not name.startswith("_")}
+        public -= {"no_grad", "finite_diff_check", "fnv1a64", "pack_u64", "unpack_u64"}
+        assert public | {"_getitem"} == {name.split("[")[0] for name in PUBLIC_OPS}
+        for name, op in PUBLIC_OPS.items():
+            out = op(_op_leaves(True))
+            assert out._node is not None and out.requires_grad, name
+            assert out._node.shape == out.shape, name
 
     def test_broadcast_add_grad(self):
         store = ParamStore()
@@ -658,12 +789,29 @@ class TestTapeLifetime:
         store.zero_grad()
         assert store["w0"].grad.shape == (2, 2)
 
+    def test_tape_keeps_matmul_inputs_and_relu_masks(self):
+        """Per layer the tape keeps the matmul's input and the ReLU's boolean
+        mask: neither the matmul output nor the add output outlives the
+        forward."""
+        store = self._store()
+        x = np.random.default_rng(7).standard_normal((256, 64))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss, acts = _residual_stack(store, x)
+            del acts
+            tape = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        inputs, masks = len(store) * x.nbytes, len(store) * x.size
+        assert tape <= inputs + masks + 64 * 1024
+
     def test_backward_peak_stays_near_forward_tape(self):
         """Gradients of activations are freed as the walk passes them, so
         backward needs little beyond the tape it consumes, and almost
         nothing outlives it but the parameter gradients."""
         store = self._store()
-        x = np.random.default_rng(6).standard_normal((512, 64))
+        x = np.random.default_rng(6).standard_normal((1024, 64))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -9,8 +9,9 @@ stderr and exit nonzero.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .data import (
     make_windows,
     split_622,
 )
-from .model import ATTENTION_CHOICES, Forecaster, ModelConfig
+from .model import Forecaster, ModelConfig
 from .training import (
     TrainConfig,
     evaluate,
@@ -47,6 +48,10 @@ def _expect(section: dict, path: str, key: str, types, default="__required__"):
             raise ConfigError(f"{path}.{key}: missing required key")
         return default
     value = section[key]
+    if get_args(types):  # ``T | None``
+        if value is None:
+            return None
+        (types,) = (t for t in get_args(types) if t is not type(None))
     if types is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path}.{key}: expected a boolean")
@@ -78,12 +83,38 @@ def _check_unknown(section: dict, path: str, known):
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` becomes a ``ConfigError`` under ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
+
+
+def _dataclass_section(section: dict, path: str, cls, from_data=()) -> dict:
+    """Validate ``section`` against the fields of the dataclass ``cls``: their
+    names, annotated types and defaults; ``cls.__post_init__`` checks the
+    values.  Fields in ``from_data`` come from the dataset (1 for the check).
+    """
+    types = get_type_hints(cls)
+    keys = [f for f in fields(cls) if f.name not in from_data]
+    _check_unknown(section, path, {f.name for f in keys})
+    values = {
+        f.name: _expect(section, path, f.name, types[f.name],
+                        "__required__" if f.default is MISSING else f.default)
+        for f in keys
+    }
+    _checked(path, cls, **values, **dict.fromkeys(from_data, 1))
+    return values
+
+
 def validate_config(raw: dict) -> dict:
     """Validate the run config and fill defaults.
 
     Top-level sections: ``dataset`` (path, schema, mode, optional
-    target), ``preprocess`` (mode, scope), ``model`` (architecture), and
-    ``train`` (optimizer).  Errors name the offending key.
+    target), ``preprocess`` (mode, scope), ``model`` (the fields of
+    ``ModelConfig`` but ``d_x``/``d_y``), and ``train`` (the fields of
+    ``TrainConfig``).  Errors name the offending key.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object at the top level")
@@ -115,49 +146,11 @@ def validate_config(raw: dict) -> dict:
                                "preprocess", "scope", SCALER_SCOPES),
     }
 
-    md = raw["model"]
-    _check_unknown(md, "model", {"L_x", "label_len", "L_y", "h", "d_model", "n_heads",
-                                 "c", "enc_blocks", "dec_layers", "d_ff", "dropout",
-                                 "attention", "distill", "gated_embedding", "pre_norm",
-                                 "cumsum_normalized"})
-    model = {
-        "L_x": _expect(md, "model", "L_x", int),
-        "label_len": _expect(md, "model", "label_len", int),
-        "L_y": _expect(md, "model", "L_y", int),
-        "h": _expect(md, "model", "h", int, 0),
-        "d_model": _expect(md, "model", "d_model", int, 512),
-        "n_heads": _expect(md, "model", "n_heads", int, 8),
-        "c": _expect(md, "model", "c", float, 5.0),
-        "enc_blocks": _expect(md, "model", "enc_blocks", int, 3),
-        "dec_layers": _expect(md, "model", "dec_layers", int, 1),
-        "dropout": _expect(md, "model", "dropout", float, 0.05),
-        "attention": _check_choice(_expect(md, "model", "attention", str, "neural_sparse"),
-                                   "model", "attention", ATTENTION_CHOICES),
-        "distill": _check_choice(_expect(md, "model", "distill", str, "parallel_pool"),
-                                 "model", "distill", ("parallel_pool", "maxpool_only")),
-        "gated_embedding": _expect(md, "model", "gated_embedding", bool, True),
-        "pre_norm": _expect(md, "model", "pre_norm", bool, False),
-        "cumsum_normalized": _expect(md, "model", "cumsum_normalized", bool, False),
-    }
-    if "d_ff" in md:
-        model["d_ff"] = _expect(md, "model", "d_ff", int)
-
+    model = _dataclass_section(raw["model"], "model", ModelConfig, from_data=("d_x", "d_y"))
     tr = raw.get("train", {})
     if not isinstance(tr, dict):
         raise ConfigError("config.train: expected an object")
-    _check_unknown(tr, "train", {"lr", "weight_decay", "batch_size", "epochs", "seed",
-                                 "max_steps", "lr_decay", "lr_step_epochs"})
-    train = {
-        "lr": _expect(tr, "train", "lr", float, 1e-4),
-        "weight_decay": _expect(tr, "train", "weight_decay", float, 5e-4),
-        "batch_size": _expect(tr, "train", "batch_size", int, 32),
-        "epochs": _expect(tr, "train", "epochs", int, 20),
-        "seed": _expect(tr, "train", "seed", int, 0),
-        "lr_decay": _expect(tr, "train", "lr_decay", float, 0.5),
-        "lr_step_epochs": _expect(tr, "train", "lr_step_epochs", int, 5),
-    }
-    if tr.get("max_steps") is not None:
-        train["max_steps"] = _expect(tr, "train", "max_steps", int)
+    train = _dataclass_section(tr, "train", TrainConfig)
 
     units = raw.get("metrics_units", "scaled")
     _check_choice(units, "config", "metrics_units", ("scaled", "original"))
@@ -329,7 +322,7 @@ def cmd_ablate(args) -> int:
     horizons = _int_list(args.horizons)
     train_cfg = _train_config(config)
     if args.steps is not None:
-        train_cfg.max_steps = args.steps
+        train_cfg = _checked("train", replace, train_cfg, max_steps=args.steps)
     _, splits, _, base = _scaled_splits(config, max(horizons))
     windows = {horizon: _split_windows(config, splits, horizon) for horizon in horizons}
     train_w, val_w, test_w = ({horizon: w[name] for horizon, w in windows.items()}

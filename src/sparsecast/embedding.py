@@ -85,7 +85,6 @@ class WindowEmbedding:
 
     def __init__(self, store: ParamStore, prefix: str, d_in: int, d_model: int,
                  rng: np.random.Generator, gated: bool = True):
-        self.d_in = d_in
         self.d_model = d_model
         self.gated = gated
         # token projection: width-3 conv, zero padding, no bias

@@ -18,8 +18,6 @@ from .attention import AttentionConfig, MultiHeadAttention, eval_rng
 from .layers import FeedForward, LayerNorm, uniform_init
 from .tensor import ParamStore, Tensor, conv1d_time, dropout, elu, pool1d
 
-DISTILL_KINDS = ("parallel_pool", "maxpool_only")
-
 
 class DistillParams:
     """Per-step distillation parameters: width-3 conv, bias, scalar gamma."""
@@ -38,9 +36,10 @@ def conv_elu_feature(x: Tensor, params: DistillParams) -> Tensor:
 
 
 def distill_step(x: Tensor, params: DistillParams, kind: str = "parallel_pool") -> Tensor:
-    """Halve the sequence length of one attention block's output."""
-    if kind not in DISTILL_KINDS:
-        raise ValueError(f"unknown distill kind {kind!r}")
+    """Halve the sequence length of one attention block's output.
+
+    ``kind`` is one of ``model.DISTILL_CHOICES``, checked by ``ModelConfig``.
+    """
     if x.shape[0] < 2:
         raise ValueError("cannot distill length-1 sequence")
     features = conv_elu_feature(x, params)

@@ -14,12 +14,12 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Dense:
-    """Affine map (L, d_in) -> (L, d_out); bias optional."""
+    """Affine map (L, d_in) -> (L, d_out) with a bias."""
 
     def __init__(self, store: ParamStore, prefix: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, bias: bool = True):
+                 rng: np.random.Generator):
         self.w = store.add(f"{prefix}.w", uniform_init(rng, (d_in, d_out), d_in))
-        self.b = store.add(f"{prefix}.b", np.zeros(d_out)) if bias else None
+        self.b = store.add(f"{prefix}.b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)

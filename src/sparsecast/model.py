@@ -20,6 +20,7 @@ from .layers import Dense, FeedForward, LayerNorm, dropout
 from .tensor import ParamStore, Tensor, mean_, no_grad
 
 ATTENTION_CHOICES = ("neural_sparse", "prob_sparse", "canonical")
+DISTILL_CHOICES = ("parallel_pool", "maxpool_only")
 _MASKED_KIND = {
     "neural_sparse": "masked_neural_sparse",
     "prob_sparse": "masked_prob_sparse",
@@ -29,7 +30,10 @@ _MASKED_KIND = {
 
 @dataclass
 class ModelConfig:
-    """Every architectural hyperparameter of the forecaster."""
+    """Every architectural hyperparameter of the forecaster.  The fields but
+    ``d_x``/``d_y`` are the keys, types and defaults of the CLI config's
+    ``model`` section; ``__post_init__`` is the one check of their values,
+    and each message starts with the field."""
 
     L_x: int
     label_len: int
@@ -52,13 +56,18 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.label_len > self.L_x:
-            raise ValueError(f"label_len={self.label_len} exceeds L_x={self.L_x}")
-        if self.label_len < 0 or self.L_y < 1:
-            raise ValueError("label_len must be >= 0 and L_y >= 1")
-        if self.h < 0:
-            raise ValueError("h must be >= 0")
-        if self.attention not in ATTENTION_CHOICES:
-            raise ValueError(f"unknown attention {self.attention!r}")
+            raise ValueError(f"label_len: {self.label_len} exceeds L_x={self.L_x}")
+        for key, low in (("label_len", 0), ("L_y", 1), ("h", 0), ("n_heads", 1),
+                         ("enc_blocks", 1), ("dec_layers", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key}: must be >= {low}, got {getattr(self, key)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout: must be in [0, 1), got {self.dropout}")
+        for key, choices in (("attention", ATTENTION_CHOICES),
+                             ("distill", DISTILL_CHOICES)):
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key}: must be one of {sorted(choices)}, "
+                                 f"got {getattr(self, key)!r}")
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
 
@@ -148,11 +157,7 @@ class Forecaster:
             DecoderLayer(store, f"decoder{i}", config, rng)
             for i in range(config.dec_layers)
         ]
-        self.proj = Dense(store, "proj", config.d_model, config.d_y, rng, bias=True)
-
-    @property
-    def attention_kind(self) -> str:
-        return self.config.attention
+        self.proj = Dense(store, "proj", config.d_model, config.d_y, rng)
 
     def forward(self, sample, *, rng: np.random.Generator | None = None,
                 train: bool = False, budget: ScoreBudget | None = None) -> Tensor:

@@ -26,6 +26,10 @@ _READABLE_MAGICS = (b"HGNT1", CHECKPOINT_MAGIC)
 
 @dataclass
 class TrainConfig:
+    """Optimizer and schedule settings.  The fields are the keys, types and
+    defaults of the CLI config's ``train`` section; ``__post_init__`` is the
+    one check of their values, and each message starts with the field."""
+
     lr: float = 1e-4
     weight_decay: float = 5e-4
     batch_size: int = 32
@@ -33,10 +37,14 @@ class TrainConfig:
     lr_decay: float = 0.5
     lr_step_epochs: int = 5
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_steps: int | None = None
+
+    def __post_init__(self):
+        for key in ("batch_size", "epochs", "lr_step_epochs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps: must be >= 1 when given, got {self.max_steps}")
 
 
 @dataclass
@@ -124,21 +132,32 @@ def evaluate(model, samples, *, units: str = "scaled", scaler=None,
         raise ValueError(f"unknown metric units {units!r}")
     if units == "original" and scaler is None:
         raise ValueError("original-unit metrics need the scaler")
-    corr = mse = mae = 0.0
-    flags: list = []
-    with no_grad():
+
+    def scored():
         for sample in samples:
             pred = model.forward(sample).data
             truth = sample.target
             if units == "original":
                 pred = scaler.inverse(pred, columns=target_columns)
                 truth = scaler.inverse(truth, columns=target_columns)
-            result = metrics(truth, pred)
-            corr += result.corr
-            mse += result.mse
-            mae += result.mae
-            flags.extend(result.flags)
-    n = len(samples)
+            yield metrics(truth, pred)
+
+    with no_grad():
+        return _mean_of_windows(scored())
+
+
+def _mean_of_windows(results) -> MetricResult:
+    """Mean of per-window metric results, summed in window order; the flags
+    of every window are kept in that order."""
+    corr = mse = mae = 0.0
+    flags: list = []
+    n = 0
+    for result in results:
+        corr += result.corr
+        mse += result.mse
+        mae += result.mae
+        flags.extend(result.flags)
+        n += 1
     return MetricResult(corr=corr / n, mse=mse / n, mae=mae / n, n=n, flags=flags)
 
 
@@ -186,8 +205,7 @@ def _train_step(model, batch, rng, state: OptimizerState, lr: float,
         if not np.isfinite(total):
             return total * scale
         (loss * scale).backward()
-    adam_step(params, state, lr, config.weight_decay,
-              config.adam_beta1, config.adam_beta2, config.adam_eps)
+    adam_step(params, state, lr, config.weight_decay)
     return total * scale
 
 
@@ -389,18 +407,13 @@ def repeat_last_baseline(samples) -> MetricResult:
     """Repeat-the-last-known-value forecaster, the smoke-test yardstick."""
     if not samples:
         raise ValueError("cannot score an empty split")
-    corr = mse = mae = 0.0
-    flags: list = []
-    for sample in samples:
-        if sample.known_tail.shape[0]:
-            last = sample.known_tail[-1]
-        else:
-            last = sample.enc_values[-1, : sample.target.shape[1]]
-        pred = np.broadcast_to(last, sample.target.shape)
-        result = metrics(sample.target, pred)
-        corr += result.corr
-        mse += result.mse
-        mae += result.mae
-        flags.extend(result.flags)
-    n = len(samples)
-    return MetricResult(corr=corr / n, mse=mse / n, mae=mae / n, n=n, flags=flags)
+
+    def scored():
+        for sample in samples:
+            if sample.known_tail.shape[0]:
+                last = sample.known_tail[-1]
+            else:
+                last = sample.enc_values[-1, : sample.target.shape[1]]
+            yield metrics(sample.target, np.broadcast_to(last, sample.target.shape))
+
+    return _mean_of_windows(scored())

@@ -1,6 +1,7 @@
 """Benchmark-harness and CLI tests: counter laws, CSV contracts, subcommands."""
 
 import json
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import numpy.testing as npt
@@ -175,6 +176,25 @@ class TestConfigValidation:
                              "preprocess": {"mode": "other"},
                              "model": {"L_x": 8, "label_len": 2, "L_y": 2}})
 
+    def test_sections_are_the_dataclass_fields(self):
+        config = validate_config({"dataset": {"path": "x"},
+                                  "model": {"L_x": 8, "label_len": 2, "L_y": 2}})
+        model_defaults = {f.name: f.default for f in fields(ModelConfig)
+                          if f.name not in ("d_x", "d_y") and f.default is not MISSING}
+        assert config["model"] == {"L_x": 8, "label_len": 2, "L_y": 2, **model_defaults}
+        assert set(config["model"]) == {f.name for f in fields(ModelConfig)} - {"d_x", "d_y"}
+        assert config["train"] == asdict(TrainConfig())
+
+    def test_optional_int_accepts_null(self):
+        config = validate_config({"dataset": {"path": "x"},
+                                  "model": {"L_x": 8, "label_len": 2, "L_y": 2, "d_ff": None},
+                                  "train": {"max_steps": None}})
+        assert config["model"]["d_ff"] is None and config["train"]["max_steps"] is None
+        with pytest.raises(ConfigError, match="train.max_steps: expected an integer"):
+            validate_config({"dataset": {"path": "x"},
+                             "model": {"L_x": 8, "label_len": 2, "L_y": 2},
+                             "train": {"max_steps": 2.5}})
+
 
 class TestCli:
     def test_malformed_config_exits_2(self, tmp_path, capsys):
@@ -185,6 +205,38 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
         assert "model.L_x" in err["message"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "n_heads", 0),
+        ("model", "enc_blocks", 0),
+        ("model", "dec_layers", 0),
+        ("model", "dropout", 1.0),
+        ("model", "dropout", -0.1),
+        ("model", "distill", "x"),
+        ("train", "batch_size", 0),
+        ("train", "epochs", 0),
+        ("train", "lr_step_epochs", 0),
+        ("train", "max_steps", 0),
+    ])
+    def test_out_of_range_setting_exits_2(self, tmp_path, capsys, section, key, value):
+        config = _config(tmp_path, _aiops_csv(tmp_path))
+        raw = json.loads(config.read_text())
+        raw[section][key] = value
+        config.write_text(json.dumps(raw))
+        code = cli(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"{section}.{key}: ")
+
+    def test_ablate_steps_out_of_range_exits_2(self, tmp_path, capsys):
+        config = _config(tmp_path, _aiops_csv(tmp_path))
+        code = cli(["ablate", "--config", str(config), "--horizons", "4",
+                    "--steps", "0", "--out", str(tmp_path / "ab")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert err["message"].startswith("train.max_steps: ")
 
     def test_train_eval_predict_pipeline(self, tmp_path, capsys):
         csv_path = _aiops_csv(tmp_path)

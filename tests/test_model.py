@@ -133,6 +133,10 @@ class TestForecaster:
         with pytest.raises(ValueError, match="attention"):
             ModelConfig(L_x=8, label_len=4, L_y=4, d_x=1, d_y=1, attention="other")
 
+    def test_unknown_distill_rejected_before_any_forward(self):
+        with pytest.raises(ValueError, match="^distill: must be one of"):
+            ModelConfig(L_x=8, label_len=4, L_y=4, d_x=1, d_y=1, distill="x")
+
     @pytest.mark.parametrize("attention", ["canonical", "prob_sparse"])
     def test_alternate_attention_kinds_run(self, attention):
         frame = synthetic_seasonal_frame(100, 2, seed=22)

@@ -129,8 +129,7 @@ def _one_tape_step(model, batch, rng, state, lr, config):
     loss_value = total.item()
     if np.isfinite(loss_value):
         total.backward()
-        adam_step(params, state, lr, config.weight_decay,
-                  config.adam_beta1, config.adam_beta2, config.adam_eps)
+        adam_step(params, state, lr, config.weight_decay)
     return loss_value
 
 

@@ -67,17 +67,12 @@ _STRICT_LOWER = np.tri(_SELECT_BLOCK, k=-1, dtype=bool)
 
 @dataclass
 class AttentionConfig:
-    """Shape and sparsity settings for one multi-head attention module.
-
-    ``cumsum_normalized`` switches the masked lazy fill from the raw
-    prefix sum to a running mean; it has no effect on unmasked kinds.
-    """
+    """Shape and sparsity settings for one multi-head attention module."""
 
     n_heads: int
     d_model: int
     c: float = 5.0
     kind: str = "canonical"
-    cumsum_normalized: bool = False
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -265,16 +260,15 @@ def _select_heads(ranking: np.ndarray, c: float, causal: bool):
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
-           causal: bool = False, cumsum_normalized: bool = False, mask=None) -> Tensor:
+           causal: bool = False) -> Tensor:
     """The one attention core: all H heads of (H, L, d) inputs in each op.
 
     With ``ranking`` None every query row attends (canonical; ``causal``
-    adds the causal mask, or ``mask`` gives any boolean (L_Q, L_K) mask).
-    Otherwise ``ranking`` is an (H, L) array of per-head query scores: the
-    top-n rows of each head get exact attention over all keys (each row
-    masked to keys at or before it when ``causal``) and the lazy rows are
-    filled with the column mean of V, or with its inclusive prefix sum
-    (``cumsum_normalized``: prefix mean) when ``causal``.  Inside
+    adds the causal mask).  Otherwise ``ranking`` is an (H, L) array of
+    per-head query scores: the top-n rows of each head get exact attention
+    over all keys (each row masked to keys at or before it when
+    ``causal``) and the lazy rows are filled with the column mean of V, or
+    with its inclusive prefix sum when ``causal``.  Inside
     ``counting`` only real rows are counted, and the score buffer of every
     head, materialized at once, is one buffer.
     """
@@ -291,8 +285,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
     n = l_q if rows is None else rows.shape[1]
     if rows is None:
         q_rows = q
-        if causal:
-            mask = causal_mask(l_q)
+        mask = causal_mask(l_q) if causal else None
     else:
         q_rows = gather_rows(q, rows)
         mask = np.arange(l_k) > rows[:, :, None] if causal else None
@@ -305,14 +298,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
         lazy = np.ones((H, l_q), dtype=bool)
         lazy[np.arange(H)[:, None], rows] = False if real is None else ~real
         if lazy.any():
-            keep = lazy[:, :, None].astype(np.float64)
-            if causal:
-                fill = cumsum_time(v)
-                if cumsum_normalized:
-                    keep = keep * (1.0 / np.arange(1, l_q + 1)[:, None])
-            else:
-                fill = mean_(v, axis=1, keepdims=True)
-            out = out + fill * Tensor(keep)
+            fill = cumsum_time(v) if causal else mean_(v, axis=1, keepdims=True)
+            out = out + fill * Tensor(lazy[:, :, None].astype(np.float64))
     if budget is not None:
         budget.t3_ns += time.perf_counter_ns() - start
         counted = H * n if real is None else int(real.sum())
@@ -366,8 +353,8 @@ def eval_rng(kind: str) -> np.random.Generator | None:
 
 
 def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
-                score_kernel=None, score_bias=None, rng: np.random.Generator | None = None,
-                cumsum_normalized: bool = False) -> Tensor:
+                score_kernel=None, score_bias=None,
+                rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head attention of one ``kind`` on full-width (L, H*d) projections.
 
     The kinds differ only in how queries are ranked: ``canonical`` keeps
@@ -392,15 +379,14 @@ def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
         if rng is None:
             raise ValueError("prob_sparse attention requires an rng")
         ranking = sampled_sparsity(q, k, c, rng, causal)
-    out = attend(q, k, v, ranking, c=c, causal=causal, cumsum_normalized=cumsum_normalized)
-    return merge_heads(out)
+    return merge_heads(attend(q, k, v, ranking, c=c, causal=causal))
 
 
-def canonical_attention(q, k, v, mask=None) -> Tensor:
+def canonical_attention(q, k, v, masked: bool = False) -> Tensor:
     """Dense attention: softmax(Q K^T / sqrt(d)) V.
 
-    ``mask`` is an optional boolean (L_Q, L_K) array, True = forbidden;
-    a causal mask only makes sense when L_Q == L_K.
+    ``masked`` forbids each query the keys after its own position, which
+    needs L_Q == L_K.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     d = q.shape[1]
@@ -409,7 +395,9 @@ def canonical_attention(q, k, v, mask=None) -> Tensor:
         raise ValueError(f"query dim {d} does not match key dim {k.shape[1]}")
     if v.shape[0] != l_k:
         raise ValueError(f"keys have {l_k} rows but values have {v.shape[0]}")
-    return merge_heads(attend(*_one_head(q, k, v), mask=mask))
+    if masked and q.shape[0] != l_k:
+        raise ValueError("masked attention needs L_Q == L_K")
+    return merge_heads(attend(*_one_head(q, k, v), causal=masked))
 
 
 def neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
@@ -426,8 +414,7 @@ def neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
     return merge_heads(attend(*_one_head(q, k, v), ranking, c=c))
 
 
-def masked_neural_sparse_attention(q, k, v, c: float, scores,
-                                   cumsum_normalized: bool = False) -> Tensor:
+def masked_neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
     """Causal sparse self-attention: selected rows attend to keys at or
     before them; lazy row i is the inclusive prefix sum of V rows 0..i.
 
@@ -439,13 +426,11 @@ def masked_neural_sparse_attention(q, k, v, c: float, scores,
     if q.shape[0] != k.shape[0]:
         raise ValueError("masked attention needs L_Q == L_K")
     ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
-    out = attend(*_one_head(q, k, v), ranking, c=c, causal=True,
-                 cumsum_normalized=cumsum_normalized)
-    return merge_heads(out)
+    return merge_heads(attend(*_one_head(q, k, v), ranking, c=c, causal=True))
 
 
 def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
-                          masked: bool = False, cumsum_normalized: bool = False) -> Tensor:
+                          masked: bool = False) -> Tensor:
     """Sparse self-attention ranked by a sampled sparsity statistic.
 
     u = c*ln(L) keys are sampled uniformly without replacement; each
@@ -456,8 +441,7 @@ def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
     """
     q, k, v = _one_head(_as_tensor(q), _as_tensor(k), _as_tensor(v))
     ranking = sampled_sparsity(q, k, c, rng, masked)
-    out = attend(q, k, v, ranking, c=c, causal=masked, cumsum_normalized=cumsum_normalized)
-    return merge_heads(out)
+    return merge_heads(attend(q, k, v, ranking, c=c, causal=masked))
 
 
 class MultiHeadAttention:
@@ -468,7 +452,8 @@ class MultiHeadAttention:
     biases.  For the learned-score kinds one convolution scores all heads
     at once on the full-width projected Q and K; head h selects by column
     h.  Kernels are pure given parameters; inside ``counting`` each call adds
-    its counts to the active record.
+    its counts to the active record.  A call without ``rng`` is a forward
+    outside training and draws from ``eval_rng(kind)``.
     """
 
     def __init__(self, store: ParamStore, prefix: str, config: AttentionConfig,
@@ -498,6 +483,6 @@ class MultiHeadAttention:
         merged = attend_kind(
             cfg.kind, matmul(x_q, self.w_q), matmul(x_kv, self.w_k), matmul(x_kv, self.w_v),
             cfg.n_heads, cfg.c, score_kernel=self.score_kernel, score_bias=self.score_bias,
-            rng=rng, cumsum_normalized=cfg.cumsum_normalized,
+            rng=eval_rng(cfg.kind) if rng is None else rng,
         )
         return matmul(merged, self.w_o)

@@ -14,9 +14,9 @@ branch and no residual.
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadAttention, eval_rng
-from .layers import FeedForward, LayerNorm, uniform_init
-from .tensor import ParamStore, Tensor, conv1d_time, dropout, elu, pool1d
+from .attention import AttentionConfig, MultiHeadAttention
+from .layers import FeedForward, LayerNorm, residual, uniform_init
+from .tensor import ParamStore, Tensor, conv1d_time, elu, pool1d
 
 
 class DistillParams:
@@ -52,29 +52,22 @@ def distill_step(x: Tensor, params: DistillParams, kind: str = "parallel_pool") 
 
 
 class AttentionBlock:
-    """Multi-head attention with residual + layer norm + feed-forward."""
+    """Multi-head attention then feed-forward, each in a post-norm residual.
+
+    ``rng`` is given in training only: it drives dropout and the sampled
+    ranking."""
 
     def __init__(self, store: ParamStore, prefix: str, attn_config: AttentionConfig,
-                 d_ff: int, drop: float, rng: np.random.Generator,
-                 pre_norm: bool = False):
+                 d_ff: int, drop: float, rng: np.random.Generator):
         self.attn = MultiHeadAttention(store, f"{prefix}.attn", attn_config, rng)
         self.norm1 = LayerNorm(store, f"{prefix}.norm1", attn_config.d_model)
         self.ffn = FeedForward(store, f"{prefix}.ffn", attn_config.d_model, d_ff, rng)
         self.norm2 = LayerNorm(store, f"{prefix}.norm2", attn_config.d_model)
         self.drop = drop
-        self.pre_norm = pre_norm
 
-    def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None,
-                 train: bool = False) -> Tensor:
-        def maybe_drop(t):
-            return dropout(t, self.drop, rng) if train and self.drop > 0 else t
-
-        attn_rng = rng if train else eval_rng(self.attn.config.kind)
-        if self.pre_norm:
-            x = x + maybe_drop(self.attn(self.norm1(x), rng=attn_rng))
-            return x + maybe_drop(self.ffn(self.norm2(x)))
-        x = self.norm1(x + maybe_drop(self.attn(x, rng=attn_rng)))
-        return self.norm2(x + maybe_drop(self.ffn(x)))
+    def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None) -> Tensor:
+        x = residual(self.norm1, x, self.attn(x, rng=rng), self.drop, rng)
+        return residual(self.norm2, x, self.ffn(x), self.drop, rng)
 
 
 class Encoder:
@@ -82,14 +75,12 @@ class Encoder:
 
     def __init__(self, store: ParamStore, prefix: str, n_blocks: int,
                  attn_config: AttentionConfig, d_ff: int, drop: float,
-                 rng: np.random.Generator, distill_kind: str = "parallel_pool",
-                 pre_norm: bool = False):
+                 rng: np.random.Generator, distill_kind: str = "parallel_pool"):
         if n_blocks < 1:
             raise ValueError("encoder needs at least one block")
         self.distill_kind = distill_kind
         self.blocks = [
-            AttentionBlock(store, f"{prefix}.block{j}", attn_config, d_ff, drop, rng,
-                           pre_norm=pre_norm)
+            AttentionBlock(store, f"{prefix}.block{j}", attn_config, d_ff, drop, rng)
             for j in range(n_blocks)
         ]
         self.distills = [
@@ -97,10 +88,9 @@ class Encoder:
             for j in range(n_blocks - 1)
         ]
 
-    def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None,
-                 train: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None) -> Tensor:
         for j, block in enumerate(self.blocks):
-            x = block(x, rng=rng, train=train)
+            x = block(x, rng=rng)
             if j < len(self.distills):
                 x = distill_step(x, self.distills[j], kind=self.distill_kind)
         return x

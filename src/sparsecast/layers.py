@@ -1,10 +1,13 @@
-"""Shared trainable building blocks: dense layers, layer norm, feed-forward."""
+"""Shared trainable building blocks: dense layers, layer norm, feed-forward,
+and the residual wrapper of every attention and feed-forward sublayer."""
 
 import numpy as np
 
 from .tensor import ParamStore, Tensor, dropout, elu, layer_norm, linear
 
-__all__ = ["Dense", "LayerNorm", "FeedForward", "uniform_init", "dropout"]
+__all__ = ["Dense", "LayerNorm", "FeedForward", "residual", "uniform_init"]
+
+LAYER_NORM_EPS = 1e-5
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -28,13 +31,12 @@ class Dense:
 class LayerNorm:
     """Per-position normalization over the feature axis with learned gain/bias."""
 
-    def __init__(self, store: ParamStore, prefix: str, d: int, eps: float = 1e-5):
+    def __init__(self, store: ParamStore, prefix: str, d: int):
         self.g = store.add(f"{prefix}.g", np.ones(d))
         self.b = store.add(f"{prefix}.b", np.zeros(d))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.g, self.b, self.eps)
+        return layer_norm(x, self.g, self.b, LAYER_NORM_EPS)
 
 
 class FeedForward:
@@ -47,3 +49,12 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(elu(self.fc1(x)))
+
+
+def residual(norm: LayerNorm, x: Tensor, y: Tensor, drop: float,
+             rng: np.random.Generator | None) -> Tensor:
+    """Post-norm residual ``norm(x + dropout(y))`` around a sublayer output
+    ``y``.  Dropout applies only in training, which is when ``rng`` is given."""
+    if rng is not None and drop > 0:
+        y = dropout(y, drop, rng)
+    return norm(x + y)

@@ -12,11 +12,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget, counting, eval_rng
+from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget, counting
 from .data import DataError
 from .embedding import WindowEmbedding
 from .encoder import Encoder
-from .layers import Dense, FeedForward, LayerNorm, dropout
+from .layers import Dense, FeedForward, LayerNorm, residual
 from .tensor import ParamStore, Tensor, mean_, no_grad
 
 ATTENTION_CHOICES = ("neural_sparse", "prob_sparse", "canonical")
@@ -51,16 +51,17 @@ class ModelConfig:
     attention: str = "neural_sparse"
     distill: str = "parallel_pool"
     gated_embedding: bool = True
-    pre_norm: bool = False
-    cumsum_normalized: bool = False
 
     def __post_init__(self):
         if self.label_len > self.L_x:
             raise ValueError(f"label_len: {self.label_len} exceeds L_x={self.L_x}")
         for key, low in (("label_len", 0), ("L_y", 1), ("h", 0), ("n_heads", 1),
-                         ("enc_blocks", 1), ("dec_layers", 1)):
+                         ("d_model", 2), ("c", 1), ("enc_blocks", 1), ("dec_layers", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key}: must be >= {low}, got {getattr(self, key)}")
+        if self.d_model % 2 or self.d_model % self.n_heads:
+            raise ValueError(f"d_model: must be even and divisible by n_heads="
+                             f"{self.n_heads}, got {self.d_model}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout: must be in [0, 1), got {self.dropout}")
         for key, choices in (("attention", ATTENTION_CHOICES),
@@ -100,14 +101,14 @@ def build_decoder_input(known_values, label_len: int, horizon: int) -> np.ndarra
 
 class DecoderLayer:
     """Masked self-attention, canonical cross-attention, feed-forward;
-    each sublayer wrapped in residual + layer norm."""
+    each sublayer in a post-norm residual.  ``rng`` is given in training
+    only."""
 
     def __init__(self, store: ParamStore, prefix: str, config: ModelConfig,
                  rng: np.random.Generator):
         d = config.d_model
         self_cfg = AttentionConfig(config.n_heads, d, c=config.c,
-                                   kind=_MASKED_KIND[config.attention],
-                                   cumsum_normalized=config.cumsum_normalized)
+                                   kind=_MASKED_KIND[config.attention])
         cross_cfg = AttentionConfig(config.n_heads, d, c=config.c, kind="canonical")
         self.self_attn = MultiHeadAttention(store, f"{prefix}.self_attn", self_cfg, rng)
         self.norm1 = LayerNorm(store, f"{prefix}.norm1", d)
@@ -116,21 +117,12 @@ class DecoderLayer:
         self.ffn = FeedForward(store, f"{prefix}.ffn", d, config.d_ff, rng)
         self.norm3 = LayerNorm(store, f"{prefix}.norm3", d)
         self.drop = config.dropout
-        self.pre_norm = config.pre_norm
 
     def __call__(self, x: Tensor, enc_out: Tensor, *,
-                 rng: np.random.Generator | None = None, train: bool = False) -> Tensor:
-        def maybe_drop(t):
-            return dropout(t, self.drop, rng) if train and self.drop > 0 else t
-
-        attn_rng = rng if train else eval_rng(self.self_attn.config.kind)
-        if self.pre_norm:
-            x = x + maybe_drop(self.self_attn(self.norm1(x), rng=attn_rng))
-            x = x + maybe_drop(self.cross_attn(self.norm2(x), enc_out, rng=attn_rng))
-            return x + maybe_drop(self.ffn(self.norm3(x)))
-        x = self.norm1(x + maybe_drop(self.self_attn(x, rng=attn_rng)))
-        x = self.norm2(x + maybe_drop(self.cross_attn(x, enc_out, rng=attn_rng)))
-        return self.norm3(x + maybe_drop(self.ffn(x)))
+                 rng: np.random.Generator | None = None) -> Tensor:
+        x = residual(self.norm1, x, self.self_attn(x, rng=rng), self.drop, rng)
+        x = residual(self.norm2, x, self.cross_attn(x, enc_out, rng=rng), self.drop, rng)
+        return residual(self.norm3, x, self.ffn(x), self.drop, rng)
 
 
 class Forecaster:
@@ -150,7 +142,7 @@ class Forecaster:
                                    kind=config.attention)
         self.encoder = Encoder(store, "encoder", config.enc_blocks, enc_attn,
                                config.d_ff, config.dropout, rng,
-                               distill_kind=config.distill, pre_norm=config.pre_norm)
+                               distill_kind=config.distill)
         self.dec_embed = WindowEmbedding(store, "dec_embed", config.d_y, config.d_model,
                                          rng, gated=config.gated_embedding)
         self.decoder_layers = [
@@ -165,19 +157,22 @@ class Forecaster:
 
         The attention of the forward is counted into ``budget`` when one is
         given, else into the record of an enclosing ``counting`` block.
-        Raises ``DataError`` for a window that does not fit the config.
+        Only a training forward hands ``rng`` to the layers; outside
+        training it is not drawn from.  Raises ``DataError`` for a window
+        that does not fit the config.
         """
         if train and rng is None:
             raise ValueError("training-mode forward requires an rng (dropout/sampling)")
         cfg = self.config
         _check_window(sample, cfg)
+        rng = rng if train else None
         with nullcontext() if budget is None else counting(budget):
             enc_x = self.enc_embed(sample.enc_values, sample.enc_stamps)
-            enc_out = self.encoder(enc_x, rng=rng, train=train)
+            enc_out = self.encoder(enc_x, rng=rng)
             dec_values = build_decoder_input(sample.known_tail, cfg.label_len, cfg.L_y)
             dec_x = self.dec_embed(dec_values, sample.dec_stamps)
             for layer in self.decoder_layers:
-                dec_x = layer(dec_x, enc_out, rng=rng, train=train)
+                dec_x = layer(dec_x, enc_out, rng=rng)
             out = self.proj(dec_x)
         return out[out.shape[0] - cfg.L_y:]
 

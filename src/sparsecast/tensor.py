@@ -27,23 +27,25 @@ belong to a single training loop at a time.
 
 import struct
 from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 
 import numpy as np
 
-_grad_enabled = True
+_GRAD_ENABLED = ContextVar("sparsecast_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable backward-closure recording inside the context."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable backward-closure recording inside the context.
+
+    The switch is per thread and per context, so one thread's ``no_grad``
+    never turns recording off, or back on, for another."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _GRAD_ENABLED.reset(token)
 
 
 class _Node:
@@ -216,7 +218,7 @@ def _inputs(*tensors):
     """The graph nodes of an operation's inputs (None for a constant), or
     None when the operation records nothing: gradients are disabled, or
     every input is a constant."""
-    if not _grad_enabled:
+    if not _GRAD_ENABLED.get():
         return None
     nodes = tuple([t._node or (t if t.requires_grad else None) for t in tensors])
     return None if nodes.count(None) == len(nodes) else nodes

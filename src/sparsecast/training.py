@@ -22,6 +22,7 @@ from .tensor import ParamStore, fnv1a64, no_grad, pack_u64, unpack_u64
 
 CHECKPOINT_MAGIC = b"HGNT2"
 _READABLE_MAGICS = (b"HGNT1", CHECKPOINT_MAGIC)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -74,8 +75,7 @@ def lr_schedule(config: TrainConfig, epoch: int) -> float:
 
 
 def adam_step(params: ParamStore, state: OptimizerState, lr: float,
-              weight_decay: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+              weight_decay: float = 0.0):
     """One Adam update with bias correction and decoupled weight decay.
 
     The decay shrinks parameters before the moment update, so with zero
@@ -93,7 +93,7 @@ def adam_step(params: ParamStore, state: OptimizerState, lr: float,
     # update is the same to the bit.
     largest = max((t.data.size for _, t in params.items()), default=0)
     scratch_a, scratch_b = np.empty(largest), np.empty(largest)
-    c1, c2 = 1.0 - beta1**k, 1.0 - beta2**k
+    c1, c2 = 1.0 - ADAM_BETA1**k, 1.0 - ADAM_BETA2**k
     for name, t in params.items():
         if weight_decay:
             t.data *= 1.0 - lr * weight_decay
@@ -105,14 +105,14 @@ def adam_step(params: ParamStore, state: OptimizerState, lr: float,
         v = state.v[name]
         a = scratch_a[:g.size].reshape(g.shape)
         b = scratch_b[:g.size].reshape(g.shape)
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=b)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=b)
         v += np.multiply(b, g, out=b)
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += ADAM_EPS
         np.divide(m, c1, out=a)
         a *= lr
         a /= b

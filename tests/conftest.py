@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsecast.attention as attention
+import sparsecast.tensor as tensor
 from sparsecast.data import synthetic_seasonal_frame, make_windows, split_622, fit_apply_scaler
 from sparsecast.model import Forecaster, ModelConfig
 
@@ -16,6 +17,15 @@ def no_leaked_counting():
     if leaked is not None:
         attention._ACTIVE.set(None)
         pytest.fail(f"test left a counting record active: {leaked}")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_no_grad():
+    """Fail any test that leaves gradient recording disabled."""
+    yield
+    if not tensor._GRAD_ENABLED.get():
+        tensor._GRAD_ENABLED.set(True)
+        pytest.fail("test left gradient recording disabled")
 
 
 def dense_attention(q, k, v, causal=False):

@@ -18,7 +18,6 @@ from sparsecast.attention import (
     MultiHeadAttention,
     ScoreBudget,
     canonical_attention,
-    causal_mask,
     counting,
     importance_scores,
     masked_neural_sparse_attention,
@@ -373,14 +372,6 @@ class TestMaskedNeuralSparse:
             v2[tp] += rng.standard_normal(d)
             assert np.array_equal(run(q2, k2, v2)[: t + 1], base[: t + 1])
 
-    def test_normalized_cumsum_switch(self):
-        v = np.array([[2.0], [4.0], [6.0]])
-        q = k = np.zeros((3, 1))
-        scores = np.array([3.0, 2.0, 1.0])
-        out = masked_neural_sparse_attention(q, k, v, 1.0, scores,
-                                             cumsum_normalized=True).data
-        npt.assert_allclose(out, [[2.0], [3.0], [4.0]], atol=1e-15)
-
 
 class TestProbSparse:
     def test_degenerates_to_dense(self):
@@ -394,7 +385,7 @@ class TestProbSparse:
         q, k, v = rng.standard_normal((3, 12, 4))
         out = prob_sparse_attention(q, k, v, 1000.0, np.random.default_rng(0),
                                     masked=True).data
-        dense = canonical_attention(q, k, v, mask=causal_mask(12)).data
+        dense = canonical_attention(q, k, v, masked=True).data
         assert np.array_equal(out, dense)
 
     def test_identical_queries_tie_break_lowest(self):
@@ -497,7 +488,7 @@ class TestMultiHead:
         assert finite_diff_check(f, store) < 1e-4
 
 
-def _oracle_head(q, k, v, selected, masked, cumsum_normalized, budget):
+def _oracle_head(q, k, v, selected, masked, budget):
     """One head as the per-head path computed it: gather the selected rows,
     score them in a separate matmul, scale and softmax, then scatter them and
     the lazy fill into place.  ``selected`` None means every row."""
@@ -516,10 +507,7 @@ def _oracle_head(q, k, v, selected, masked, cumsum_normalized, budget):
     lazy = np.setdiff1d(np.arange(L), rows, assume_unique=True)
     if lazy.size:
         if masked:
-            source = cumsum_time(v)
-            if cumsum_normalized:
-                source = source * Tensor(1.0 / np.arange(1, L + 1)[:, None])
-            fill = gather_rows(source, lazy)
+            fill = gather_rows(cumsum_time(v), lazy)
         else:
             fill = mean_(v, axis=0, keepdims=True) * Tensor(np.ones((lazy.size, 1)))
         out = out + scatter_rows(lazy, fill, L)
@@ -570,8 +558,7 @@ def _per_head_oracle(mha, x_q, x_kv=None, rng=None, budget=None):
                 budget.dot_products_materialized += sampled
             select = select_top_queries_causal if masked else select_top_queries
             selected = select(ranking, cfg.c)
-        heads.append(_oracle_head(qh, kh, vh, selected, masked, cfg.cumsum_normalized,
-                                  budget))
+        heads.append(_oracle_head(qh, kh, vh, selected, masked, budget))
     merged = heads[0] if len(heads) == 1 else concat(heads, axis=1)
     return matmul(merged, mha.w_o)
 
@@ -587,25 +574,24 @@ def _run_with_grads(fn, store, weights):
     return out.data, grads, (budget.dot_products_materialized, budget.rows_selected)
 
 
-_KIND_CASES = [(kind, False) for kind in ("canonical", "masked_canonical", "neural_sparse",
-                                           "masked_neural_sparse", "prob_sparse",
-                                           "masked_prob_sparse")]
-_KIND_CASES += [(kind, True) for kind in ("masked_canonical", "masked_neural_sparse",
-                                          "masked_prob_sparse")]
+# Each id keeps the "-False" its case carried while a second flag was
+# parametrized beside the kind, so the cases keep their names.
+_KIND_CASES = [pytest.param(kind, id=f"{kind}-False")
+               for kind in ("canonical", "masked_canonical", "neural_sparse",
+                            "masked_neural_sparse", "prob_sparse", "masked_prob_sparse")]
 
 
 class TestAllHeadsCore:
     """The all-heads core against the per-head oracle: outputs to 1e-12,
     parameter gradients to 1e-10 relative, dot-product counts exactly."""
 
-    @pytest.mark.parametrize("kind,normalized", _KIND_CASES)
+    @pytest.mark.parametrize("kind", _KIND_CASES)
     @pytest.mark.parametrize("n_heads", [1, 2, 8])
     @pytest.mark.parametrize("L,c", [(7, 2.0), (40, 2.0), (40, 1.0), (25, 1000.0)])
-    def test_matches_per_head_oracle(self, kind, normalized, n_heads, L, c):
+    def test_matches_per_head_oracle(self, kind, n_heads, L, c):
         d_model = 24
         store = ParamStore()
-        cfg = AttentionConfig(n_heads=n_heads, d_model=d_model, c=c, kind=kind,
-                              cumsum_normalized=normalized)
+        cfg = AttentionConfig(n_heads=n_heads, d_model=d_model, c=c, kind=kind)
         mha = MultiHeadAttention(store, "attn", cfg, np.random.default_rng(L + n_heads))
         data = np.random.default_rng(L)
         x = data.standard_normal((L, d_model))

@@ -213,13 +213,18 @@ class TestCli:
         ("model", "dropout", 1.0),
         ("model", "dropout", -0.1),
         ("model", "distill", "x"),
+        ("model", "d_model", 0),
+        ("model", "d_model", 7),
+        ("model", "d_model", 12),
+        ("model", "c", 0.5),
         ("train", "batch_size", 0),
         ("train", "epochs", 0),
         ("train", "lr_step_epochs", 0),
         ("train", "max_steps", 0),
     ])
     def test_out_of_range_setting_exits_2(self, tmp_path, capsys, section, key, value):
-        config = _config(tmp_path, _aiops_csv(tmp_path))
+        # eight heads, so d_model 12 is out of range
+        config = _config(tmp_path, _aiops_csv(tmp_path), n_heads=8)
         raw = json.loads(config.read_text())
         raw[section][key] = value
         config.write_text(json.dumps(raw))

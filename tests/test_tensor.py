@@ -1,6 +1,7 @@
 """Tensor-core tests: op semantics, hand-computed examples, and the reverse-gradient contract."""
 
 import inspect
+import threading
 import tracemalloc
 
 import numpy as np
@@ -672,6 +673,43 @@ class TestTensorBasics:
         for name, out in outputs.items():
             assert out._node is None and not out.requires_grad, name
             assert out._backward is None and out._parents == (), name
+
+    def test_no_grad_is_per_thread(self):
+        """Two threads' ``no_grad`` blocks that overlap as A enters, B
+        enters, A exits, B exits leave recording on in both threads and in
+        this one, where a backward afterwards fills the gradient."""
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def records():
+            return sum_(Tensor(np.ones(2), requires_grad=True) * 2.0)._node is not None
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                seen["a waited"] = b_in.wait(10)
+                seen["a inside"] = records()
+            seen["a after"] = records()
+            a_out.set()
+
+        def thread_b():
+            seen["b waited"] = a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                seen["b waited again"] = a_out.wait(10)
+            seen["b after"] = records()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a waited": True, "b waited": True, "b waited again": True,
+                        "a inside": False, "a after": True, "b after": True}
+        w = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        sum_(w * w).backward()
+        npt.assert_array_equal(w.grad, [3.0, -4.0])
 
     def test_constant_inputs_record_nothing(self):
         for name, op in PUBLIC_OPS.items():

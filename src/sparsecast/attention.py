@@ -37,6 +37,7 @@ from .layers import uniform_init
 from .tensor import (
     ParamStore,
     Tensor,
+    _coerce,
     attention_weights,
     conv1d_time,
     cumsum_time,
@@ -51,13 +52,12 @@ from .tensor import (
 
 KINDS = (
     "canonical",
+    "masked_canonical",
     "neural_sparse",
     "masked_neural_sparse",
     "prob_sparse",
     "masked_prob_sparse",
 )
-# masked_canonical is accepted internally for causal dense decoding
-_ALL_KINDS = KINDS + ("masked_canonical",)
 
 # Rows per block of the causal selection; one block covers the decoder
 # lengths up to 128, where the blocked ranking is a single dense compare.
@@ -79,7 +79,7 @@ class AttentionConfig:
             raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if self.c < 1:
             raise ValueError(f"sparsity factor c must be >= 1, got {self.c}")
-        if self.kind not in _ALL_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown attention kind {self.kind!r}")
 
     @property
@@ -136,11 +136,6 @@ def prefix_top_counts(length: int, c: float) -> np.ndarray:
     lengths = np.arange(1, length + 1, dtype=np.float64)
     n = np.ceil(c * np.log(lengths)).astype(np.intp)
     return np.minimum(np.arange(1, length + 1), np.maximum(n, 1))
-
-
-def causal_mask(length: int) -> np.ndarray:
-    """Boolean (L, L) mask, True where key position is after the query."""
-    return np.triu(np.ones((length, length), dtype=bool), k=1)
 
 
 def select_top_queries(scores, c: float) -> np.ndarray:
@@ -204,30 +199,23 @@ def importance_scores(q, k, kernel, bias=None, causal: bool = False) -> np.ndarr
     The result is detached: selection is discrete, so no gradient flows
     through these scores.
     """
-    q_data = q.data if isinstance(q, Tensor) else np.asarray(q, dtype=np.float64)
-    k_data = k.data if isinstance(k, Tensor) else np.asarray(k, dtype=np.float64)
+    q_data, k_data, kernel = _coerce(q).data, _coerce(k).data, _coerce(kernel)
     if q_data.shape[0] != k_data.shape[0]:
         raise ValueError(
             f"importance scores need L_Q == L_K, got {q_data.shape[0]} != {k_data.shape[0]}"
             " (cross-attention must use the canonical kernel)"
         )
-    kernel_data = kernel.data if isinstance(kernel, Tensor) else np.asarray(kernel)
     fused = q_data + k_data
     with no_grad():
         if causal:
-            width = kernel_data.shape[2]
+            width = kernel.shape[2]
             padded = np.vstack([np.zeros((width - 1, fused.shape[1])), fused])
-            scores = conv1d_time(Tensor(padded), Tensor(kernel_data), padding=0).data
+            scores = conv1d_time(padded, kernel, padding=0).data
         else:
-            scores = conv1d_time(Tensor(fused), Tensor(kernel_data), padding=1).data
+            scores = conv1d_time(fused, kernel, padding=1).data
     if bias is not None:
-        bias_data = bias.data if isinstance(bias, Tensor) else np.asarray(bias)
-        scores = scores + bias_data
+        scores = scores + _coerce(bias).data
     return scores
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _one_head(q, k, v):
@@ -236,27 +224,19 @@ def _one_head(q, k, v):
 
 
 def _select_heads(ranking: np.ndarray, c: float, causal: bool):
-    """Per-head selected rows as an (H, n) index plus, when causal heads keep
-    different counts, the (H, n) mask of real rows (else None).
-
-    Causal heads are selected one at a time and padded to the longest list
-    with rows that head leaves lazy."""
-    if not causal:
-        return select_top_queries(ranking, c), None
-    chosen = [select_top_queries_causal(scores, c) for scores in ranking]
-    n = max(rows.size for rows in chosen)
-    if all(rows.size == n for rows in chosen):
-        return np.stack(chosen), None
+    """Each head's selection as an (H, L) boolean mask, plus the (H, n) rows
+    to gather: the selected rows ascending, then, for a causal head that
+    keeps fewer than the longest list, its first lazy rows ascending."""
     H, L = ranking.shape
-    rows = np.empty((H, n), dtype=np.intp)
-    real = np.zeros((H, n), dtype=bool)
-    for h, sel in enumerate(chosen):
-        lazy = np.ones(L, dtype=bool)
-        lazy[sel] = False
-        rows[h, :sel.size] = sel
-        rows[h, sel.size:] = np.flatnonzero(lazy)[:n - sel.size]
-        real[h, :sel.size] = True
-    return rows, real
+    selected = np.zeros((H, L), dtype=bool)
+    if not causal:
+        rows = select_top_queries(ranking, c)
+        selected[np.arange(H)[:, None], rows] = True
+        return selected, rows
+    for h, scores in enumerate(ranking):
+        selected[h, select_top_queries_causal(scores, c)] = True
+    n = selected.sum(axis=1).max()
+    return selected, np.argsort(~selected, axis=1, kind="stable")[:, :n]
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
@@ -275,34 +255,31 @@ def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
     budget = _ACTIVE.get()
     H, l_q, d = q.shape
     l_k = k.shape[1]
-    rows = real = None
+    selected = None
     if ranking is not None:
         start = _now(budget)
-        rows, real = _select_heads(ranking, c, causal)
+        selected, rows = _select_heads(ranking, c, causal)
         if budget is not None:
             budget.t2_ns += time.perf_counter_ns() - start
     start = _now(budget)
-    n = l_q if rows is None else rows.shape[1]
-    if rows is None:
-        q_rows = q
-        mask = causal_mask(l_q) if causal else None
+    if selected is None:
+        q_rows, query_ids, counted = q, np.arange(l_q)[:, None], H * l_q
     else:
-        q_rows = gather_rows(q, rows)
-        mask = np.arange(l_k) > rows[:, :, None] if causal else None
+        q_rows, query_ids = gather_rows(q, rows), rows[:, :, None]
+        counted = int(np.count_nonzero(selected))
+    mask = np.arange(l_k) > query_ids if causal else None
     weights = attention_weights(q_rows, k, 1.0 / math.sqrt(d), mask)
     out = matmul(weights, v)
-    if rows is not None:
-        if real is not None:
-            out = out * Tensor(real[:, :, None])
+    n = q_rows.shape[1]
+    if selected is not None:
+        if counted < H * n:  # zero the padding rows of causal heads that keep fewer
+            out = out * Tensor(selected[np.arange(H)[:, None], rows][:, :, None])
         out = scatter_rows(rows, out, l_q)
-        lazy = np.ones((H, l_q), dtype=bool)
-        lazy[np.arange(H)[:, None], rows] = False if real is None else ~real
-        if lazy.any():
+        if counted < H * l_q:
             fill = cumsum_time(v) if causal else mean_(v, axis=1, keepdims=True)
-            out = out + fill * Tensor(lazy[:, :, None].astype(np.float64))
+            out = out + fill * Tensor(~selected[:, :, None])
     if budget is not None:
         budget.t3_ns += time.perf_counter_ns() - start
-        counted = H * n if real is None else int(real.sum())
         budget.dot_products_materialized += counted * l_k
         budget.rows_selected += counted
         budget.peak_bytes = max(budget.peak_bytes, H * n * l_k * 8)
@@ -388,7 +365,7 @@ def canonical_attention(q, k, v, masked: bool = False) -> Tensor:
     ``masked`` forbids each query the keys after its own position, which
     needs L_Q == L_K.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
     d = q.shape[1]
     l_k = k.shape[0]
     if k.shape[1] != d:
@@ -407,7 +384,7 @@ def neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
     filled with the column mean of V.  ``scores`` is this head's
     importance column of length L.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.shape[0] != k.shape[0]:
         raise ValueError("neural_sparse attention is self-attention only (L_Q must equal L_K)")
     ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
@@ -422,7 +399,7 @@ def masked_neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
     ``importance_scores(..., causal=True)``) for the output to be exactly
     independent of later inputs.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if q.shape[0] != k.shape[0]:
         raise ValueError("masked attention needs L_Q == L_K")
     ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
@@ -439,7 +416,7 @@ def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
     keys at or before i (rows that see no sampled key rank lowest) and
     selection is causal.
     """
-    q, k, v = _one_head(_as_tensor(q), _as_tensor(k), _as_tensor(v))
+    q, k, v = _one_head(_coerce(q), _coerce(k), _coerce(v))
     ranking = sampled_sparsity(q, k, c, rng, masked)
     return merge_heads(attend(q, k, v, ranking, c=c, causal=masked))
 

@@ -71,6 +71,22 @@ def _run_once(kernel: str, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return elapsed, budget
 
 
+def check_bench_args(batches, seq_lens, kernels, heads: int, dims: int, repeats: int,
+                     warmup: int, c: float, seed: int) -> None:
+    """Reject a sweep setting before any cell runs, with a ``ValueError``
+    whose message starts with the argument's name."""
+    for name, values in (("batches", batches), ("seq_lens", seq_lens)):
+        if not values or min(values) < 1:
+            raise ValueError(f"{name}: must list integers >= 1, got {list(values)}")
+    if not kernels or not set(kernels) <= set(ALL_BENCH_KERNELS):
+        raise ValueError(f"kernels: must list kernels among {list(ALL_BENCH_KERNELS)}, "
+                         f"got {list(kernels)}")
+    for name, value, low in (("heads", heads, 1), ("dims", dims, 1), ("repeats", repeats, 1),
+                             ("warmup", warmup, 0), ("c", c, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ValueError(f"{name}: must be >= {low}, got {value}")
+
+
 def bench_attention(batches=DEFAULT_BATCHES, seq_lens=DEFAULT_SEQ_LENS,
                     kernels=BENCH_KERNELS, heads: int = 8, dims: int = 64,
                     repeats: int = 5, warmup: int = 2, c: float = 5.0,
@@ -81,13 +97,10 @@ def bench_attention(batches=DEFAULT_BATCHES, seq_lens=DEFAULT_SEQ_LENS,
     random inputs and the sampling seed are derived per cell, making
     counters reproducible run to run.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    check_bench_args(batches, seq_lens, kernels, heads, dims, repeats, warmup, c, seed)
     records = []
     with no_grad():
         for kernel in kernels:
-            if kernel not in ALL_BENCH_KERNELS:
-                raise ValueError(f"unknown benchmark kernel {kernel!r}")
             for batch in batches:
                 for L in seq_lens:
                     cell_seed = np.random.SeedSequence(

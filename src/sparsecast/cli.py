@@ -16,7 +16,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .ablation import format_table, run_ablation
-from .bench import ALL_BENCH_KERNELS, BENCH_KERNELS, bench_attention, write_bench_csv
+from .bench import BENCH_KERNELS, bench_attention, check_bench_args, write_bench_csv
 from .data import (
     DataError,
     SCALER_MODES,
@@ -292,22 +292,21 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _int_list(text: str):
+def _int_list(text: str, path: str):
     try:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+        raise ConfigError(f"{path}: expected a comma-separated integer list, got {text!r}")
 
 
 def cmd_bench(args) -> int:
-    kernels = args.kernels.split(",") if args.kernels else list(BENCH_KERNELS)
-    for k in kernels:
-        if k not in ALL_BENCH_KERNELS:
-            raise ConfigError(f"bench: unknown kernel {k!r}")
-    records = bench_attention(batches=_int_list(args.batches),
-                              seq_lens=_int_list(args.seq_lens), kernels=kernels,
-                              heads=args.heads, dims=args.dims, repeats=args.repeats,
-                              warmup=args.warmup, c=args.c, seed=args.seed)
+    settings = dict(batches=_int_list(args.batches, "bench.batches"),
+                    seq_lens=_int_list(args.seq_lens, "bench.seq_lens"),
+                    kernels=args.kernels.split(",") if args.kernels else list(BENCH_KERNELS),
+                    heads=args.heads, dims=args.dims, repeats=args.repeats,
+                    warmup=args.warmup, c=args.c, seed=args.seed)
+    _checked("bench", check_bench_args, **settings)
+    records = bench_attention(**settings)
     path = Path(args.out)
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -319,7 +318,7 @@ def cmd_bench(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
-    horizons = _int_list(args.horizons)
+    horizons = _int_list(args.horizons, "ablate.horizons")
     train_cfg = _train_config(config)
     if args.steps is not None:
         train_cfg = _checked("train", replace, train_cfg, max_steps=args.steps)

@@ -47,8 +47,12 @@ class TimeSeriesFrame:
             raise DataError("values shape does not match column names")
         if len(self.timestamps) != self.values.shape[0]:
             raise DataError("timestamp count does not match row count")
-        if not np.isfinite(self.values).all():
-            raise DataError("frame contains non-finite values")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise DataError(f"frame contains non-finite values: first at row {row} "
+                            f"({self.timestamps[row]}), column {self.columns[col]!r}: "
+                            f"{self.values[row, col]}")
         if len(self.timestamps) >= 2:
             step = self.timestamps[1] - self.timestamps[0]
             if step <= timedelta(0):

@@ -21,11 +21,6 @@ from .tensor import ParamStore, Tensor, mean_, no_grad
 
 ATTENTION_CHOICES = ("neural_sparse", "prob_sparse", "canonical")
 DISTILL_CHOICES = ("parallel_pool", "maxpool_only")
-_MASKED_KIND = {
-    "neural_sparse": "masked_neural_sparse",
-    "prob_sparse": "masked_prob_sparse",
-    "canonical": "masked_canonical",
-}
 
 
 @dataclass
@@ -108,7 +103,7 @@ class DecoderLayer:
                  rng: np.random.Generator):
         d = config.d_model
         self_cfg = AttentionConfig(config.n_heads, d, c=config.c,
-                                   kind=_MASKED_KIND[config.attention])
+                                   kind=f"masked_{config.attention}")
         cross_cfg = AttentionConfig(config.n_heads, d, c=config.c, kind="canonical")
         self.self_attn = MultiHeadAttention(store, f"{prefix}.self_attn", self_cfg, rng)
         self.norm1 = LayerNorm(store, f"{prefix}.norm1", d)

@@ -952,9 +952,16 @@ class ParamStore:
         return out
 
     def copy_from(self, other: "ParamStore"):
-        """Copy values in place; names and shapes must match exactly."""
-        if self.names() != other.names():
-            raise ValueError("parameter stores have different names")
+        """Copy values in place; names, their order and shapes must match exactly."""
+        mine, theirs = self.names(), other.names()
+        if mine != theirs:
+            for names, store, where in ((mine, other, "missing from"), (theirs, self, "extra in")):
+                for name in names:
+                    if name not in store._params:
+                        raise ValueError(f"parameter {name!r} is {where} the source store")
+            i = next(i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b)
+            raise ValueError(f"parameter {mine[i]!r} is out of order: the source store "
+                             f"has {theirs[i]!r} at position {i}")
         for name, t in self._params.items():
             src = other[name]
             if src.data.shape != t.data.shape:

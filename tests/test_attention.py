@@ -662,3 +662,64 @@ class TestAllHeadsCore:
         assert (dots, rows) == want_counts
         for name, want in want_grads.items():
             assert np.abs(grads[name] - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
+def _padded_selection_oracle(ranking, c, causal):
+    """Per-head rows and the (H, n) mask of real rows, by the padding loop:
+    each causal head's selected rows, padded to the longest list with the
+    rows that head leaves lazy, in ascending order."""
+    if not causal:
+        rows = select_top_queries(ranking, c)
+        return rows, np.ones(rows.shape, dtype=bool)
+    chosen = [select_top_queries_causal(scores, c) for scores in ranking]
+    n = max(rows.size for rows in chosen)
+    H, L = ranking.shape
+    rows = np.empty((H, n), dtype=np.intp)
+    real = np.zeros((H, n), dtype=bool)
+    for h, sel in enumerate(chosen):
+        lazy = np.ones(L, dtype=bool)
+        lazy[sel] = False
+        rows[h, :sel.size] = sel
+        rows[h, sel.size:] = np.flatnonzero(lazy)[:n - sel.size]
+        real[h, :sel.size] = True
+    return rows, real
+
+
+class TestSelectionMask:
+    """The core's one (H, L) selection mask against the padding loop: the
+    gathered rows, the real rows among them and the counted rows agree."""
+
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n_heads", [1, 2, 5, 8])
+    @pytest.mark.parametrize("L,c", [(1, 5.0), (9, 1.0), (128, 2.0), (129, 5.0), (300, 3.0)])
+    def test_matches_padding_loop(self, causal, ties, n_heads, L, c):
+        rng = np.random.default_rng([L, n_heads, int(ties)])
+        ranking = (rng.integers(0, 4, (n_heads, L)).astype(np.float64) if ties
+                   else rng.standard_normal((n_heads, L)))
+        if n_heads > 1:
+            ranking[-1] = -np.arange(L)  # every row ranks last: the fewest causal rows
+        want_rows, want_real = _padded_selection_oracle(ranking, c, causal)
+        selected, rows = attention._select_heads(ranking, c, causal)
+        real = selected[np.arange(n_heads)[:, None], rows]
+        npt.assert_array_equal(rows, want_rows)
+        npt.assert_array_equal(real, want_real)
+        assert selected.sum() == want_real.sum()
+        if causal and n_heads > 1 and L > 9:
+            assert len(set(want_real.sum(axis=1))) > 1, "counts should differ"
+
+        q, k, v = (Tensor(rng.standard_normal((n_heads, L, 4))) for _ in range(3))
+        with counting(ScoreBudget()) as budget:
+            attention.attend(q, k, v, ranking, c=c, causal=causal)
+        assert budget.rows_selected == want_real.sum()
+        assert budget.dot_products_materialized == want_real.sum() * L
+
+
+def test_kind_names_agree():
+    from sparsecast.bench import ALL_BENCH_KERNELS
+    from sparsecast.model import ATTENTION_CHOICES
+
+    assert len(set(attention.KINDS)) == len(attention.KINDS) == 6
+    assert set(ALL_BENCH_KERNELS) == set(attention.KINDS)
+    for kind in ATTENTION_CHOICES:
+        assert kind in attention.KINDS and f"masked_{kind}" in attention.KINDS

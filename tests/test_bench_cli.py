@@ -322,6 +322,54 @@ class TestCli:
         assert [row.split(",")[0] for row in rows] == [
             "masked_canonical", "masked_neural_sparse", "masked_prob_sparse"]
 
+    @pytest.mark.parametrize("flags, name, value", [
+        (["--heads", "0"], "heads", 0),
+        (["--dims", "0"], "dims", 0),
+        (["--seq-lens", "0"], "seq_lens", [0]),
+        (["--seq-lens", "8,x"], "seq_lens", None),
+        (["--batches", "0"], "batches", [0]),
+        (["--warmup", "-1"], "warmup", -1),
+        (["--repeats", "0"], "repeats", 0),
+        (["--c", "0.5", "--kernels", "neural_sparse"], "c", 0.5),
+        (["--kernels", "canonical,dense"], "kernels", ["canonical", "dense"]),
+        (["--seed", "-1"], "seed", -1),
+    ])
+    def test_bench_setting_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                flags, name, value):
+        import sparsecast.bench as bench_mod
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench_mod, "_run_once", no_cell)
+        out = tmp_path / "bench.csv"
+        code = cli(["bench", "--batches", "1", "--seq-lens", "8", "--repeats", "1",
+                    "--warmup", "0", *flags, "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"bench.{name}: ")
+        assert not out.exists()
+        if value is None:  # not a list of integers: the CLI's own parse rejects it
+            return
+        settings = dict(batches=[1], seq_lens=[8], kernels=["canonical"], repeats=1,
+                        warmup=0)
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            bench_attention(**{**settings, name: value})
+
+    def test_bench_error_inside_the_sweep_exits_1(self, tmp_path, capsys, monkeypatch):
+        import sparsecast.bench as bench_mod
+
+        def broken_cell(*args):
+            raise ValueError("cell failed")
+
+        monkeypatch.setattr(bench_mod, "_run_once", broken_cell)
+        code = cli(["bench", "--batches", "1", "--seq-lens", "8", "--repeats", "1",
+                    "--warmup", "0", "--out", str(tmp_path / "bench.csv")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "cell failed"}
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         config = _config(tmp_path, tmp_path / "nope.csv")
         code = cli(["train", "--config", str(config), "--out", str(tmp_path / "o")])

@@ -90,6 +90,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-finite"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_named(self, tmp_path, cell):
+        path = _write(tmp_path, [
+            "2021-01-01 00:00:00,1.0,2.0",
+            "2021-01-01 01:00:00,3.0,4.0",
+            f"2021-01-01 02:00:00,5.0,{cell}",
+        ])
+        with pytest.raises(DataError, match=(r"non-finite values: first at row 2 "
+                                             rf"\(2021-01-01 02:00:00\), column 'b': {cell}$")):
+            load_csv(path)
+
     def test_ett_schema_needs_ot(self, tmp_path):
         header = "date,c1,c2,c3,c4,c5,c6,c7"
         path = _write(tmp_path, ["2021-01-01 00:00:00,1,2,3,4,5,6,7",

@@ -71,6 +71,18 @@ class TestForecaster:
         pred = model.forward(sample).data
         npt.assert_array_equal(pred, np.tile(bias, (4, 1)))
 
+    def test_copy_from_another_kind_names_the_score_kernel(self):
+        config = ModelConfig(L_x=16, label_len=8, L_y=8, d_x=1, d_y=1, d_model=8,
+                             n_heads=2, enc_blocks=2, attention="neural_sparse")
+        neural = Forecaster(config, np.random.default_rng(1))
+        prob = Forecaster(dataclasses.replace(config, attention="prob_sparse"),
+                          np.random.default_rng(1))
+        kernel = r"'encoder\.block0\.attn\.score\.kernel'"
+        with pytest.raises(ValueError, match=f"{kernel} is missing from the source store"):
+            neural.params.copy_from(prob.params)
+        with pytest.raises(ValueError, match=f"{kernel} is extra in the source store"):
+            prob.params.copy_from(neural.params)
+
     def test_output_shape_tracks_config(self):
         frame = synthetic_seasonal_frame(200, 2, seed=4)
         config = ModelConfig(L_x=16, label_len=8, L_y=24, d_x=2, d_y=2, d_model=8,

@@ -745,6 +745,22 @@ class TestTensorBasics:
             store.add("a", np.zeros(2))
         assert store.names() == ["b", "a"]
 
+    @pytest.mark.parametrize("names, message", [
+        (["a", "b"], "parameter 'c' is missing from the source store"),
+        (["a", "b", "c", "d"], "parameter 'd' is extra in the source store"),
+        (["a", "c", "b"], "parameter 'b' is out of order: the source store has 'c' "
+                          "at position 1"),
+    ])
+    def test_paramstore_copy_names_first_mismatch(self, names, message):
+        store, other = ParamStore(), ParamStore()
+        for name in ("a", "b", "c"):
+            store.add(name, np.zeros(2))
+        for name in names:
+            other.add(name, np.ones(2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            store.copy_from(other)
+        assert all((t.data == 0.0).all() for _, t in store.items())
+
     def test_paramstore_clone_is_independent(self):
         store = ParamStore()
         t = store.add("x", np.ones(2))

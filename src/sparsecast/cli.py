@@ -22,6 +22,7 @@ from .data import (
     SCALER_MODES,
     SCALER_SCOPES,
     SCHEMAS,
+    check_target,
     fit_apply_scaler,
     load_csv,
     make_windows,
@@ -134,6 +135,7 @@ def validate_config(raw: dict) -> dict:
                               "dataset", "mode", ("univariate", "multivariate")),
         "target": _expect(ds, "dataset", "target", str, None),
     }
+    _checked("dataset", check_target, dataset["schema"], dataset["target"])
 
     pp = raw.get("preprocess", {})
     if not isinstance(pp, dict):
@@ -317,8 +319,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = load_config(args.config)
     horizons = _int_list(args.horizons, "ablate.horizons")
+    if not horizons or min(horizons) < 1:
+        raise ConfigError(f"ablate.horizons: must list integers >= 1, got {horizons}")
+    config = load_config(args.config)
     train_cfg = _train_config(config)
     if args.steps is not None:
         train_cfg = _checked("train", replace, train_cfg, max_steps=args.steps)
@@ -405,7 +409,7 @@ def cli(argv) -> int:
     except (ConfigError, DataError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

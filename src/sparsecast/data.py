@@ -1,11 +1,14 @@
 """CSV ingestion, scaling, chronological splits, window generation, metrics.
 
-Frames are immutable after load; window generation is a pure iterator
-over one split, so samples never straddle a split boundary.
+Frames are immutable after load; the windows of one split are a read-only
+sequence built on access, so samples never straddle a split boundary.
 """
 
 import csv
+import io
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -27,6 +30,7 @@ AIOPS_COLUMNS = [
 ]
 AIOPS_TARGET = "RESP-TIME"
 ETT_TARGET = "OT"
+SCHEMA_TARGETS = {"aiops": AIOPS_TARGET, "ett": ETT_TARGET}
 
 
 class DataError(ValueError):
@@ -43,6 +47,18 @@ class TimeSeriesFrame:
     target_columns: list
 
     def __post_init__(self):
+        self._check_values()
+        ts = self.timestamps
+        if len(ts) >= 2:
+            gaps = list(map(operator.sub, ts[1:], ts[:-1]))
+            step = gaps[0]
+            if step <= timedelta(0):
+                raise DataError("timestamps must be strictly increasing")
+            if gaps.count(step) != len(gaps):
+                row = next(i for i, gap in enumerate(gaps, start=1) if gap != step)
+                raise DataError(f"irregular timestamp spacing at row {row}")
+
+    def _check_values(self):
         if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
             raise DataError("values shape does not match column names")
         if len(self.timestamps) != self.values.shape[0]:
@@ -53,13 +69,6 @@ class TimeSeriesFrame:
             raise DataError(f"frame contains non-finite values: first at row {row} "
                             f"({self.timestamps[row]}), column {self.columns[col]!r}: "
                             f"{self.values[row, col]}")
-        if len(self.timestamps) >= 2:
-            step = self.timestamps[1] - self.timestamps[0]
-            if step <= timedelta(0):
-                raise DataError("timestamps must be strictly increasing")
-            for i in range(1, len(self.timestamps)):
-                if self.timestamps[i] - self.timestamps[i - 1] != step:
-                    raise DataError(f"irregular timestamp spacing at row {i}")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -73,14 +82,27 @@ class TimeSeriesFrame:
     def target_indices(self) -> list:
         return [self.columns.index(c) for c in self.target_columns]
 
+    def _derive(self, timestamps: list, values: np.ndarray) -> "TimeSeriesFrame":
+        """A frame over rows of this one, whose spacing is already checked."""
+        frame = object.__new__(TimeSeriesFrame)
+        frame.timestamps, frame.values = timestamps, values
+        frame.columns, frame.target_columns = list(self.columns), list(self.target_columns)
+        return frame
+
     def slice(self, start: int, stop: int) -> "TimeSeriesFrame":
-        return TimeSeriesFrame(self.timestamps[start:stop],
-                               self.values[start:stop].copy(),
-                               list(self.columns), list(self.target_columns))
+        return self._derive(self.timestamps[start:stop], self.values[start:stop].copy())
 
     def with_values(self, values: np.ndarray) -> "TimeSeriesFrame":
-        return TimeSeriesFrame(list(self.timestamps), values, list(self.columns),
-                               list(self.target_columns))
+        frame = self._derive(list(self.timestamps), values)
+        frame._check_values()
+        return frame
+
+
+def check_target(schema: str, target: str | None) -> None:
+    """Reject a target other than the schema's own; ``generic`` takes any."""
+    own = SCHEMA_TARGETS.get(schema)
+    if own is not None and target not in (None, own):
+        raise DataError(f"target: the {schema} schema predicts {own!r}, got {target!r}")
 
 
 def _parse_timestamp(text: str, row: int) -> datetime:
@@ -107,16 +129,51 @@ def _raise_bad_cell(columns, cells, lineno: int):
     raise AssertionError(f"row {lineno}: no cell failed to parse on the second pass")
 
 
-def load_csv(path, schema: str = "generic", target: str | None = None) -> TimeSeriesFrame:
-    """Load a header + timestamp-first CSV file into a frame.
+# What the fast pass reads: a header of printable ASCII without quotes, and
+# a body of plain numbers, commas, newlines and timestamps shaped like
+# _STAMP, whose byte 10 is a space or "T" and which end at byte 19.
+_HEADER_BYTES = bytes(range(32, 127)).replace(b'"', b"")
+_BODY_BYTES = b"0123456789.,-+eE:T \n"
+_STAMP = np.frombuffer(b"0000-00-00 00:00:00\0", dtype=np.uint8)
+_DIGITS = _STAMP == ord("0")
+_FIXED = ~_DIGITS & (np.arange(_STAMP.size) != 10)
+_FIRST_DAY = np.datetime64("0001-01-01", "s")  # datetime's first day
 
-    Schemas: ``ett`` expects 7 numeric columns with an ``OT`` target;
-    ``aiops`` expects 20 numeric columns with a ``RESP-TIME`` target and
-    5-minute sampling; ``generic`` accepts anything (target defaults to
-    the last column).
-    """
-    if schema not in SCHEMAS:
-        raise DataError(f"unknown schema {schema!r}")
+
+def _read_fast(data: bytes):
+    """(columns, timestamps, values) from one ``np.loadtxt`` pass, or None when
+    the file is not one this pass reads exactly as ``_read_rows`` does."""
+    head, _, body = data.partition(b"\n")
+    if (head.translate(None, _HEADER_BYTES) or body.translate(None, _BODY_BYTES)
+            or not body.strip(b"\n")):
+        return None
+    header = head.decode("ascii").split(",")
+    if len(header) < 2:
+        return None
+    row = np.dtype([("stamp", f"S{_STAMP.size}"), ("values", np.float64, (len(header) - 1,))])
+    try:
+        rows = np.loadtxt(io.BytesIO(body), dtype=row, delimiter=",", comments=None, ndmin=1)
+    except ValueError:  # a ragged or whitespace-only row, or a cell that is no number
+        return None
+    stamps = np.ascontiguousarray(rows["stamp"])
+    chars = stamps.view(np.uint8).reshape(len(stamps), _STAMP.size)
+    if not ((chars[:, _DIGITS] - ord("0") < 10).all()
+            and (chars[:, _FIXED] == _STAMP[_FIXED]).all()
+            and np.isin(chars[:, 10], (ord(" "), ord("T"))).all()):
+        return None
+    try:
+        when = stamps.astype("datetime64[s]")
+    except ValueError:  # a day, hour or second out of range
+        return None
+    if when.min() < _FIRST_DAY:
+        return None
+    return ([c.strip() for c in header[1:]], when.tolist(),
+            np.ascontiguousarray(rows["values"]))
+
+
+def _read_rows(path):
+    """(columns, timestamps, values) through ``csv.reader``, one row and cell
+    at a time; names the first row or cell it cannot read."""
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
         try:
@@ -137,7 +194,28 @@ def load_csv(path, schema: str = "generic", target: str | None = None) -> TimeSe
                 _raise_bad_cell(columns, record[1:], lineno)
     if not rows:
         raise DataError("CSV has a header but no data rows")
-    values = np.asarray(rows, dtype=np.float64)
+    return columns, timestamps, np.asarray(rows, dtype=np.float64)
+
+
+def load_csv(path, schema: str = "generic", target: str | None = None) -> TimeSeriesFrame:
+    """Load a header + timestamp-first CSV file into a frame.
+
+    Schemas: ``ett`` expects 7 numeric columns with an ``OT`` target;
+    ``aiops`` expects 20 numeric columns with a ``RESP-TIME`` target and
+    5-minute sampling; ``generic`` accepts anything (target defaults to
+    the last column).  A ``target`` other than the schema's own is an error.
+
+    An ASCII file of plain numbers and ``YYYY-MM-DD HH:MM:SS`` timestamps is
+    parsed in one numpy pass; any other file, and every file with a fault,
+    goes through the per-row reader, which gives the same frame and names
+    the fault.
+    """
+    if schema not in SCHEMAS:
+        raise DataError(f"unknown schema {schema!r}")
+    check_target(schema, target)
+    with open(path, "rb") as fp:
+        parsed = _read_fast(fp.read())
+    columns, timestamps, values = parsed if parsed is not None else _read_rows(path)
 
     if schema == "aiops":
         if len(columns) != 20:
@@ -308,8 +386,57 @@ class WindowSample:
     origin: int = 0
 
 
+class Windows(Sequence):
+    """The stride-1 windows of one split, each ``WindowSample`` built on
+    access from the split's shared read-only value and stamp arrays.
+
+    Indexing takes negative indices and raises ``IndexError`` out of range,
+    like a list; a slice gives a list of the windows it selects.
+    """
+
+    def __init__(self, values: np.ndarray, stamps: np.ndarray, L_x: int, label_len: int,
+                 L_y: int, h: int):
+        self._values, self._stamps = values, stamps
+        self._L_x, self._label_len, self._L_y, self._h = L_x, label_len, L_y, h
+        self._origins = range(len(values) - (L_x + h + L_y) + 1)
+
+    def __len__(self) -> int:
+        return len(self._origins)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._window(t) for t in self._origins[index]]
+        try:
+            t = self._origins[index]
+        except IndexError:
+            raise IndexError(f"window index {index} out of range ({len(self)} windows)") from None
+        return self._window(t)
+
+    def __iter__(self):
+        return map(self._window, self._origins)
+
+    def _window(self, t: int) -> WindowSample:
+        values, stamps, label_len, L_y = self._values, self._stamps, self._label_len, self._L_y
+        enc_stop = t + self._L_x
+        tgt_start = enc_stop + self._h
+        if self._h == 0:
+            dec_stamps = stamps[enc_stop - label_len:tgt_start + L_y]
+        else:
+            dec_stamps = np.vstack([stamps[enc_stop - label_len:enc_stop],
+                                    stamps[tgt_start:tgt_start + L_y]])
+            dec_stamps.setflags(write=False)
+        return WindowSample(
+            enc_values=values[t:enc_stop],
+            enc_stamps=stamps[t:enc_stop],
+            dec_stamps=dec_stamps,
+            known_tail=values[enc_stop - label_len:enc_stop],
+            target=values[tgt_start:tgt_start + L_y],
+            origin=t,
+        )
+
+
 def make_windows(frame: TimeSeriesFrame, L_x: int, label_len: int, L_y: int,
-                 h: int = 0, univariate: bool = False) -> list:
+                 h: int = 0, univariate: bool = False) -> Windows:
     """Stride-1 sliding windows over one split.
 
     The count is L - L_x - h - L_y + 1.  Univariate mode uses the target
@@ -318,8 +445,9 @@ def make_windows(frame: TimeSeriesFrame, L_x: int, label_len: int, L_y: int,
 
     The split's stamp matrix and value columns are built once, and every
     window field is a read-only view into them, so the windows cost
-    O(L) memory rather than O(L * L_x).  Only ``h > 0`` copies: the
-    decoder stamps then skip the gap between warm start and target.
+    O(L) memory rather than O(L * L_x), and each window is only built when
+    it is read.  Only ``h > 0`` copies: the decoder stamps then skip the gap
+    between warm start and target.
     """
     L = len(frame)
     needed = L_x + h + L_y
@@ -334,26 +462,7 @@ def make_windows(frame: TimeSeriesFrame, L_x: int, label_len: int, L_y: int,
     stamps = timestamp_features(frame.timestamps)
     for shared in (values, stamps):
         shared.setflags(write=False)
-
-    samples = []
-    for t in range(L - needed + 1):
-        enc_stop = t + L_x
-        tgt_start = enc_stop + h
-        if h == 0:
-            dec_stamps = stamps[enc_stop - label_len:tgt_start + L_y]
-        else:
-            dec_stamps = np.vstack([stamps[enc_stop - label_len:enc_stop],
-                                    stamps[tgt_start:tgt_start + L_y]])
-            dec_stamps.setflags(write=False)
-        samples.append(WindowSample(
-            enc_values=values[t:enc_stop],
-            enc_stamps=stamps[t:enc_stop],
-            dec_stamps=dec_stamps,
-            known_tail=values[enc_stop - label_len:enc_stop],
-            target=values[tgt_start:tgt_start + L_y],
-            origin=t,
-        ))
-    return samples
+    return Windows(values, stamps, L_x, label_len, L_y, h)
 
 
 @dataclass

@@ -338,8 +338,11 @@ def relu(a) -> Tensor:
 
 def elu(a) -> Tensor:
     a = _coerce(a)
-    pos = a.data > 0.0
-    out = np.where(pos, a.data, np.expm1(a.data))
+    # expm1(min(a, 0)) is 0 where a > 0 and at least a where a <= 0, so the
+    # max with a picks a or expm1(a) in one buffer
+    out = np.minimum(a.data, 0.0)
+    np.expm1(out, out=out)
+    np.maximum(a.data, out, out=out)
     nodes = _inputs(a)
     if nodes is None:
         return Tensor(out)
@@ -347,8 +350,12 @@ def elu(a) -> Tensor:
 
     def bw(g):
         # out > 0 exactly where a > 0, since expm1 of a non-positive a is not
-        # positive, so the tape keeps only the output
-        _accum(na, g * np.where(out > 0.0, 1.0, out + 1.0), fresh=True)
+        # positive, so the tape keeps only the output: the slope is
+        # min(out + 1, 1)
+        d = out + 1.0
+        np.minimum(d, 1.0, out=d)
+        d *= g
+        _accum(na, d, fresh=True)
 
     return _make(out, nodes, bw)
 

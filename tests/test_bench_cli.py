@@ -153,6 +153,10 @@ def _config(tmp_path, csv_path, **model_overrides):
     return path
 
 
+def _no_load(*args, **kwargs):
+    raise AssertionError("the dataset was loaded")
+
+
 class TestConfigValidation:
     def test_missing_key_named(self):
         with pytest.raises(ConfigError, match="model.L_x"):
@@ -233,6 +237,49 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
         assert err["message"].startswith(f"{section}.{key}: ")
+
+    @pytest.mark.parametrize("schema, target", [
+        ("aiops", "nope"), ("aiops", "SP1A-MEM"), ("ett", "nope"), ("ett", "HUFL"),
+    ])
+    def test_target_other_than_the_schemas_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                   schema, target):
+        config = _config(tmp_path, tmp_path / "unread.csv")
+        raw = json.loads(config.read_text())
+        raw["dataset"].update(schema=schema, target=target)
+        config.write_text(json.dumps(raw))
+        monkeypatch.setattr(cli_module, "load_csv", _no_load)
+        code = cli(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert err["message"].startswith("dataset.target: ")
+        own = {"aiops": "RESP-TIME", "ett": "OT"}[schema]
+        raw["dataset"]["target"] = own
+        assert validate_config(raw)["dataset"]["target"] == own
+
+    @pytest.mark.parametrize("horizons", ["0", "-3", "", "4,0"])
+    def test_ablate_horizons_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                  horizons):
+        config = _config(tmp_path, _aiops_csv(tmp_path))
+        monkeypatch.setattr(cli_module, "load_csv", _no_load)
+        code = cli(["ablate", "--config", str(config), "--horizons", horizons,
+                    "--steps", "1", "--out", str(tmp_path / "ab")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert err["message"].startswith("ablate.horizons: ")
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_checkpoint_directory_exits_1_naming_it(self, tmp_path, capsys, command):
+        config = _config(tmp_path, _aiops_csv(tmp_path))
+        folder = tmp_path / "ckpt"
+        folder.mkdir()
+        code = cli([command, "--config", str(config), "--checkpoint", str(folder),
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "IsADirectoryError"
+        assert str(folder) in err["message"]
 
     def test_ablate_steps_out_of_range_exits_2(self, tmp_path, capsys):
         config = _config(tmp_path, _aiops_csv(tmp_path))

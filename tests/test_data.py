@@ -1,12 +1,14 @@
 """Data tests: CSV loading, splits, scalers, windows, metrics."""
 
 import csv
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sparsecast.data as data_module
 from sparsecast.data import (
     AIOPS_COLUMNS,
     DataError,
@@ -101,6 +103,12 @@ class TestLoadCsv:
                                              rf"\(2021-01-01 02:00:00\), column 'b': {cell}$")):
             load_csv(path)
 
+    @pytest.mark.parametrize("schema, own", [("aiops", "RESP-TIME"), ("ett", "OT")])
+    def test_schema_takes_only_its_own_target(self, schema, own):
+        with pytest.raises(DataError, match=f"^target: the {schema} schema predicts "
+                                            f"'{own}', got 'a'$"):
+            load_csv("never-opened.csv", schema=schema, target="a")
+
     def test_ett_schema_needs_ot(self, tmp_path):
         header = "date,c1,c2,c3,c4,c5,c6,c7"
         path = _write(tmp_path, ["2021-01-01 00:00:00,1,2,3,4,5,6,7",
@@ -126,6 +134,17 @@ def _per_cell_loader(path):
                 timestamps.append(datetime.fromisoformat(text))
             rows.append([float(cell) for cell in record[1:]])
     return timestamps, np.asarray(rows, dtype=np.float64)
+
+
+def _no_per_row_reader(path):
+    raise AssertionError(f"{path} went to the per-row reader")
+
+
+def _count_per_row_reads(monkeypatch) -> list:
+    """Record each path ``load_csv`` hands to the per-row reader."""
+    calls, real = [], data_module._read_rows
+    monkeypatch.setattr(data_module, "_read_rows", lambda path: calls.append(path) or real(path))
+    return calls
 
 
 def _stamp_loop(timestamps):
@@ -156,6 +175,81 @@ class TestFastParsing:
                                  "2021-01-01 01:00:00,3.0,1.2.3"])
         with pytest.raises(DataError, match=r"row 3, column 'b': non-numeric cell '1\.2\.3'"):
             load_csv(path)
+
+    @pytest.mark.parametrize("dialect", ["benchmark", "repr"])
+    def test_generated_20_columns_take_one_numpy_pass(self, tmp_path, monkeypatch, dialect):
+        """A 20-column file in the benchmark's dialect (space-joined stamps,
+        three decimals) and in ``repr`` floats (signs, exponents, -0.0,
+        "T"-joined stamps) never reaches the per-row reader and reads the
+        same bytes as it."""
+        rng = np.random.default_rng(20)
+        start, tick = datetime(2021, 1, 4), timedelta(minutes=5)
+        if dialect == "benchmark":
+            cells = np.rint(rng.uniform(0.0, 500.0, (400, 20)) * 1000.0).astype(np.int64)
+            rows = [f"{start + i * tick:%Y-%m-%d %H:%M:%S}," +
+                    ",".join(f"{m // 1000}.{m % 1000:03d}" for m in row)
+                    for i, row in enumerate(cells.tolist())]
+        else:
+            values = rng.standard_normal((400, 20)) * 10.0 ** rng.integers(-12, 12, (400, 20))
+            values[3, 4] = -0.0
+            rows = [f"{start + i * tick:%Y-%m-%dT%H:%M:%S}," + ",".join(map(repr, row))
+                    for i, row in enumerate(values.tolist())]
+        path = _write(tmp_path, rows, header=",".join(["date", *AIOPS_COLUMNS]))
+        monkeypatch.setattr(data_module, "_read_rows", _no_per_row_reader)
+        frame = load_csv(path, schema="aiops")
+        timestamps, values = _per_cell_loader(path)
+        assert frame.timestamps == timestamps
+        assert all(type(ts) is datetime for ts in frame.timestamps)
+        assert frame.values.tobytes() == values.tobytes()
+        assert frame.values.flags.c_contiguous and frame.values.dtype == np.float64
+
+    @pytest.mark.parametrize("rows", [
+        ['"2021-01-01 00:00:00",1.5,2', '2021-01-01 01:00:00,"3",4'],  # quotes
+        ["2021-01-01 00:00:00,1_000,2", "2021-01-01 01:00:00,3,4"],  # digit separator
+        ["2021-01-01,1,2", "2021-01-02,3,4"],  # date only
+        ["2021-01-01 00:00:00.5,1,2", "2021-01-01 01:00:00.5,3,4"],  # fractional second
+        ["2021-01-01T00:00:00+05:00,1,2", "2021-01-01T01:00:00+05:00,3,4"],  # offset
+        ["2021-01-01T00:00+05,1,2", "2021-01-01T01:00+05,3,4"],  # 19 bytes, offset
+        [" 2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3,4"],  # padded stamp
+        ["2021-01-01 00:00:00,\t1,2", "2021-01-01 01:00:00,3,4"],  # tab
+        ["2021-01-01 00:00:00,1,2\r", "2021-01-01 01:00:00,3,4\r"],  # CRLF
+        ["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3,4\u00a0"],  # not ASCII
+    ])
+    def test_valid_files_outside_the_fast_subset_match_per_cell_loader(
+            self, tmp_path, monkeypatch, rows):
+        path = _write(tmp_path, rows)
+        calls = _count_per_row_reads(monkeypatch)
+        frame = load_csv(path)
+        timestamps, values = _per_cell_loader(path)
+        assert calls == [path]
+        assert frame.timestamps == timestamps
+        assert frame.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("rows, message", [
+        (["2021-01-01 00:00:00,1,2", "  ", "2021-01-01 01:00:00,3,4"],
+         "row 3: expected 3 cells, got 1"),
+        (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3"], "row 3: expected 3 cells, got 2"),
+        (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3,4,5"],
+         "row 3: expected 3 cells, got 4"),
+        (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,1e,4"],
+         "row 3, column 'a': non-numeric cell '1e'"),
+        (["2021-01-01 00:00:00,,2", "2021-01-01 01:00:00,3,4"],
+         "row 2, column 'a': non-numeric cell ''"),
+        (["2021-01-01 23:00:00,1,2", "2021-01-01 24:00:00,3,4"],
+         "row 3: cannot parse timestamp '2021-01-01 24:00:00'"),
+        (["2021-02-28 00:00:00,1,2", "2021-02-30 00:00:00,3,4"],
+         "row 3: cannot parse timestamp '2021-02-30 00:00:00'"),
+        (["0000-12-31 23:00:00,1,2", "0001-01-01 00:00:00,3,4"],
+         "row 2: cannot parse timestamp '0000-12-31 23:00:00'"),
+        (["", ""], "CSV has a header but no data rows"),
+    ])
+    def test_faults_are_named_by_the_per_row_reader(self, tmp_path, monkeypatch, rows,
+                                                   message):
+        path = _write(tmp_path, rows)
+        calls = _count_per_row_reads(monkeypatch)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
+        assert calls == [path]
 
     def test_timestamp_features_match_loop(self):
         step = timedelta(days=3, hours=5, minutes=7, seconds=13)
@@ -321,12 +415,24 @@ class TestWindowViews:
         frame = synthetic_aiops_frame(90, seed=4)
         samples = make_windows(frame, 16, 8, 8, h=h, univariate=univariate)
         oracle = _copying_windows(frame, 16, 8, 8, h=h, univariate=univariate)
-        assert len(samples) == len(oracle)
-        for sample, expected in zip(samples, oracle):
-            for got, want in zip(_fields(sample), expected):
-                assert got.dtype == want.dtype
-                npt.assert_array_equal(got, want)
-            assert sample.origin == expected[-1]
+        n = len(oracle)
+        assert len(samples) == n
+        picks = [(samples, oracle), ([samples[-1], samples[-n]], [oracle[-1], oracle[-n]])]
+        picks += [(samples[cut], oracle[cut]) for cut in (
+            slice(2, 9, 3), slice(None, None, -4), slice(-5, None), slice(n - 2, n + 10),
+            slice(n, None), np.s_[np.intp(1):np.intp(3)])]
+        picks.append(([samples[i] for i in np.arange(0, n, 7)], oracle[::7]))
+        for got_windows, want_windows in picks:
+            assert isinstance(got_windows, list) or got_windows is samples
+            assert len(got_windows) == len(want_windows)
+            for sample, expected in zip(got_windows, want_windows):
+                for got, want in zip(_fields(sample), expected):
+                    assert got.dtype == want.dtype
+                    npt.assert_array_equal(got, want)
+                assert sample.origin == expected[-1]
+        for index in (n, -n - 1, n + 100):
+            with pytest.raises(IndexError, match=f"window index {index} out of range"):
+                samples[index]
 
     @pytest.mark.parametrize("univariate", [True, False])
     def test_fields_are_read_only_views_of_shared_arrays(self, univariate):
@@ -335,7 +441,8 @@ class TestWindowViews:
         values = samples[0].enc_values.base
         stamps = samples[0].enc_stamps.base
         assert not np.shares_memory(values, frame.values)
-        for sample in samples:
+        n = len(samples)
+        for sample in [*samples, samples[-1], samples[-n], *samples[3:40:5], *samples[::-9]]:
             enc_values, enc_stamps, dec_stamps, known_tail, target = _fields(sample)
             for arr in (enc_values, known_tail, target):
                 assert np.shares_memory(arr, values)

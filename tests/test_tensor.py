@@ -401,6 +401,31 @@ class TestDropout:
         assert [(x.shape, x.dtype) for x in arrays] == [((6, 4), np.dtype(bool))]
 
 
+class TestElu:
+    # tiny, small, large and infinite values of both signs, subnormals and NaN
+    GRID = np.array([1e-300, -1e-300, 5e-324, -5e-324, 1e-10, -1e-10, 0.0, 0.5, -0.5,
+                     3.0, -3.0, 40.0, -40.0, 709.0, -745.0, 1e300, -1e300,
+                     np.inf, -np.inf, np.nan])
+
+    def test_matches_where_oracle_bit_for_bit(self):
+        """Output and gradient equal the three-temporary formulas
+        ``where(a > 0, a, expm1(a))`` and ``g * where(out > 0, 1, out + 1)``."""
+        a = np.concatenate([self.GRID, np.random.default_rng(6).standard_normal(60) * 4.0])
+        g = np.random.default_rng(7).standard_normal(a.shape)
+        with np.errstate(over="ignore"):
+            want = np.where(a > 0.0, a, np.expm1(a))
+        want_grad = g * np.where(want > 0.0, 1.0, want + 1.0)
+        x = Tensor(a.copy(), requires_grad=True)
+        out = elu(x)
+        sum_(mul(out, Tensor(g))).backward()
+        assert out.data.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
+
+    def test_negative_zero_gives_positive_zero(self):
+        out = elu(Tensor(np.array([-0.0]))).data
+        assert out[0] == 0.0 and not np.signbit(out[0])
+
+
 def _add_at(shape, index, values):
     full = np.zeros(shape)
     np.add.at(full, index, values)

@@ -38,7 +38,7 @@ from .tensor import (
     ParamStore,
     Tensor,
     _coerce,
-    attention_weights,
+    attention,
     conv1d_time,
     cumsum_time,
     gather_rows,
@@ -267,9 +267,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
     else:
         q_rows, query_ids = gather_rows(q, rows), rows[:, :, None]
         counted = int(np.count_nonzero(selected))
-    mask = np.arange(l_k) > query_ids if causal else None
-    weights = attention_weights(q_rows, k, 1.0 / math.sqrt(d), mask)
-    out = matmul(weights, v)
+    out = attention(q_rows, k, v, 1.0 / math.sqrt(d), query_ids if causal else None)
     n = q_rows.shape[1]
     if selected is not None:
         if counted < H * n:  # zero the padding rows of causal heads that keep fewer

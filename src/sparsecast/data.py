@@ -50,7 +50,13 @@ class TimeSeriesFrame:
         self._check_values()
         ts = self.timestamps
         if len(ts) >= 2:
-            gaps = list(map(operator.sub, ts[1:], ts[:-1]))
+            try:
+                gaps = list(map(operator.sub, ts[1:], ts[:-1]))
+            except TypeError:  # datetime refuses to subtract naive and aware stamps
+                naive = ts[0].utcoffset() is None
+                row = next(i for i, t in enumerate(ts) if (t.utcoffset() is None) != naive)
+                raise DataError(f"row {row}: mixes naive and UTC-offset timestamps "
+                                f"({ts[0]} and {ts[row]})") from None
             step = gaps[0]
             if step <= timedelta(0):
                 raise DataError("timestamps must be strictly increasing")

@@ -7,8 +7,9 @@ the masked (causal) variant of the configured sparse kernel, followed by
 canonical cross-attention against the encoder output.
 """
 
+import math
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,6 +49,9 @@ class ModelConfig:
     gated_embedding: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name}: must be finite, got {getattr(self, f.name)}")
         if self.label_len > self.L_x:
             raise ValueError(f"label_len: {self.label_len} exceeds L_x={self.L_x}")
         for key, low in (("label_len", 0), ("L_y", 1), ("h", 0), ("n_heads", 1),

@@ -8,7 +8,10 @@ backward closure.  The closure captures those parent nodes plus exactly
 the arrays its own gradient formula reads (a matmul keeps its operands, a
 ReLU a boolean mask, dropout its boolean mask, an add only shapes), never
 the input tensors, so the tape holds only what backward reads: an output
-that no formula reads is freed as soon as the caller drops it.  A leaf (a
+that no formula reads is freed as soon as the caller drops it.  Attention
+keeps q, k, v and two numbers per query row, not its weights: its
+backward recomputes them a block of rows at a time, so no array of score
+size outlives the forward.  A leaf (a
 tensor that requires gradients but was not made by a recorded operation,
 such as a parameter) is its own node.  Under ``no_grad``, or when every
 input is a constant, an operation records nothing and builds no closure.
@@ -25,6 +28,7 @@ frozen parameter set can be read from multiple threads; gradient buffers
 belong to a single training loop at a time.
 """
 
+import math
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -173,15 +177,10 @@ class Tensor:
         return add(_coerce(other), mul(self, -1.0))
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
         return mul(self, 1.0 / float(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, key):
         if isinstance(key, np.ndarray):
@@ -193,10 +192,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return mean_(self, axis=axis, keepdims=keepdims)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _coerce(x) -> Tensor:
@@ -241,7 +236,7 @@ def _accum(node, g, fresh: bool = False):
     a first gradient adopts it, when it is a C-contiguous array, instead of
     copying it.  Any other first gradient is copied into a new C-ordered
     buffer: ``g`` may be shared with another parent (add) or be a view of a
-    buffer the caller still uses (concat, split_heads).
+    buffer the caller still uses (split_heads).
     """
     if node.grad is None:
         if fresh and isinstance(g, np.ndarray) and g.flags.c_contiguous:
@@ -301,22 +296,6 @@ def mul(a, b) -> Tensor:
             _accum(na, _unbroadcast(g * b_data, shape_a), fresh=True)
         if nb is not None:
             _accum(nb, _unbroadcast(g * a_data, shape_b), fresh=True)
-
-    return _make(out, nodes, bw)
-
-
-def power(a, p) -> Tensor:
-    a = _coerce(a)
-    p = float(p)
-    out = a.data**p
-    nodes = _inputs(a)
-    if nodes is None:
-        return Tensor(out)
-    na, = nodes
-    a_data = a.data
-
-    def bw(g):
-        _accum(na, g * p * a_data ** (p - 1.0), fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -439,20 +418,6 @@ def linear(x, w, b=None) -> Tensor:
     return _make(out, nodes, bw)
 
 
-def transpose(a) -> Tensor:
-    a = _coerce(a)
-    out = a.data.T
-    nodes = _inputs(a)
-    if nodes is None:
-        return Tensor(out)
-    na, = nodes
-
-    def bw(g):
-        _accum(na, g.T)
-
-    return _make(out, nodes, bw)
-
-
 # -- reductions and rearrangement -------------------------------------
 
 
@@ -505,26 +470,6 @@ def cumsum_time(a) -> Tensor:
 
     def bw(g):
         _accum(na, np.flip(np.cumsum(np.flip(g, axis=-2), axis=-2), axis=-2))
-
-    return _make(out, nodes, bw)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    ts = [_coerce(t) for t in tensors]
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    nodes = _inputs(*ts)
-    if nodes is None:
-        return Tensor(out)
-    sizes = [t.data.shape[axis] for t in ts]
-
-    def bw(g):
-        off = 0
-        for node, s in zip(nodes, sizes):
-            if node is not None:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(off, off + s)
-                _accum(node, g[tuple(sl)])
-            off += s
 
     return _make(out, nodes, bw)
 
@@ -638,73 +583,104 @@ def merge_heads(a) -> Tensor:
 
 # -- neural-network primitives -----------------------------------------
 
-# Elements of one block of ``g * w`` in the ``attention_weights`` backward.
-_ROW_BLOCK = 1 << 16
+# Most elements of one block of query rows in the ``attention`` backward:
+# 1 MiB of float64, so a block's weights and score gradient stay in cache.
+_ATTENTION_BLOCK = 1 << 17
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(a * b).sum(axis=-1, keepdims=True)`` for two arrays of one shape,
-    made a block of rows at a time, so that no product of their full size
-    exists.  Each row sums its products as the one-shot expression does."""
-    m = a.shape[-1]
-    a2, b2 = a.reshape(-1, m), b.reshape(-1, m)
-    n = a2.shape[0]
-    out = np.empty((n, 1))
-    step = max(1, _ROW_BLOCK // max(m, 1))
-    block = np.empty((min(step, n), m))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        part = np.multiply(a2[start:stop], b2[start:stop], out=block[:stop - start])
-        part.sum(axis=-1, keepdims=True, out=out[start:stop])
-    return out.reshape(a.shape[:-1] + (1,))
+def _softmax_rows(q, k, scale, visible, row_max=None, row_sum=None):
+    """``softmax(q k^T * scale)`` over the last axis, with the row max and
+    row sum it divided by.
 
-
-def attention_weights(q, k, scale: float, mask=None) -> Tensor:
-    """Fused ``softmax(q k^T * scale)`` over the last axis.
-
-    ``q`` is (..., n, d) and ``k`` (..., m, d) with matching leading axes;
-    ``mask`` (boolean, broadcastable to (..., n, m), True = forbidden)
-    zeroes entries exactly; a fully forbidden row is an error.  The scale
-    is folded into ``q`` and the softmax runs in place, so the scores take
-    one buffer.  The tape keeps the weights plus ``q`` and ``k``; the
-    backward pass forms the score gradient in the node's own gradient
-    buffer and returns dq and dk directly, so backward adds no second
-    score-sized array.
+    ``visible`` (boolean, broadcastable to (..., n, m), or None for all)
+    marks the keys each query row sees; the others get exact zeros.  Given
+    the row statistics of an earlier call over these rows, it gives those
+    rows the bits that call gave them.
     """
-    q, k = _coerce(q), _coerce(k)
-    w = (q.data * scale) @ np.swapaxes(k.data, -1, -2)
-    if mask is not None:
-        forbidden = np.broadcast_to(np.asarray(mask, dtype=bool), w.shape)
-        if forbidden.all(axis=-1).any():
-            raise ValueError("empty attention row: every entry is masked")
-        np.copyto(w, -np.inf, where=forbidden)
-    w -= w.max(axis=-1, keepdims=True)
-    if mask is None:
+    w = (q * scale) @ np.swapaxes(k, -1, -2)
+    if row_max is None:
+        row_max = (w.max(axis=-1, keepdims=True) if visible is None else
+                   w.max(axis=-1, keepdims=True, where=visible, initial=-np.inf))
+    w -= row_max
+    if visible is None:
         np.exp(w, out=w)
-    else:
-        # exp(-inf) is 0.0 but slow: skip the forbidden entries and zero them
-        np.exp(w, out=w, where=~forbidden)
-        np.copyto(w, 0.0, where=forbidden)
-    w /= w.sum(axis=-1, keepdims=True)
-    nodes = _inputs(q, k)
+    else:  # exp of the visible entries only, then exact zeros for the rest
+        np.exp(w, out=w, where=visible)
+        np.copyto(w, 0.0, where=~visible)
+    if row_sum is None:
+        row_sum = w.sum(axis=-1, keepdims=True)
+    w /= row_sum
+    return w, row_max, row_sum
+
+
+def attention(q, k, v, scale: float, query_ids=None) -> Tensor:
+    """``softmax(q k^T * scale) v`` as one node.
+
+    ``q`` is (..., n, d), ``k`` (..., m, d) and ``v`` (..., m, d_v) with
+    matching leading axes.  ``query_ids``, one integer per query row in
+    an (n, 1) or (..., n, 1) array, makes it causal: query row i sees keys
+    0..query_ids[i], and a negative id, a row that sees no key, is an
+    error.
+
+    The forward makes the weights in one (..., n, m) buffer, with the scale
+    folded into ``q`` and the softmax in place, and drops them after the
+    product with ``v``.  The tape keeps ``q``, ``k``, ``v``, the ids and the
+    (..., n, 1) row max and row sum, nothing of score size.  The backward
+    pass walks blocks of query rows of at most ``_ATTENTION_BLOCK``
+    elements: it recomputes each block's weights from the row statistics
+    and adds that block's share into dq, dk and dv.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    m = k.data.shape[-2]
+    ids = visible = None
+    if query_ids is not None:
+        ids = np.minimum(np.asarray(query_ids)[..., 0], m - 1)
+        if (ids < 0).any():
+            raise ValueError("empty attention row: every entry is masked")
+        visible = np.tri(m, dtype=bool)[ids]  # row i of the lower triangle sees keys 0..i
+    w, row_max, row_sum = _softmax_rows(q.data, k.data, scale, visible)
+    out = w @ v.data
+    nodes = _inputs(q, k, v)
     if nodes is None:
-        return Tensor(w)
-    nq, nk = nodes
-    q_data = q.data if nk is not None else None
-    k_data = k.data if nq is not None else None
+        return Tensor(out)
+    nq, nk, nv = nodes
+    q_data, k_data, v_data = q.data, k.data, v.data
+    n = row_max.shape[-2]
+    step = max(1, _ATTENTION_BLOCK // (m * math.prod(row_max.shape[:-2])))
 
     def bw(g):
-        # ds = (g - rowsum(g * w)) * w * scale, written over g, which is
-        # this node's own buffer and dropped after this call
-        g -= _row_dot(g, w)
-        g *= w
-        g *= scale
+        table = None if ids is None else np.tri(m, dtype=bool)
+        dq = np.empty(q_data.shape) if nq is not None else None
+        dk_t = dv = None  # dk transposed, and dv: the first block writes them
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            q_b, g_b = q_data[..., rows, :], g[..., rows, :]
+            w_b, _, _ = _softmax_rows(q_b, k_data, scale,
+                                      None if ids is None else table[ids[..., rows]],
+                                      row_max[..., rows, :], row_sum[..., rows, :])
+            if nv is not None:
+                part = np.swapaxes(w_b, -1, -2) @ g_b
+                dv = part if dv is None else np.add(dv, part, out=dv)
+            if nq is None and nk is None:
+                continue
+            # ds = (g v^T - rowsum(g v^T * w)) * w * scale, in one block buffer
+            ds = g_b @ np.swapaxes(v_data, -1, -2)
+            ds -= (ds * w_b).sum(axis=-1, keepdims=True)
+            ds *= w_b
+            ds *= scale
+            if nq is not None:
+                dq[..., rows, :] = ds @ k_data
+            if nk is not None:
+                part = np.swapaxes(q_b, -1, -2) @ ds
+                dk_t = part if dk_t is None else np.add(dk_t, part, out=dk_t)
         if nq is not None:
-            _accum(nq, g @ k_data, fresh=True)
-        if nk is not None:  # dk = (q^T ds)^T, the gradient of k^T transposed
-            _accum(nk, np.swapaxes(np.swapaxes(q_data, -1, -2) @ g, -1, -2))
+            _accum(nq, dq, fresh=True)
+        if nk is not None:
+            _accum(nk, np.swapaxes(dk_t, -1, -2))
+        if nv is not None:
+            _accum(nv, dv, fresh=True)
 
-    return _make(w, nodes, bw)
+    return _make(out, nodes, bw)
 
 
 def layer_norm(x, gain, bias, eps: float) -> Tensor:

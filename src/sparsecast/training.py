@@ -13,7 +13,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,6 +41,12 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name}: must be finite, got {getattr(self, f.name)}")
+        for key in ("lr", "weight_decay", "lr_decay"):
+            if getattr(self, key) < 0.0:
+                raise ValueError(f"{key}: must be >= 0, got {getattr(self, key)}")
         for key in ("batch_size", "epochs", "lr_step_epochs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key}: must be >= 1, got {getattr(self, key)}")

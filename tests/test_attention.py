@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import dense_attention
-from test_tensor import softmax_lastdim
+from test_tensor import concat, softmax_lastdim, transpose
 import sparsecast.attention as attention
 from sparsecast.attention import (
     AttentionConfig,
@@ -31,7 +31,6 @@ from sparsecast.attention import (
 from sparsecast.tensor import (
     ParamStore,
     Tensor,
-    concat,
     cumsum_time,
     finite_diff_check,
     gather_rows,
@@ -39,7 +38,6 @@ from sparsecast.tensor import (
     mean_,
     scatter_rows,
     sum_,
-    transpose,
 )
 
 

@@ -1,6 +1,7 @@
 """Benchmark-harness and CLI tests: counter laws, CSV contracts, subcommands."""
 
 import json
+import math
 from dataclasses import MISSING, asdict, fields
 
 import numpy as np
@@ -237,6 +238,31 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
         assert err["message"].startswith(f"{section}.{key}: ")
+
+    @pytest.mark.parametrize("section, key, value", [
+        *((section, f.name, value)
+          for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+          for f in fields(cls) if f.type is float
+          for value in (math.nan, math.inf, -math.inf)),
+        ("train", "lr", -1e-3),
+        ("train", "weight_decay", -5.0),
+        ("train", "lr_decay", -1.0),
+    ])
+    def test_non_finite_or_negative_float_exits_2(self, tmp_path, capsys, section, key,
+                                                  value):
+        """Every float key rejects NaN and +-Infinity, which Python's json
+        reads, and the rates reject a negative value, with exit 2 naming
+        the key before any training."""
+        config = _config(tmp_path, _aiops_csv(tmp_path))
+        raw = json.loads(config.read_text())
+        raw[section][key] = value
+        config.write_text(json.dumps(raw))
+        code = cli(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert err["message"].startswith(f"{section}.{key}: must be ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("schema, target", [
         ("aiops", "nope"), ("aiops", "SP1A-MEM"), ("ett", "nope"), ("ett", "HUFL"),

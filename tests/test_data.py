@@ -1,6 +1,7 @@
 """Data tests: CSV loading, splits, scalers, windows, metrics."""
 
 import csv
+import json
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -9,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import sparsecast.data as data_module
+from sparsecast.cli import cli
 from sparsecast.data import (
     AIOPS_COLUMNS,
     DataError,
@@ -60,6 +62,26 @@ class TestLoadCsv:
         ])
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
+
+    @pytest.mark.parametrize("first, second", [("", "+00:00"), ("+00:00", ""),
+                                               ("", "Z")])
+    def test_mixed_naive_and_offset_timestamps_name_the_row(self, tmp_path, capsys,
+                                                            first, second):
+        """datetime cannot subtract a naive stamp from an aware one; the frame
+        names the first row whose kind differs from row 0's instead, so that
+        ``sparsecast train`` exits 2."""
+        path = _write(tmp_path, [
+            f"2021-01-01 00:00:00{first},1.0,2.0",
+            f"2021-01-01 01:00:00{first},3.0,4.0",
+            f"2021-01-01 02:00:00{second},5.0,6.0",
+        ])
+        with pytest.raises(DataError, match="^row 2: mixes naive and UTC-offset timestamps"):
+            load_csv(path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": {"path": str(path)},
+                                      "model": {"L_x": 2, "label_len": 1, "L_y": 1}}))
+        assert cli(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "row 2: mixes naive" in capsys.readouterr().err
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = _write(tmp_path, [

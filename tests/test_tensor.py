@@ -12,8 +12,7 @@ from sparsecast.tensor import (
     ParamStore,
     Tensor,
     add,
-    attention_weights,
-    concat,
+    attention,
     conv1d_time,
     cumsum_time,
     dropout,
@@ -29,19 +28,110 @@ from sparsecast.tensor import (
     mul,
     no_grad,
     pool1d,
-    power,
     relu,
     scatter_rows,
     split_heads,
     sum_,
-    transpose,
 )
 import sparsecast.tensor as tensor_module
-from sparsecast.tensor import _accum, _inputs, _make, _pool_plan
+from sparsecast.tensor import _accum, _coerce, _inputs, _make, _pool_plan
+
+
+# Ops that back no model path, kept as the building blocks of the oracles.
+
+
+def power(a, p) -> Tensor:
+    a = _coerce(a)
+    p = float(p)
+    out = a.data**p
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+    a_data = a.data
+
+    def bw(g):
+        _accum(na, g * p * a_data ** (p - 1.0), fresh=True)
+
+    return _make(out, nodes, bw)
+
+
+def transpose(a) -> Tensor:
+    a = _coerce(a)
+    out = a.data.T
+    nodes = _inputs(a)
+    if nodes is None:
+        return Tensor(out)
+    na, = nodes
+
+    def bw(g):
+        _accum(na, g.T)
+
+    return _make(out, nodes, bw)
+
+
+def concat(tensors, axis=0) -> Tensor:
+    ts = [_coerce(t) for t in tensors]
+    out = np.concatenate([t.data for t in ts], axis=axis)
+    nodes = _inputs(*ts)
+    if nodes is None:
+        return Tensor(out)
+    sizes = [t.data.shape[axis] for t in ts]
+
+    def bw(g):
+        off = 0
+        for node, s in zip(nodes, sizes):
+            if node is not None:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(off, off + s)
+                _accum(node, g[tuple(sl)])
+            off += s
+
+    return _make(out, nodes, bw)
+
+
+def attention_weights(q, k, scale: float, mask=None) -> Tensor:
+    """Fused ``softmax(q k^T * scale)`` over the last axis as one node that
+    keeps the weights: with ``matmul(weights, v)`` the oracle of
+    ``attention``.
+
+    ``mask`` (boolean, broadcastable to (..., n, m), True = forbidden)
+    zeroes entries exactly; a fully forbidden row is an error.
+    """
+    q, k = _coerce(q), _coerce(k)
+    w = (q.data * scale) @ np.swapaxes(k.data, -1, -2)
+    if mask is not None:
+        forbidden = np.broadcast_to(np.asarray(mask, dtype=bool), w.shape)
+        if forbidden.all(axis=-1).any():
+            raise ValueError("empty attention row: every entry is masked")
+        np.copyto(w, -np.inf, where=forbidden)
+    w -= w.max(axis=-1, keepdims=True)
+    if mask is None:
+        np.exp(w, out=w)
+    else:
+        np.exp(w, out=w, where=~forbidden)
+        np.copyto(w, 0.0, where=forbidden)
+    w /= w.sum(axis=-1, keepdims=True)
+    nodes = _inputs(q, k)
+    if nodes is None:
+        return Tensor(w)
+    nq, nk = nodes
+    q_data, k_data = q.data, k.data
+
+    def bw(g):
+        g -= (g * w).sum(axis=-1, keepdims=True)
+        g *= w
+        g *= scale
+        if nq is not None:
+            _accum(nq, g @ k_data, fresh=True)
+        if nk is not None:
+            _accum(nk, np.swapaxes(np.swapaxes(q_data, -1, -2) @ g, -1, -2))
+
+    return _make(w, nodes, bw)
 
 
 def softmax_lastdim(x, mask=None) -> Tensor:
-    """Softmax over the last axis as one tape node: the oracle of the fused
+    """Softmax over the last axis as one tape node: the oracle of
     ``attention_weights``.
 
     ``mask`` (boolean, True = forbidden) zeroes entries exactly and
@@ -275,25 +365,88 @@ class TestHeads:
             chain = softmax_lastdim(matmul(Tensor(q[h]), transpose(Tensor(k[h]))) * 0.5, mask)
             npt.assert_array_equal(fused[h], chain.data)
 
-    def test_attention_weights_tape_holds_only_the_weights(self):
-        """The node keeps the weights as its one score-sized array, besides
-        the inputs' arrays, and never the input tensors."""
-        q = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-        k = Tensor(np.ones((2, 5, 4)), requires_grad=True)
-        w = attention_weights(q, k, 0.5)
-        assert w._parents == (q, k)
-        cells = [c.cell_contents for c in w._backward.__closure__]
+    @pytest.mark.parametrize("causal", [None, "rows", "heads"])
+    def test_attention_equals_weights_then_matmul(self, causal):
+        """The forward is bytewise the oracle chain ``attention_weights`` then
+        ``matmul``: unmasked, with one causal row order for every head, and
+        with each head's own gathered rows."""
+        q, k, v, ids = _attention_case(causal)
+        got = attention(Tensor(q), Tensor(k), Tensor(v), 0.5, ids).data
+        mask = None if ids is None else np.arange(k.shape[1]) > ids
+        chain = matmul(attention_weights(Tensor(q), Tensor(k), 0.5, mask), Tensor(v)).data
+        assert got.tobytes() == chain.tobytes()
+
+    @pytest.mark.parametrize("causal", [None, "rows", "heads"])
+    def test_attention_gradients_in_one_block_equal_the_oracle(self, causal):
+        """When one block covers every query row, dq, dk and dv are bytewise
+        the oracle chain's."""
+        q, k, v, ids = _attention_case(causal)
+        assert q.size // q.shape[-1] * k.shape[1] <= tensor_module._ATTENTION_BLOCK
+        got = _attention_grads(attention, q, k, v, ids)
+        want = _attention_grads(_attention_oracle, q, k, v, ids)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("causal", [None, "rows", "heads"])
+    def test_attention_gradients_across_blocks(self, monkeypatch, causal):
+        """Blocks of at most 2 query rows (4 blocks here) sum dk and dv block
+        by block, within 1e-12 of the one-block gradients; dq is per row."""
+        q, k, v, ids = _attention_case(causal)
+        want = _attention_grads(attention, q, k, v, ids)
+        monkeypatch.setattr(tensor_module, "_ATTENTION_BLOCK", 2 * q.shape[0] * k.shape[1])
+        got = _attention_grads(attention, q, k, v, ids)
+        for a, b in zip(got, want):
+            npt.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+    def test_attention_tape_holds_no_score_sized_array(self):
+        """The node keeps q, k, v, the ids and the (H, n, 1) row max and row
+        sum: no array of score size, and no input tensor."""
+        q, k, v, ids = _attention_case("heads")
+        leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = attention(*leaves, 0.5, ids)
+        assert out._parents == tuple(leaves)
+        cells = [c.cell_contents for c in out._backward.__closure__]
         arrays = [c for c in cells if isinstance(c, np.ndarray)]
-        score_sized = [a for a in arrays if a.shape == w.shape]
-        assert len(score_sized) == 1 and score_sized[0] is w.data
-        assert all(a is w.data or a is q.data or a is k.data for a in arrays)
-        held = [c for c in cells if isinstance(c, Tensor)]
-        assert all(t is q or t is k for t in held)  # leaves are their own nodes
+        assert all(a is q or a is k or a is v or a.size <= 2 * 7 for a in arrays)
+        assert sum(a.shape == (2, 7, 1) for a in arrays) == 2  # the row max and row sum
+        assert not [c for c in cells if isinstance(c, Tensor) and c not in leaves]
+
+    def test_attention_row_that_sees_no_key_errors(self):
+        with pytest.raises(ValueError, match="empty attention row"):
+            attention(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 3, 3))),
+                      Tensor(np.zeros((1, 3, 3))), 1.0, np.array([[-1], [0]]))
 
     def test_attention_weights_fully_masked_row_errors(self):
         with pytest.raises(ValueError, match="empty attention row"):
             attention_weights(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 3, 3))), 1.0,
                               mask=np.array([[True, True, True], [False, True, True]]))
+
+
+def _attention_case(causal):
+    """Two heads of 7 query rows over 9 keys.  ``causal`` None is unmasked,
+    "rows" gives every head the ids of rows 2..8, "heads" each head its own
+    ascending ids, as gathered causal rows are."""
+    rng = np.random.default_rng(6)
+    q = rng.standard_normal((2, 7, 4))
+    k, v = rng.standard_normal((2, 2, 9, 4))
+    ids = {None: None,
+           "rows": np.arange(2, 9)[:, None],
+           "heads": np.array([[0, 1, 3, 4, 5, 7, 8], [2, 3, 4, 5, 6, 7, 8]])[:, :, None]}
+    return q, k, v, ids[causal]
+
+
+def _attention_oracle(q, k, v, scale, ids):
+    mask = None if ids is None else np.arange(k.shape[1]) > ids
+    return matmul(attention_weights(q, k, scale, mask), v)
+
+
+def _attention_grads(op, q, k, v, ids):
+    """dq, dk and dv of a fixed weighted sum of ``op``'s output."""
+    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out = op(*leaves, 0.5, ids)
+    weights = np.random.default_rng(7).standard_normal(out.shape)
+    sum_(out * Tensor(weights)).backward()
+    return [t.grad for t in leaves]
 
 
 def _layer_norm_chain(x, gain, bias, eps):
@@ -616,6 +769,12 @@ PRIMITIVES = {
     "attention_weights_masked": lambda p, rng: attention_weights(
         split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2), 0.7,
         mask=np.triu(np.ones((6, 6), bool), k=1)),
+    "attention": lambda p, rng: attention(
+        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
+        split_heads(p["b"][:, 1:], 2), 0.7),
+    "attention_causal": lambda p, rng: attention(
+        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
+        split_heads(p["b"][:, 1:], 2), 0.7, np.arange(6)[:, None]),
     "layer_norm": lambda p, rng: layer_norm(p["a"], p["b"][0], p["b"][1], 1e-5),
     "linear": lambda p, rng: linear(p["a"], p["b"][:5], p["b"][5]),
     "linear_no_bias": lambda p, rng: linear(p["a"], transpose(p["b"][:3])),
@@ -655,24 +814,21 @@ def _op_leaves(requires_grad: bool) -> dict:
 PUBLIC_OPS = {
     "add": lambda t: add(t["a"], t["b"]),
     "mul": lambda t: mul(t["a"], t["b"]),
-    "power": lambda t: power(t["a"], 2.0),
     "relu": lambda t: relu(t["a"]),
     "elu": lambda t: elu(t["a"]),
     "dropout": lambda t: dropout(t["a"], 0.5, np.random.default_rng(0)),
     "matmul": lambda t: matmul(t["a"], t["w"]),
     "linear": lambda t: linear(t["a"], t["w"], t["bias"]),
-    "transpose": lambda t: transpose(t["a"]),
     "sum_": lambda t: sum_(t["a"], axis=0),
     "mean_": lambda t: mean_(t["a"]),
     "cumsum_time": lambda t: cumsum_time(t["a"]),
-    "concat": lambda t: concat([t["a"], t["b"]], axis=1),
     "_getitem": lambda t: t["a"][1:4],
     "gather_rows": lambda t: gather_rows(t["a"], np.array([3, 0, 3])),
     "scatter_rows": lambda t: scatter_rows(np.array([[1, 4], [0, 5]]), t["heads"][:, :2], 6),
     "split_heads": lambda t: split_heads(t["a"], 2),
     "merge_heads": lambda t: merge_heads(t["heads"]),
-    "attention_weights": lambda t: attention_weights(t["heads"], t["heads"], 0.5,
-                                                     np.triu(np.ones((6, 6), bool), k=1)),
+    "attention": lambda t: attention(t["heads"], t["heads"], t["heads"], 0.5,
+                                     np.arange(6)[:, None]),
     "layer_norm": lambda t: layer_norm(t["a"], t["vec"], t["vec"], 1e-5),
     "conv1d_time": lambda t: conv1d_time(t["a"], t["kernel"], padding=1),
     "pool1d": lambda t: pool1d(t["a"], "max", 3, 2, 1),

@@ -21,8 +21,9 @@ prefix-restricted sample statistic) and each row is ranked only against
 earlier rows, with a per-prefix budget n_i = c*ln(i+1).
 
 Every kind runs through one core, ``attend``, which takes all H heads as
-(H, L, d_head) stacks and runs each tensor op once for all of them; the
-kinds differ only in the (H, L) ranking they hand it.
+(H, L, d_head) stacks and records one tape node for all of them: it turns
+the (H, L) ranking a kind hands it into an (H, L) selection mask, and
+``tensor.attention`` attends the selected rows and fills the lazy ones.
 """
 
 import math
@@ -40,13 +41,9 @@ from .tensor import (
     _coerce,
     attention,
     conv1d_time,
-    cumsum_time,
-    gather_rows,
     matmul,
-    mean_,
     merge_heads,
     no_grad,
-    scatter_rows,
     split_heads,
 )
 
@@ -63,6 +60,11 @@ KINDS = (
 # lengths up to 128, where the blocked ranking is a single dense compare.
 _SELECT_BLOCK = 128
 _STRICT_LOWER = np.tri(_SELECT_BLOCK, k=-1, dtype=bool)
+
+
+class NaNScoreError(ValueError):
+    """A causal selection got a NaN score, as a model whose parameters are
+    no longer finite gives."""
 
 
 @dataclass
@@ -168,7 +170,7 @@ def select_top_queries_causal(scores, c: float) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     nan = np.flatnonzero(np.isnan(s))
     if nan.size:
-        raise ValueError(f"causal selection got a NaN score at index {nan[0]}")
+        raise NaNScoreError(f"causal selection got a NaN score at index {nan[0]}")
     L = s.size
     n_i = prefix_top_counts(L, c)
     top_k = int(n_i[-1]) if L else 0
@@ -223,64 +225,45 @@ def _one_head(q, k, v):
     return split_heads(q, 1), split_heads(k, 1), split_heads(v, 1)
 
 
-def _select_heads(ranking: np.ndarray, c: float, causal: bool):
-    """Each head's selection as an (H, L) boolean mask, plus the (H, n) rows
-    to gather: the selected rows ascending, then, for a causal head that
-    keeps fewer than the longest list, its first lazy rows ascending."""
+def _select_heads(ranking: np.ndarray, c: float, causal: bool) -> np.ndarray:
+    """Each head's selection as an (H, L) boolean mask."""
     H, L = ranking.shape
     selected = np.zeros((H, L), dtype=bool)
-    if not causal:
-        rows = select_top_queries(ranking, c)
-        selected[np.arange(H)[:, None], rows] = True
-        return selected, rows
-    for h, scores in enumerate(ranking):
-        selected[h, select_top_queries_causal(scores, c)] = True
-    n = selected.sum(axis=1).max()
-    return selected, np.argsort(~selected, axis=1, kind="stable")[:, :n]
+    if causal:
+        for h, scores in enumerate(ranking):
+            selected[h, select_top_queries_causal(scores, c)] = True
+    else:
+        selected[np.arange(H)[:, None], select_top_queries(ranking, c)] = True
+    return selected
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
            causal: bool = False) -> Tensor:
-    """The one attention core: all H heads of (H, L, d) inputs in each op.
+    """The one attention core: all H heads of (H, L, d) inputs in one node.
 
     With ``ranking`` None every query row attends (canonical; ``causal``
     adds the causal mask).  Otherwise ``ranking`` is an (H, L) array of
-    per-head query scores: the top-n rows of each head get exact attention
-    over all keys (each row masked to keys at or before it when
-    ``causal``) and the lazy rows are filled with the column mean of V, or
-    with its inclusive prefix sum when ``causal``.  Inside
-    ``counting`` only real rows are counted, and the score buffer of every
-    head, materialized at once, is one buffer.
+    per-head query scores, and ``tensor.attention`` gets each head's top-n
+    rows as a selection mask.  Inside ``counting`` only selected rows are
+    counted, and the score buffer of every head is one buffer.
     """
     budget = _ACTIVE.get()
     H, l_q, d = q.shape
-    l_k = k.shape[1]
     selected = None
     if ranking is not None:
         start = _now(budget)
-        selected, rows = _select_heads(ranking, c, causal)
+        selected = _select_heads(ranking, c, causal)
         if budget is not None:
             budget.t2_ns += time.perf_counter_ns() - start
     start = _now(budget)
-    if selected is None:
-        q_rows, query_ids, counted = q, np.arange(l_q)[:, None], H * l_q
-    else:
-        q_rows, query_ids = gather_rows(q, rows), rows[:, :, None]
-        counted = int(np.count_nonzero(selected))
-    out = attention(q_rows, k, v, 1.0 / math.sqrt(d), query_ids if causal else None)
-    n = q_rows.shape[1]
-    if selected is not None:
-        if counted < H * n:  # zero the padding rows of causal heads that keep fewer
-            out = out * Tensor(selected[np.arange(H)[:, None], rows][:, :, None])
-        out = scatter_rows(rows, out, l_q)
-        if counted < H * l_q:
-            fill = cumsum_time(v) if causal else mean_(v, axis=1, keepdims=True)
-            out = out + fill * Tensor(~selected[:, :, None])
+    out = attention(q, k, v, 1.0 / math.sqrt(d), causal, selected)
     if budget is not None:
         budget.t3_ns += time.perf_counter_ns() - start
-        budget.dot_products_materialized += counted * l_k
-        budget.rows_selected += counted
-        budget.peak_bytes = max(budget.peak_bytes, H * n * l_k * 8)
+        counts = np.full(H, l_q) if selected is None else selected.sum(axis=1)
+        l_k = k.shape[1]
+        budget.dot_products_materialized += int(counts.sum()) * l_k
+        budget.rows_selected += int(counts.sum())
+        budget.peak_bytes = max(budget.peak_bytes, H * int(counts.max()) * l_k * 8)
     return out
 
 

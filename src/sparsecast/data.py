@@ -39,7 +39,8 @@ class DataError(ValueError):
 
 @dataclass
 class TimeSeriesFrame:
-    """Uniformly sampled multivariate series with named float64 columns."""
+    """Uniformly sampled multivariate series with named float64 columns.
+    Its errors name ``data row N`` (from 1) and that row's timestamp."""
 
     timestamps: list
     values: np.ndarray  # (L, D)
@@ -55,14 +56,14 @@ class TimeSeriesFrame:
             except TypeError:  # datetime refuses to subtract naive and aware stamps
                 naive = ts[0].utcoffset() is None
                 row = next(i for i, t in enumerate(ts) if (t.utcoffset() is None) != naive)
-                raise DataError(f"row {row}: mixes naive and UTC-offset timestamps "
-                                f"({ts[0]} and {ts[row]})") from None
+                raise DataError(f"data row {row + 1} ({ts[row]}): mixes naive and UTC-offset "
+                                f"timestamps (data row 1 is {ts[0]})") from None
             step = gaps[0]
             if step <= timedelta(0):
                 raise DataError("timestamps must be strictly increasing")
             if gaps.count(step) != len(gaps):
                 row = next(i for i, gap in enumerate(gaps, start=1) if gap != step)
-                raise DataError(f"irregular timestamp spacing at row {row}")
+                raise DataError(f"irregular timestamp spacing at data row {row + 1} ({ts[row]})")
 
     def _check_values(self):
         if self.values.ndim != 2 or self.values.shape[1] != len(self.columns):
@@ -72,7 +73,7 @@ class TimeSeriesFrame:
         finite = np.isfinite(self.values)
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
-            raise DataError(f"frame contains non-finite values: first at row {row} "
+            raise DataError(f"frame contains non-finite values: first at data row {row + 1} "
                             f"({self.timestamps[row]}), column {self.columns[col]!r}: "
                             f"{self.values[row, col]}")
 
@@ -111,7 +112,7 @@ def check_target(schema: str, target: str | None) -> None:
         raise DataError(f"target: the {schema} schema predicts {own!r}, got {target!r}")
 
 
-def _parse_timestamp(text: str, row: int) -> datetime:
+def _parse_timestamp(text: str, lineno: int) -> datetime:
     stripped = text.strip()
     try:
         return datetime.fromisoformat(stripped)
@@ -120,7 +121,7 @@ def _parse_timestamp(text: str, row: int) -> datetime:
     try:
         return datetime.strptime(stripped, "%Y-%m-%d %H:%M:%S")
     except ValueError as exc:
-        raise DataError(f"row {row}: cannot parse timestamp {text!r}") from exc
+        raise DataError(f"line {lineno}: cannot parse timestamp {text!r}") from exc
 
 
 def _raise_bad_cell(columns, cells, lineno: int):
@@ -130,9 +131,9 @@ def _raise_bad_cell(columns, cells, lineno: int):
             float(cell)
         except ValueError:
             raise DataError(
-                f"row {lineno}, column {col!r}: non-numeric cell {cell!r}"
+                f"line {lineno}, column {col!r}: non-numeric cell {cell!r}"
             ) from None
-    raise AssertionError(f"row {lineno}: no cell failed to parse on the second pass")
+    raise AssertionError(f"line {lineno}: no cell failed to parse on the second pass")
 
 
 # What the fast pass reads: a header of printable ASCII without quotes, and
@@ -179,7 +180,7 @@ def _read_fast(data: bytes):
 
 def _read_rows(path):
     """(columns, timestamps, values) through ``csv.reader``, one row and cell
-    at a time; names the first row or cell it cannot read."""
+    at a time; names the file line (``line N``) of the first bad row or cell."""
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
         try:
@@ -188,11 +189,12 @@ def _read_rows(path):
             raise DataError("empty CSV file") from None
         columns = [c.strip() for c in header[1:]]
         timestamps, rows = [], []
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
             if not record:
                 continue
+            lineno = reader.line_num
             if len(record) != len(header):
-                raise DataError(f"row {lineno}: expected {len(header)} cells, got {len(record)}")
+                raise DataError(f"line {lineno}: expected {len(header)} cells, got {len(record)}")
             timestamps.append(_parse_timestamp(record[0], lineno))
             try:
                 rows.append(list(map(float, record[1:])))

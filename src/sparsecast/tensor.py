@@ -8,12 +8,13 @@ backward closure.  The closure captures those parent nodes plus exactly
 the arrays its own gradient formula reads (a matmul keeps its operands, a
 ReLU a boolean mask, dropout its boolean mask, an add only shapes), never
 the input tensors, so the tape holds only what backward reads: an output
-that no formula reads is freed as soon as the caller drops it.  Attention
-keeps q, k, v and two numbers per query row, not its weights: its
-backward recomputes them a block of rows at a time, so no array of score
-size outlives the forward.  A leaf (a
-tensor that requires gradients but was not made by a recorded operation,
-such as a parameter) is its own node.  Under ``no_grad``, or when every
+that no formula reads is freed as soon as the caller drops it.  Attention,
+dense or sparse (a selection mask picks the rows that attend; the rest get
+a lazy fill), is one node that keeps q, k, v and two numbers per attended
+row, not its weights: its backward recomputes them a block of rows at a
+time, so no array of score size outlives the forward.  A leaf (a tensor
+that requires gradients but was not made by a recorded operation, such
+as a parameter) is its own node.  Under ``no_grad``, or when every
 input is a constant, an operation records nothing and builds no closure.
 
 Calling ``backward()`` on a scalar result walks the recorded graph in
@@ -183,8 +184,6 @@ class Tensor:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        if isinstance(key, np.ndarray):
-            return gather_rows(self, key)
         return _getitem(self, key)
 
     def sum(self, axis=None, keepdims=False):
@@ -458,23 +457,9 @@ def mean_(a, axis=None, keepdims=False) -> Tensor:
     return _make(out, nodes, bw)
 
 
-def cumsum_time(a) -> Tensor:
-    """Inclusive cumulative sum along the time axis: axis 0 of an (L, C)
-    tensor, axis 1 of an (H, L, C) stack of heads."""
-    a = _coerce(a)
-    out = np.cumsum(a.data, axis=-2)
-    nodes = _inputs(a)
-    if nodes is None:
-        return Tensor(out)
-    na, = nodes
-
-    def bw(g):
-        _accum(na, np.flip(np.cumsum(np.flip(g, axis=-2), axis=-2), axis=-2))
-
-    return _make(out, nodes, bw)
-
-
 def _getitem(a: Tensor, key) -> Tensor:
+    """``a[key]`` for any numpy key; an integer-array key may repeat
+    entries, whose gradients add up."""
     out = a.data[key]
     nodes = _inputs(a)
     if nodes is None:
@@ -484,65 +469,8 @@ def _getitem(a: Tensor, key) -> Tensor:
 
     def bw(g):
         full = np.zeros(shape)
-        full[key] = g
+        np.add.at(full, key, g)
         _accum(na, full, fresh=True)
-
-    return _make(out, nodes, bw)
-
-
-def _rows_key(index: np.ndarray):
-    """Index for rows of axis -2: an (n,) index picks the same rows of every
-    leading slice, an (H, n) index picks rows of the (H, L, C) slice h from
-    index[h]."""
-    if index.ndim == 1:
-        return index
-    return (np.arange(index.shape[0])[:, None], index)
-
-
-def gather_rows(a, index) -> Tensor:
-    """Select rows ``index`` (int array) along axis 0 of an (L, C) tensor, or
-    per head along axis 1 of an (H, L, C) tensor with an (H, n) index.
-
-    An (n,) index may repeat rows; an (H, n) index names distinct rows
-    within each head, as ``scatter_rows`` requires, so its gradient is
-    placed by assignment."""
-    a = _coerce(a)
-    idx = np.asarray(index, dtype=np.intp)
-    key = _rows_key(idx)
-    out = a.data[key]
-    nodes = _inputs(a)
-    if nodes is None:
-        return Tensor(out)
-    na, = nodes
-    shape = a.data.shape
-
-    def bw(g):
-        full = np.zeros(shape)
-        if idx.ndim == 1:
-            np.add.at(full, key, g)
-        else:
-            full[key] = g
-        _accum(na, full, fresh=True)
-
-    return _make(out, nodes, bw)
-
-
-def scatter_rows(index, rows, length: int) -> Tensor:
-    """Place ``rows`` at positions ``index`` of a zero tensor with ``length``
-    rows; an (H, n) index places the rows of head h at index[h]."""
-    rows = _coerce(rows)
-    idx = np.asarray(index, dtype=np.intp)
-    key = _rows_key(idx)
-    lead = rows.data.shape[:-2] if idx.ndim > 1 else ()
-    out = np.zeros(lead + (length,) + rows.data.shape[idx.ndim:], dtype=np.float64)
-    out[key] = rows.data
-    nodes = _inputs(rows)
-    if nodes is None:
-        return Tensor(out)
-    nr, = nodes
-
-    def bw(g):
-        _accum(nr, g[key], fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -613,51 +541,68 @@ def _softmax_rows(q, k, scale, visible, row_max=None, row_sum=None):
     return w, row_max, row_sum
 
 
-def attention(q, k, v, scale: float, query_ids=None) -> Tensor:
-    """``softmax(q k^T * scale) v`` as one node.
+def attention(q, k, v, scale: float, causal: bool = False, selected=None) -> Tensor:
+    """``softmax(q k^T * scale) v`` as one node; ``causal`` lets row i see
+    keys 0..i.  ``q`` is (..., L, d), ``k`` (..., m, d) and ``v`` (..., m,
+    d_v) with matching leading axes.
 
-    ``q`` is (..., n, d), ``k`` (..., m, d) and ``v`` (..., m, d_v) with
-    matching leading axes.  ``query_ids``, one integer per query row in
-    an (n, 1) or (..., n, 1) array, makes it causal: query row i sees keys
-    0..query_ids[i], and a negative id, a row that sees no key, is an
-    error.
+    ``selected``, a boolean (H, L) mask over (H, L, d) heads, makes it
+    sparse: every row it leaves out gets the column mean of ``v``, or its
+    inclusive prefix sum when ``causal`` (then m == L).  A stable argsort
+    of the inverted mask picks the n rows each head attends: its selected
+    rows ascending, then its first lazy rows as padding, whose output stays
+    the fill and which get no gradient.
 
-    The forward makes the weights in one (..., n, m) buffer, with the scale
+    The forward makes the (..., n, m) weights in one buffer, with the scale
     folded into ``q`` and the softmax in place, and drops them after the
-    product with ``v``.  The tape keeps ``q``, ``k``, ``v``, the ids and the
-    (..., n, 1) row max and row sum, nothing of score size.  The backward
-    pass walks blocks of query rows of at most ``_ATTENTION_BLOCK``
-    elements: it recomputes each block's weights from the row statistics
-    and adds that block's share into dq, dk and dv.
+    product with ``v``.  The tape keeps the attended rows of ``q``, ``k``,
+    ``v``, the rows' positions and the (..., n, 1) row max and row sum,
+    nothing of score size.  Backward walks blocks of at most
+    ``_ATTENTION_BLOCK`` scores, recomputes their weights from the row
+    statistics and adds each block's share into dq, dk and dv; dq is placed
+    by assignment, and dv also gets the fill's share.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     m = k.data.shape[-2]
-    ids = visible = None
-    if query_ids is not None:
-        ids = np.minimum(np.asarray(query_ids)[..., 0], m - 1)
-        if (ids < 0).any():
-            raise ValueError("empty attention row: every entry is masked")
-        visible = np.tri(m, dtype=bool)[ids]  # row i of the lower triangle sees keys 0..i
-    w, row_max, row_sum = _softmax_rows(q.data, k.data, scale, visible)
+    q_data = q.data
+    if selected is None:
+        pos = np.arange(q_data.shape[-2])
+    else:
+        counts = selected.sum(axis=-1, keepdims=True)
+        pos = np.argsort(~selected, axis=-1, kind="stable")[:, :counts.max()]
+        rows = (np.arange(len(pos))[:, None], pos)
+        real = np.arange(pos.shape[-1]) < counts  # the selected rows among them
+        q_data = q_data[rows]
+    visible = np.arange(m) <= pos[..., None] if causal else None
+    w, row_max, row_sum = _softmax_rows(q_data, k.data, scale, visible)
     out = w @ v.data
+    del w, visible  # the scores are freed before the fill is made
+    if selected is not None:  # the lazy fill, then the selected rows over it
+        attended = out
+        out = (np.cumsum(v.data, axis=-2) if causal else
+               np.repeat(v.data.mean(axis=-2, keepdims=True), selected.shape[-1], axis=-2))
+        out[selected] = attended[real]
     nodes = _inputs(q, k, v)
     if nodes is None:
         return Tensor(out)
     nq, nk, nv = nodes
-    q_data, k_data, v_data = q.data, k.data, v.data
-    n = row_max.shape[-2]
+    k_data, v_data = k.data, v.data
+    q_shape = q.data.shape
+    lazy = None if selected is None or selected.all() else ~selected
     step = max(1, _ATTENTION_BLOCK // (m * math.prod(row_max.shape[:-2])))
 
     def bw(g):
-        table = None if ids is None else np.tri(m, dtype=bool)
+        g_out = g
+        if selected is not None:  # the attended rows' gradient; padding rows get none
+            g = g[rows] * real[..., None]
         dq = np.empty(q_data.shape) if nq is not None else None
         dk_t = dv = None  # dk transposed, and dv: the first block writes them
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
-            q_b, g_b = q_data[..., rows, :], g[..., rows, :]
+        for start in range(0, pos.shape[-1], step):
+            block = slice(start, start + step)
+            q_b, g_b = q_data[..., block, :], g[..., block, :]
             w_b, _, _ = _softmax_rows(q_b, k_data, scale,
-                                      None if ids is None else table[ids[..., rows]],
-                                      row_max[..., rows, :], row_sum[..., rows, :])
+                                      np.arange(m) <= pos[..., block, None] if causal else None,
+                                      row_max[..., block, :], row_sum[..., block, :])
             if nv is not None:
                 part = np.swapaxes(w_b, -1, -2) @ g_b
                 dv = part if dv is None else np.add(dv, part, out=dv)
@@ -669,15 +614,24 @@ def attention(q, k, v, scale: float, query_ids=None) -> Tensor:
             ds *= w_b
             ds *= scale
             if nq is not None:
-                dq[..., rows, :] = ds @ k_data
+                dq[..., block, :] = ds @ k_data
             if nk is not None:
                 part = np.swapaxes(q_b, -1, -2) @ ds
                 dk_t = part if dk_t is None else np.add(dk_t, part, out=dk_t)
         if nq is not None:
+            if selected is not None:
+                dq, attended = np.zeros(q_shape), dq
+                dq[rows] = attended
             _accum(nq, dq, fresh=True)
         if nk is not None:
             _accum(nk, np.swapaxes(dk_t, -1, -2))
         if nv is not None:
+            if lazy is not None:  # the fill's share: a suffix sum, or the mean's
+                share = g_out * lazy[..., None]
+                if causal:
+                    dv += np.flip(np.cumsum(np.flip(share, axis=-2), axis=-2), axis=-2)
+                else:
+                    dv += share.sum(axis=-2, keepdims=True) / m
             _accum(nv, dv, fresh=True)
 
     return _make(out, nodes, bw)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .attention import NaNScoreError
 from .data import MetricResult, metrics
 from .tensor import ParamStore, fnv1a64, no_grad, pack_u64, unpack_u64
 
@@ -220,7 +221,9 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
 
     Gradients are averaged over each batch; the checkpoint with the best
     validation MSE is retained.  ``max_steps`` truncates the run (the
-    final partial epoch is still validated and recorded).
+    final partial epoch is still validated and recorded).  A non-finite
+    loss, or a NaN score in a step's or a validation's causal selection,
+    raises ``TrainingDiverged``.
     """
     if not train_samples:
         raise ValueError("no training samples")
@@ -241,7 +244,10 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
         for start in range(0, len(order), config.batch_size):
             batch = [train_samples[idx] for idx in order[start:start + config.batch_size]]
             with _gc_paused():
-                loss_value = _train_step(model, batch, rng, state, lr, config)
+                try:
+                    loss_value = _train_step(model, batch, rng, state, lr, config)
+                except NaNScoreError as exc:  # only non-finite parameters give a NaN score
+                    raise TrainingDiverged(epoch, n_batches, lr) from exc
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(epoch, n_batches, lr)
             epoch_loss += loss_value
@@ -250,7 +256,10 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
             if config.max_steps is not None and steps >= config.max_steps:
                 done = True
                 break
-        val = evaluate(model, val_samples) if val_samples else None
+        try:
+            val = evaluate(model, val_samples) if val_samples else None
+        except NaNScoreError as exc:
+            raise TrainingDiverged(epoch, n_batches, lr) from exc
         record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_batches, 1),
                   "steps": steps}
         if val is not None:

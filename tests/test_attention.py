@@ -31,12 +31,8 @@ from sparsecast.attention import (
 from sparsecast.tensor import (
     ParamStore,
     Tensor,
-    cumsum_time,
     finite_diff_check,
-    gather_rows,
     matmul,
-    mean_,
-    scatter_rows,
     sum_,
 )
 
@@ -275,8 +271,10 @@ class TestCausalSelectionOracle:
     def test_nan_score_names_index(self):
         scores = np.arange(300, dtype=np.float64)
         scores[137] = np.nan
-        with pytest.raises(ValueError, match="index 137"):
+        with pytest.raises(attention.NaNScoreError,
+                           match="^causal selection got a NaN score at index 137$"):
             select_top_queries_causal(scores, 5)
+        assert issubclass(attention.NaNScoreError, ValueError)
 
 
 def _scored_instance(rng, L, d):
@@ -487,29 +485,29 @@ class TestMultiHead:
 
 
 def _oracle_head(q, k, v, selected, masked, budget):
-    """One head as the per-head path computed it: gather the selected rows,
-    score them in a separate matmul, scale and softmax, then scatter them and
-    the lazy fill into place.  ``selected`` None means every row."""
+    """One head as the per-head path computed it: gather the selected rows
+    (``Tensor.__getitem__``), score them in a separate matmul, scale and
+    softmax, then put them in place with a constant placement matrix and
+    fill the lazy rows with a constant matrix times V, lower triangular for
+    the prefix sum or averaging for the mean.  ``selected`` None means every
+    row."""
     L, d = q.shape
     l_k = k.shape[0]
     rows = np.arange(L) if selected is None else selected
     budget.dot_products_materialized += rows.size * l_k
     budget.rows_selected += rows.size
-    q_rows = q if selected is None else gather_rows(q, rows)
+    q_rows = q if selected is None else q[rows]
     scores = matmul(q_rows, transpose(k)) * (1.0 / math.sqrt(d))
     mask = np.arange(l_k)[None, :] > rows[:, None] if masked else None
     out = matmul(softmax_lastdim(scores, mask), v)
     if selected is None:
         return out
-    out = scatter_rows(rows, out, L)
-    lazy = np.setdiff1d(np.arange(L), rows, assume_unique=True)
-    if lazy.size:
-        if masked:
-            fill = gather_rows(cumsum_time(v), lazy)
-        else:
-            fill = mean_(v, axis=0, keepdims=True) * Tensor(np.ones((lazy.size, 1)))
-        out = out + scatter_rows(lazy, fill, L)
-    return out
+    place = np.zeros((L, rows.size))
+    place[rows, np.arange(rows.size)] = 1.0
+    lazy = np.ones((L, 1))
+    lazy[rows] = 0.0
+    fill = np.tri(L, l_k) if masked else np.full((L, l_k), 1.0 / l_k)
+    return matmul(Tensor(place), out) + matmul(Tensor(fill * lazy), v)
 
 
 def _oracle_sampled_measure(q, k, c, rng, masked):
@@ -685,7 +683,8 @@ def _padded_selection_oracle(ranking, c, causal):
 
 class TestSelectionMask:
     """The core's one (H, L) selection mask against the padding loop: the
-    gathered rows, the real rows among them and the counted rows agree."""
+    rows a stable argsort of the inverted mask gathers, the real rows among
+    them, the counted rows and the score buffer agree."""
 
     @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("ties", [False, True])
@@ -698,11 +697,14 @@ class TestSelectionMask:
         if n_heads > 1:
             ranking[-1] = -np.arange(L)  # every row ranks last: the fewest causal rows
         want_rows, want_real = _padded_selection_oracle(ranking, c, causal)
-        selected, rows = attention._select_heads(ranking, c, causal)
+        selected = attention._select_heads(ranking, c, causal)
+        n = want_rows.shape[1]
+        rows = np.argsort(~selected, axis=1, kind="stable")[:, :n]
         real = selected[np.arange(n_heads)[:, None], rows]
         npt.assert_array_equal(rows, want_rows)
         npt.assert_array_equal(real, want_real)
         assert selected.sum() == want_real.sum()
+        assert selected.sum(axis=1).max() == n
         if causal and n_heads > 1 and L > 9:
             assert len(set(want_real.sum(axis=1))) > 1, "counts should differ"
 
@@ -711,6 +713,28 @@ class TestSelectionMask:
             attention.attend(q, k, v, ranking, c=c, causal=causal)
         assert budget.rows_selected == want_real.sum()
         assert budget.dot_products_materialized == want_real.sum() * L
+        assert budget.peak_bytes == n_heads * n * L * 8
+
+
+@pytest.mark.parametrize("kind", attention.KINDS)
+def test_attend_records_one_tape_node(kind):
+    """Every kind's core is one node over the (H, L, d) stacks, causal
+    sparse heads that keep different counts, and so attend padding rows,
+    included."""
+    H, L = 8, 40
+    q, k, v = (Tensor(a, requires_grad=True)
+               for a in np.random.default_rng(12).standard_normal((3, H, L, 4)))
+    ranking = None
+    if kind.endswith("sparse"):
+        ranking = np.random.default_rng(13).standard_normal((H, L))
+        ranking[-1] = -np.arange(L)  # every row ranks last: the fewest causal rows
+    causal = kind.startswith("masked")
+    out = attention.attend(q, k, v, ranking, c=2.0, causal=causal)
+    assert out._parents == (q, k, v)
+    assert all(p._backward is None for p in out._parents)
+    if ranking is not None and causal:
+        counts = attention._select_heads(ranking, 2.0, True).sum(axis=1)
+        assert len(set(counts)) > 1, "heads should keep different counts"
 
 
 def test_kind_names_agree():

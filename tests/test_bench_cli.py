@@ -264,6 +264,22 @@ class TestCli:
         assert err["message"].startswith(f"{section}.{key}: must be ")
         assert not (tmp_path / "out").exists()
 
+    def test_huge_lr_exits_1_with_training_diverged(self, tmp_path, capsys):
+        """A finite but huge lr passes the config checks; the first Adam step
+        makes the parameters non-finite, and the run exits 1 naming the
+        divergence, not the NaN score the decoder's selection meets."""
+        config = _config(tmp_path, _aiops_csv(tmp_path, length=300))
+        raw = json.loads(config.read_text())
+        raw["train"]["lr"] = 1e300
+        config.write_text(json.dumps(raw))
+        with np.errstate(all="ignore"):
+            code = cli(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "TrainingDiverged",
+            "message": "non-finite loss at epoch 0, batch 1, lr 1.000e+300"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("schema, target", [
         ("aiops", "nope"), ("aiops", "SP1A-MEM"), ("ett", "nope"), ("ett", "HUFL"),
     ])

@@ -60,7 +60,8 @@ class TestLoadCsv:
             "2021-01-01 01:00:00,3.0,4.0",
             "2021-01-01 03:00:00,5.0,6.0",
         ])
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match=r"^irregular timestamp spacing at data row 3 "
+                                            r"\(2021-01-01 03:00:00\)$"):
             load_csv(path)
 
     @pytest.mark.parametrize("first, second", [("", "+00:00"), ("+00:00", ""),
@@ -68,27 +69,30 @@ class TestLoadCsv:
     def test_mixed_naive_and_offset_timestamps_name_the_row(self, tmp_path, capsys,
                                                             first, second):
         """datetime cannot subtract a naive stamp from an aware one; the frame
-        names the first row whose kind differs from row 0's instead, so that
-        ``sparsecast train`` exits 2."""
+        names the first data row whose kind differs from the first one's
+        instead, so that ``sparsecast train`` exits 2."""
         path = _write(tmp_path, [
             f"2021-01-01 00:00:00{first},1.0,2.0",
             f"2021-01-01 01:00:00{first},3.0,4.0",
             f"2021-01-01 02:00:00{second},5.0,6.0",
         ])
-        with pytest.raises(DataError, match="^row 2: mixes naive and UTC-offset timestamps"):
+        offset = {"": "", "+00:00": "+00:00", "Z": "+00:00"}
+        message = (f"data row 3 (2021-01-01 02:00:00{offset[second]}): mixes naive and "
+                   f"UTC-offset timestamps (data row 1 is 2021-01-01 00:00:00{offset[first]})")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_csv(path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dataset": {"path": str(path)},
                                       "model": {"L_x": 2, "label_len": 1, "L_y": 1}}))
         assert cli(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-        assert "row 2: mixes naive" in capsys.readouterr().err
+        assert "data row 3 (2021-01-01 02:00:00" in capsys.readouterr().err
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = _write(tmp_path, [
             "2021-01-01 00:00:00,1.0,2.0",
             "2021-01-01 01:00:00,oops,4.0",
         ])
-        with pytest.raises(DataError, match="row 3.*'a'"):
+        with pytest.raises(DataError, match="^line 3, column 'a': non-numeric cell 'oops'$"):
             load_csv(path)
 
     def test_aiops_schema_roundtrip(self, tmp_path):
@@ -121,7 +125,7 @@ class TestLoadCsv:
             "2021-01-01 01:00:00,3.0,4.0",
             f"2021-01-01 02:00:00,5.0,{cell}",
         ])
-        with pytest.raises(DataError, match=(r"non-finite values: first at row 2 "
+        with pytest.raises(DataError, match=(r"non-finite values: first at data row 3 "
                                              rf"\(2021-01-01 02:00:00\), column 'b': {cell}$")):
             load_csv(path)
 
@@ -177,6 +181,28 @@ def _stamp_loop(timestamps):
     return out
 
 
+# Each id keeps the "row N" its message said before the reader named file
+# lines, so the cases keep their names.
+_READER_FAULTS = [
+    (["2021-01-01 00:00:00,1,2", "  ", "2021-01-01 01:00:00,3,4"],
+     "line 3: expected 3 cells, got 1"),
+    (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3"], "line 3: expected 3 cells, got 2"),
+    (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3,4,5"],
+     "line 3: expected 3 cells, got 4"),
+    (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,1e,4"],
+     "line 3, column 'a': non-numeric cell '1e'"),
+    (["2021-01-01 00:00:00,,2", "2021-01-01 01:00:00,3,4"],
+     "line 2, column 'a': non-numeric cell ''"),
+    (["2021-01-01 23:00:00,1,2", "2021-01-01 24:00:00,3,4"],
+     "line 3: cannot parse timestamp '2021-01-01 24:00:00'"),
+    (["2021-02-28 00:00:00,1,2", "2021-02-30 00:00:00,3,4"],
+     "line 3: cannot parse timestamp '2021-02-30 00:00:00'"),
+    (["0000-12-31 23:00:00,1,2", "0001-01-01 00:00:00,3,4"],
+     "line 2: cannot parse timestamp '0000-12-31 23:00:00'"),
+    (["", ""], "CSV has a header but no data rows"),
+]
+
+
 class TestFastParsing:
     def test_odd_valid_cells_match_per_cell_loader(self, tmp_path):
         path = _write(tmp_path, [
@@ -195,7 +221,7 @@ class TestFastParsing:
     def test_bad_cell_after_good_cells_is_named(self, tmp_path):
         path = _write(tmp_path, ["2021-01-01 00:00:00,1.0,2.0",
                                  "2021-01-01 01:00:00,3.0,1.2.3"])
-        with pytest.raises(DataError, match=r"row 3, column 'b': non-numeric cell '1\.2\.3'"):
+        with pytest.raises(DataError, match=r"^line 3, column 'b': non-numeric cell '1\.2\.3'$"):
             load_csv(path)
 
     @pytest.mark.parametrize("dialect", ["benchmark", "repr"])
@@ -248,23 +274,8 @@ class TestFastParsing:
         assert frame.values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("rows, message", [
-        (["2021-01-01 00:00:00,1,2", "  ", "2021-01-01 01:00:00,3,4"],
-         "row 3: expected 3 cells, got 1"),
-        (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3"], "row 3: expected 3 cells, got 2"),
-        (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3,4,5"],
-         "row 3: expected 3 cells, got 4"),
-        (["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,1e,4"],
-         "row 3, column 'a': non-numeric cell '1e'"),
-        (["2021-01-01 00:00:00,,2", "2021-01-01 01:00:00,3,4"],
-         "row 2, column 'a': non-numeric cell ''"),
-        (["2021-01-01 23:00:00,1,2", "2021-01-01 24:00:00,3,4"],
-         "row 3: cannot parse timestamp '2021-01-01 24:00:00'"),
-        (["2021-02-28 00:00:00,1,2", "2021-02-30 00:00:00,3,4"],
-         "row 3: cannot parse timestamp '2021-02-30 00:00:00'"),
-        (["0000-12-31 23:00:00,1,2", "0001-01-01 00:00:00,3,4"],
-         "row 2: cannot parse timestamp '0000-12-31 23:00:00'"),
-        (["", ""], "CSV has a header but no data rows"),
-    ])
+        pytest.param(rows, message, id=f"rows{i}-" + message.replace("line ", "row ", 1))
+        for i, (rows, message) in enumerate(_READER_FAULTS)])
     def test_faults_are_named_by_the_per_row_reader(self, tmp_path, monkeypatch, rows,
                                                    message):
         path = _write(tmp_path, rows)
@@ -272,6 +283,34 @@ class TestFastParsing:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_csv(path)
         assert calls == [path]
+
+    @pytest.mark.parametrize("third, message", [
+        ("2021-01-01 02:00:00,x,6", r"^line 4, column 'a': non-numeric cell 'x'$"),
+        ("2021-01-01 02:00:00,nan,6", r"first at data row 3 \(2021-01-01 02:00:00\), "
+                                      r"column 'a': nan$"),
+        ("2021-01-01 03:00:00,5,6", r"^irregular timestamp spacing at data row 3 "
+                                    r"\(2021-01-01 03:00:00\)$"),
+    ])
+    def test_one_row_numbering_per_source(self, tmp_path, third, message):
+        """The third data row, on file line 4: the reader names its file line,
+        the frame its data row and timestamp, with no other numbering."""
+        path = _write(tmp_path, ["2021-01-01 00:00:00,1,2", "2021-01-01 01:00:00,3,4", third])
+        with pytest.raises(DataError, match=message):
+            load_csv(path)
+
+    def test_line_counts_every_line_of_a_quoted_record(self, tmp_path):
+        """A quoted cell may span lines; the reader still names the file line."""
+        path = _write(tmp_path, ['2021-01-01 00:00:00,"1\n",2', "2021-01-01 01:00:00,x,4"])
+        with pytest.raises(DataError, match="^line 4, column 'a': non-numeric cell 'x'$"):
+            load_csv(path)
+
+    def test_synthetic_frame_names_the_data_row(self):
+        frame = synthetic_seasonal_frame(5, 2, seed=1)
+        values = frame.values.copy()
+        values[0, 1] = np.inf
+        with pytest.raises(DataError, match=rf"first at data row 1 "
+                                            rf"\({re.escape(str(frame.timestamps[0]))}\)"):
+            frame.with_values(values)
 
     def test_timestamp_features_match_loop(self):
         step = timedelta(days=3, hours=5, minutes=7, seconds=13)

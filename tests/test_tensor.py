@@ -14,12 +14,10 @@ from sparsecast.tensor import (
     add,
     attention,
     conv1d_time,
-    cumsum_time,
     dropout,
     elu,
     embedding_lookup,
     finite_diff_check,
-    gather_rows,
     layer_norm,
     linear,
     matmul,
@@ -29,7 +27,6 @@ from sparsecast.tensor import (
     no_grad,
     pool1d,
     relu,
-    scatter_rows,
     split_heads,
     sum_,
 )
@@ -345,16 +342,6 @@ class TestHeads:
         with pytest.raises(ValueError, match="shape mismatch"):
             matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
 
-    def test_per_head_gather_and_scatter(self):
-        x = np.arange(2 * 5 * 3, dtype=np.float64).reshape(2, 5, 3)
-        idx = np.array([[4, 0], [1, 3]])
-        got = gather_rows(Tensor(x), idx).data
-        npt.assert_array_equal(got[0], x[0, [4, 0]])
-        npt.assert_array_equal(got[1], x[1, [1, 3]])
-        placed = scatter_rows(idx, Tensor(got), 5).data
-        npt.assert_array_equal(placed[0, [4, 0]], got[0])
-        npt.assert_array_equal(placed[1, [0, 2, 4]], 0.0)
-
     @pytest.mark.parametrize("masked", [False, True])
     def test_attention_weights_equal_softmax_of_scaled_scores(self, masked):
         rng = np.random.default_rng(2)
@@ -368,53 +355,70 @@ class TestHeads:
     @pytest.mark.parametrize("causal", [None, "rows", "heads"])
     def test_attention_equals_weights_then_matmul(self, causal):
         """The forward is bytewise the oracle chain ``attention_weights`` then
-        ``matmul``: unmasked, with one causal row order for every head, and
-        with each head's own gathered rows."""
-        q, k, v, ids = _attention_case(causal)
-        got = attention(Tensor(q), Tensor(k), Tensor(v), 0.5, ids).data
-        mask = None if ids is None else np.arange(k.shape[1]) > ids
-        chain = matmul(attention_weights(Tensor(q), Tensor(k), 0.5, mask), Tensor(v)).data
-        assert got.tobytes() == chain.tobytes()
+        ``matmul``: unmasked, causal with the same rows for every head, and
+        with each head's own selected rows, whose lazy rows are bytewise
+        the prefix sum of v."""
+        q, k, v, causal, selected = _attention_case(causal)
+        got = attention(Tensor(q), Tensor(k), Tensor(v), 0.5, causal, selected).data
+        chain = _attention_oracle(Tensor(q), Tensor(k), Tensor(v), 0.5, causal, selected).data
+        if selected is None:
+            assert got.tobytes() == chain.tobytes()
+        else:
+            assert got[selected].tobytes() == chain[selected].tobytes()
+            assert got[~selected].tobytes() == np.cumsum(v, axis=1)[~selected].tobytes()
+            npt.assert_allclose(got, chain, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("causal", [None, "rows", "heads"])
     def test_attention_gradients_in_one_block_equal_the_oracle(self, causal):
-        """When one block covers every query row, dq, dk and dv are bytewise
-        the oracle chain's."""
-        q, k, v, ids = _attention_case(causal)
+        """When one block covers every attended row, dq, dk and dv are
+        bytewise the oracle chain's; with lazy rows, whose prefix sum the
+        chain takes as a matmul, dv is within 1e-12 of it."""
+        q, k, v, causal, selected = _attention_case(causal)
         assert q.size // q.shape[-1] * k.shape[1] <= tensor_module._ATTENTION_BLOCK
-        got = _attention_grads(attention, q, k, v, ids)
-        want = _attention_grads(_attention_oracle, q, k, v, ids)
-        for a, b in zip(got, want):
+        got = _attention_grads(attention, q, k, v, causal, selected)
+        want = _attention_grads(_attention_oracle, q, k, v, causal, selected)
+        for a, b in zip(got[:2], want[:2]):
             assert a.tobytes() == b.tobytes()
+        if selected is None:
+            assert got[2].tobytes() == want[2].tobytes()
+        else:
+            npt.assert_allclose(got[2], want[2], rtol=1e-12, atol=0.0)
+            assert not got[0][~selected].any()  # lazy rows and padding get no dq
 
     @pytest.mark.parametrize("causal", [None, "rows", "heads"])
     def test_attention_gradients_across_blocks(self, monkeypatch, causal):
-        """Blocks of at most 2 query rows (4 blocks here) sum dk and dv block
-        by block, within 1e-12 of the one-block gradients; dq is per row."""
-        q, k, v, ids = _attention_case(causal)
-        want = _attention_grads(attention, q, k, v, ids)
+        """Blocks of at most 2 attended rows (4 blocks here) sum dk and dv
+        block by block, within 1e-12 of the one-block gradients; dq is per row."""
+        q, k, v, causal, selected = _attention_case(causal)
+        want = _attention_grads(attention, q, k, v, causal, selected)
         monkeypatch.setattr(tensor_module, "_ATTENTION_BLOCK", 2 * q.shape[0] * k.shape[1])
-        got = _attention_grads(attention, q, k, v, ids)
+        got = _attention_grads(attention, q, k, v, causal, selected)
         for a, b in zip(got, want):
             npt.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
     def test_attention_tape_holds_no_score_sized_array(self):
-        """The node keeps q, k, v, the ids and the (H, n, 1) row max and row
-        sum: no array of score size, and no input tensor."""
-        q, k, v, ids = _attention_case("heads")
+        """The node keeps k, v, the attended rows of q, their positions and
+        the (H, n, 1) row max and row sum: no array of score size, and no
+        input tensor."""
+        q, k, v, causal, selected = _attention_case("heads")
         leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = attention(*leaves, 0.5, ids)
+        out = attention(*leaves, 0.5, causal, selected)
         assert out._parents == tuple(leaves)
         cells = [c.cell_contents for c in out._backward.__closure__]
         arrays = [c for c in cells if isinstance(c, np.ndarray)]
-        assert all(a is q or a is k or a is v or a.size <= 2 * 7 for a in arrays)
+        assert all(a is k or a is v or a.size <= q.size for a in arrays)
         assert sum(a.shape == (2, 7, 1) for a in arrays) == 2  # the row max and row sum
         assert not [c for c in cells if isinstance(c, Tensor) and c not in leaves]
 
-    def test_attention_row_that_sees_no_key_errors(self):
-        with pytest.raises(ValueError, match="empty attention row"):
-            attention(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 3, 3))),
-                      Tensor(np.zeros((1, 3, 3))), 1.0, np.array([[-1], [0]]))
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention_selecting_every_row_is_dense(self, causal):
+        """A mask that selects every row attends them all, bytewise as no
+        mask does, and adds no fill to dv."""
+        q, k, v = np.random.default_rng(8).standard_normal((3, 2, 6, 4))
+        every = np.ones((2, 6), dtype=bool)
+        dense = _attention_grads(attention, q, k, v, causal, None)
+        for a, b in zip(_attention_grads(attention, q, k, v, causal, every), dense):
+            assert a.tobytes() == b.tobytes()
 
     def test_attention_weights_fully_masked_row_errors(self):
         with pytest.raises(ValueError, match="empty attention row"):
@@ -422,28 +426,49 @@ class TestHeads:
                               mask=np.array([[True, True, True], [False, True, True]]))
 
 
-def _attention_case(causal):
-    """Two heads of 7 query rows over 9 keys.  ``causal`` None is unmasked,
-    "rows" gives every head the ids of rows 2..8, "heads" each head its own
-    ascending ids, as gathered causal rows are."""
+def _attention_case(case):
+    """Two heads over 9 keys: (q, k, v, causal, selected).  ``case`` None is
+    7 unmasked query rows, "rows" 7 causal rows that every head attends,
+    "heads" 9 causal rows of which head 0 selects 7 and head 1 selects 4,
+    so head 1 attends its first 3 lazy rows as padding."""
     rng = np.random.default_rng(6)
-    q = rng.standard_normal((2, 7, 4))
     k, v = rng.standard_normal((2, 2, 9, 4))
-    ids = {None: None,
-           "rows": np.arange(2, 9)[:, None],
-           "heads": np.array([[0, 1, 3, 4, 5, 7, 8], [2, 3, 4, 5, 6, 7, 8]])[:, :, None]}
-    return q, k, v, ids[causal]
+    if case != "heads":
+        return rng.standard_normal((2, 7, 4)), k, v, case == "rows", None
+    selected = np.zeros((2, 9), dtype=bool)
+    selected[0, [0, 1, 3, 4, 5, 7, 8]] = True
+    selected[1, [0, 2, 5, 6]] = True
+    return rng.standard_normal((2, 9, 4)), k, v, True, selected
 
 
-def _attention_oracle(q, k, v, scale, ids):
-    mask = None if ids is None else np.arange(k.shape[1]) > ids
-    return matmul(attention_weights(q, k, scale, mask), v)
+def _attention_oracle(q, k, v, scale, causal, selected):
+    """``attention`` as a chain: ``attention_weights`` then ``matmul`` on the
+    attended rows, gathered by ``Tensor.__getitem__`` (each head's selected
+    rows, then its first lazy rows as padding); a constant placement matrix
+    puts the selected rows in place, and a constant matrix times v, lower
+    triangular or averaging, fills the lazy rows."""
+    m = k.shape[-2]
+    if selected is None:
+        mask = np.arange(m) > np.arange(q.shape[-2])[:, None] if causal else None
+        return matmul(attention_weights(q, k, scale, mask), v)
+    H, L = selected.shape
+    counts = selected.sum(axis=1)
+    pos = np.array([np.concatenate([np.flatnonzero(s), np.flatnonzero(~s)])[:counts.max()]
+                    for s in selected])
+    mask = np.arange(m) > pos[..., None] if causal else None
+    rows = matmul(attention_weights(q[np.arange(H)[:, None], pos], k, scale, mask), v)
+    place = np.zeros((H, L, pos.shape[1]))
+    for h, n in enumerate(counts):
+        place[h, pos[h, :n], np.arange(n)] = 1.0
+    fill = np.tri(L, m) if causal else np.full((L, m), 1.0 / m)
+    fill = np.broadcast_to(fill, (H, L, m)) * ~selected[..., None]
+    return matmul(Tensor(place), rows) + matmul(Tensor(fill), v)
 
 
-def _attention_grads(op, q, k, v, ids):
+def _attention_grads(op, q, k, v, causal, selected):
     """dq, dk and dv of a fixed weighted sum of ``op``'s output."""
     leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-    out = op(*leaves, 0.5, ids)
+    out = op(*leaves, 0.5, causal, selected)
     weights = np.random.default_rng(7).standard_normal(out.shape)
     sum_(out * Tensor(weights)).backward()
     return [t.grad for t in leaves]
@@ -621,8 +646,15 @@ class TestScatterBackward:
     def test_per_head_gather(self):
         x = np.random.default_rng(4).standard_normal((3, 9, 4))
         rows = np.array([[8, 0, 3], [1, 2, 7], [4, 6, 5]])
-        grad, g, _ = self._grad(lambda t: gather_rows(t, rows), x, 5)
-        npt.assert_array_equal(grad, _add_at(x.shape, (np.arange(3)[:, None], rows), g))
+        key = (np.arange(3)[:, None], rows)
+        grad, g, _ = self._grad(lambda t: t[key], x, 5)
+        npt.assert_array_equal(grad, _add_at(x.shape, key, g))
+
+    def test_repeated_rows_add_up(self):
+        x = np.random.default_rng(9).standard_normal((5, 3))
+        rows = np.array([3, 1, 1, 0, 3, 3])
+        grad, g, _ = self._grad(lambda t: t[rows], x, 6)
+        npt.assert_array_equal(grad, _add_at(x.shape, rows, g))
 
 
 class TestPool1d:
@@ -735,6 +767,11 @@ def _scalarize(out: Tensor, rng) -> Tensor:
     return sum_(out * weights)
 
 
+# Two heads of 6 rows: head 0 selects 3 rows, head 1 selects 1 and attends
+# its first 2 lazy rows as padding.
+_SELECTED = np.array([[True, False, True, False, False, True],
+                      [False, False, False, True, False, False]])
+
 PRIMITIVES = {
     "matmul": lambda p, rng: matmul(p["a"], transpose(p["b"])),
     "conv1d": lambda p, rng: conv1d_time(p["a"], p["conv_k"], padding=1),
@@ -749,21 +786,16 @@ PRIMITIVES = {
     "add": lambda p, rng: p["a"] + p["b"],
     "mul": lambda p, rng: p["a"] * p["b"],
     "mean_time": lambda p, rng: mean_(p["a"], axis=0, keepdims=True),
-    "cumsum_time": lambda p, rng: cumsum_time(p["a"]),
     "concat": lambda p, rng: concat([p["a"], p["b"]], axis=0),
     "slice": lambda p, rng: p["a"][2:5],
-    "gather": lambda p, rng: gather_rows(p["a"], np.array([3, 1, 1, 0])),
-    "scatter": lambda p, rng: scatter_rows(np.array([1, 4, 2]), p["a"][0:3], 6),
+    "gather": lambda p, rng: p["a"][np.array([3, 1, 1, 0])],
     "split_heads": lambda p, rng: split_heads(p["a"][:, :4], 2),
     "merge_heads": lambda p, rng: merge_heads(split_heads(p["a"][:, :4], 2)
                                               * split_heads(p["b"][:, :4], 2)),
     "matmul_heads": lambda p, rng: matmul(split_heads(p["a"][:, :4], 2),
                                           split_heads(p["b"][:2, :4], 2)),
-    "gather_heads": lambda p, rng: gather_rows(split_heads(p["a"][:, :4], 2),
-                                               np.array([[3, 1, 4], [0, 5, 2]])),
-    "scatter_heads": lambda p, rng: scatter_rows(np.array([[1, 4], [5, 0]]),
-                                                 split_heads(p["a"][:2, :4], 2), 6),
-    "cumsum_heads": lambda p, rng: cumsum_time(split_heads(p["a"][:, :4], 2)),
+    "gather_heads": lambda p, rng: split_heads(p["a"][:, :4], 2)[
+        np.arange(2)[:, None], np.array([[3, 1, 4], [0, 5, 2]])],
     "attention_weights": lambda p, rng: attention_weights(
         split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2), 0.7),
     "attention_weights_masked": lambda p, rng: attention_weights(
@@ -774,7 +806,13 @@ PRIMITIVES = {
         split_heads(p["b"][:, 1:], 2), 0.7),
     "attention_causal": lambda p, rng: attention(
         split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
-        split_heads(p["b"][:, 1:], 2), 0.7, np.arange(6)[:, None]),
+        split_heads(p["b"][:, 1:], 2), 0.7, causal=True),
+    "attention_selected": lambda p, rng: attention(
+        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
+        split_heads(p["b"][:, 1:], 2), 0.7, selected=_SELECTED),
+    "attention_selected_causal": lambda p, rng: attention(
+        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
+        split_heads(p["b"][:, 1:], 2), 0.7, causal=True, selected=_SELECTED),
     "layer_norm": lambda p, rng: layer_norm(p["a"], p["b"][0], p["b"][1], 1e-5),
     "linear": lambda p, rng: linear(p["a"], p["b"][:5], p["b"][5]),
     "linear_no_bias": lambda p, rng: linear(p["a"], transpose(p["b"][:3])),
@@ -821,14 +859,15 @@ PUBLIC_OPS = {
     "linear": lambda t: linear(t["a"], t["w"], t["bias"]),
     "sum_": lambda t: sum_(t["a"], axis=0),
     "mean_": lambda t: mean_(t["a"]),
-    "cumsum_time": lambda t: cumsum_time(t["a"]),
     "_getitem": lambda t: t["a"][1:4],
-    "gather_rows": lambda t: gather_rows(t["a"], np.array([3, 0, 3])),
-    "scatter_rows": lambda t: scatter_rows(np.array([[1, 4], [0, 5]]), t["heads"][:, :2], 6),
+    "_getitem[rows]": lambda t: t["a"][np.array([3, 0, 3])],
     "split_heads": lambda t: split_heads(t["a"], 2),
     "merge_heads": lambda t: merge_heads(t["heads"]),
-    "attention": lambda t: attention(t["heads"], t["heads"], t["heads"], 0.5,
-                                     np.arange(6)[:, None]),
+    "attention": lambda t: attention(t["heads"], t["heads"], t["heads"], 0.5, causal=True),
+    "attention[selected]": lambda t: attention(t["heads"], t["heads"], t["heads"], 0.5,
+                                               selected=_SELECTED),
+    "attention[selected+causal]": lambda t: attention(t["heads"], t["heads"], t["heads"], 0.5,
+                                                      causal=True, selected=_SELECTED),
     "layer_norm": lambda t: layer_norm(t["a"], t["vec"], t["vec"], 1e-5),
     "conv1d_time": lambda t: conv1d_time(t["a"], t["kernel"], padding=1),
     "pool1d": lambda t: pool1d(t["a"], "max", 3, 2, 1),

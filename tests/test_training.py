@@ -12,6 +12,7 @@ import pytest
 
 from conftest import make_split_windows
 from sparsecast import training
+from sparsecast.attention import NaNScoreError
 from sparsecast.model import Forecaster, ModelConfig
 from sparsecast.tensor import ParamStore, fnv1a64
 from sparsecast.training import (
@@ -241,6 +242,30 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="epoch 0"):
             train_loop(model, [poisoned], val_w[:2],
                        TrainConfig(batch_size=1, epochs=1))
+
+    @pytest.mark.parametrize("max_steps, where", [(4, "step"), (1, "validation")])
+    def test_nan_selection_score_is_divergence(self, max_steps, where):
+        """A huge lr makes the parameters non-finite after the first step, so
+        the decoder's causal selection meets a NaN score: in the next step,
+        or with one step, in the validation after it.  Either way the run
+        stops with ``TrainingDiverged``, chained from the selection's error."""
+        model, train_w, val_w, _ = _tiny_trainable(seed=8)
+        steps = []
+        original = training._train_step
+
+        def counted_step(*args):
+            steps.append(len(steps))
+            return original(*args)
+
+        cfg = TrainConfig(lr=1e300, batch_size=2, epochs=1, max_steps=max_steps, seed=1)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(training, "_train_step", counted_step)
+            with pytest.raises(TrainingDiverged) as raised:
+                train_loop(model, train_w[:8], val_w[:2], cfg)
+        assert isinstance(raised.value.__cause__, NaNScoreError)
+        assert str(raised.value.__cause__).startswith("causal selection got a NaN score")
+        assert (raised.value.epoch, raised.value.batch, raised.value.lr) == (0, 1, 1e300)
+        assert len(steps) == (2 if where == "step" else 1)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_gc_state_restored(self, enabled, monkeypatch):

@@ -20,9 +20,9 @@ the ranking signal is computed causally (left-padded convolution or a
 prefix-restricted sample statistic) and each row is ranked only against
 earlier rows, with a per-prefix budget n_i = c*ln(i+1).
 
-Every kind runs through one core, ``attend``, which takes all H heads as
-(H, L, d_head) stacks and records one tape node for all of them: it turns
-the (H, L) ranking a kind hands it into an (H, L) selection mask, and
+Every kind runs through one core, ``attend``, which takes the full-width
+(L, H*d_head) projections and records one tape node for all H heads: it
+turns a kind's (H, L) ranking into an (H, L) selection mask, and
 ``tensor.attention`` attends the selected rows and fills the lazy ones.
 """
 
@@ -41,10 +41,9 @@ from .tensor import (
     _coerce,
     attention,
     conv1d_time,
+    head_view,
     matmul,
-    merge_heads,
     no_grad,
-    split_heads,
 )
 
 KINDS = (
@@ -220,11 +219,6 @@ def importance_scores(q, k, kernel, bias=None, causal: bool = False) -> np.ndarr
     return scores
 
 
-def _one_head(q, k, v):
-    """(L, d) inputs as H = 1 stacks for the multi-head core."""
-    return split_heads(q, 1), split_heads(k, 1), split_heads(v, 1)
-
-
 def _select_heads(ranking: np.ndarray, c: float, causal: bool) -> np.ndarray:
     """Each head's selection as an (H, L) boolean mask."""
     H, L = ranking.shape
@@ -237,9 +231,10 @@ def _select_heads(ranking: np.ndarray, c: float, causal: bool) -> np.ndarray:
     return selected
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
-           causal: bool = False) -> Tensor:
-    """The one attention core: all H heads of (H, L, d) inputs in one node.
+def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, ranking=None, *,
+           c: float = 5.0, causal: bool = False) -> Tensor:
+    """The one attention core: one node from the full-width (L, H*d)
+    projections of ``n_heads`` heads to their merged (L, H*d_v) output.
 
     With ``ranking`` None every query row attends (canonical; ``causal``
     adds the causal mask).  Otherwise ``ranking`` is an (H, L) array of
@@ -248,43 +243,50 @@ def attend(q: Tensor, k: Tensor, v: Tensor, ranking=None, *, c: float = 5.0,
     counted, and the score buffer of every head is one buffer.
     """
     budget = _ACTIVE.get()
-    H, l_q, d = q.shape
+    l_q, l_k = q.shape[0], k.shape[0]
+    if causal and l_q != l_k:
+        raise ValueError(f"causal attention needs L_Q == L_K, got q {q.shape}, k {k.shape}")
     selected = None
     if ranking is not None:
+        if ranking.shape != (n_heads, l_q):
+            raise ValueError(f"ranking of shape {ranking.shape} does not match the "
+                             f"({n_heads}, {l_q}) heads and query rows of q {q.shape}")
         start = _now(budget)
         selected = _select_heads(ranking, c, causal)
         if budget is not None:
             budget.t2_ns += time.perf_counter_ns() - start
     start = _now(budget)
-    out = attention(q, k, v, 1.0 / math.sqrt(d), causal, selected)
+    out = attention(q, k, v, n_heads, 1.0 / math.sqrt(q.shape[1] // n_heads), causal,
+                    selected)
     if budget is not None:
         budget.t3_ns += time.perf_counter_ns() - start
-        counts = np.full(H, l_q) if selected is None else selected.sum(axis=1)
-        l_k = k.shape[1]
+        counts = np.full(n_heads, l_q) if selected is None else selected.sum(axis=1)
         budget.dot_products_materialized += int(counts.sum()) * l_k
         budget.rows_selected += int(counts.sum())
-        budget.peak_bytes = max(budget.peak_bytes, H * int(counts.max()) * l_k * 8)
+        budget.peak_bytes = max(budget.peak_bytes, n_heads * int(counts.max()) * l_k * 8)
     return out
 
 
-def sampled_sparsity(q: Tensor, k: Tensor, c: float, rng: np.random.Generator,
-                     causal: bool = False) -> np.ndarray:
-    """(H, L) ``prob_sparse`` ranking: per head, max - mean of the scaled dot
-    products with u = c*ln(L) keys sampled uniformly without replacement.
+def sampled_sparsity(q: Tensor, k: Tensor, n_heads: int, c: float,
+                     rng: np.random.Generator, causal: bool = False) -> np.ndarray:
+    """(H, L) ``prob_sparse`` ranking of the full-width projections: per
+    head, max - mean of the scaled dot products with u = c*ln(L) keys
+    sampled uniformly without replacement.
 
     Heads draw their samples in head order from ``rng``.  When ``causal``
     the statistic of row i uses only sampled keys at or before i, and rows
     that see no sampled key rank lowest.
     """
     budget = _ACTIVE.get()
-    H, L, d = q.shape
-    if k.shape[1] != L:
+    q_heads, k_heads = head_view(q.data, n_heads), head_view(k.data, n_heads)
+    H, L, d = q_heads.shape
+    if k_heads.shape[1] != L:
         raise ValueError("prob_sparse attention is self-attention only (L_Q must equal L_K)")
     start = _now(budget)
     u = top_n_count(L, c)
     sample = np.stack([np.sort(rng.choice(L, size=u, replace=False)) for _ in range(H)])
-    keys = np.take_along_axis(k.data, sample[:, :, None], axis=1)
-    sampled_scores = (q.data @ np.swapaxes(keys, -1, -2)) / math.sqrt(d)
+    keys = np.take_along_axis(k_heads, sample[:, :, None], axis=1)
+    sampled_scores = (q_heads @ np.swapaxes(keys, -1, -2)) / math.sqrt(d)
     if causal:
         visible = sample[:, None, :] <= np.arange(L)[:, None]
         counts = visible.sum(axis=-1)
@@ -330,14 +332,11 @@ def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
                                     causal=causal).T
         if budget is not None:
             budget.t1_ns += time.perf_counter_ns() - start
-    q = split_heads(q_full, n_heads)
-    k = split_heads(k_full, n_heads)
-    v = split_heads(v_full, n_heads)
-    if kind.endswith("prob_sparse"):
+    elif kind.endswith("prob_sparse"):
         if rng is None:
             raise ValueError("prob_sparse attention requires an rng")
-        ranking = sampled_sparsity(q, k, c, rng, causal)
-    return merge_heads(attend(q, k, v, ranking, c=c, causal=causal))
+        ranking = sampled_sparsity(q_full, k_full, n_heads, c, rng, causal)
+    return attend(q_full, k_full, v_full, n_heads, ranking, c=c, causal=causal)
 
 
 def canonical_attention(q, k, v, masked: bool = False) -> Tensor:
@@ -346,16 +345,7 @@ def canonical_attention(q, k, v, masked: bool = False) -> Tensor:
     ``masked`` forbids each query the keys after its own position, which
     needs L_Q == L_K.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    d = q.shape[1]
-    l_k = k.shape[0]
-    if k.shape[1] != d:
-        raise ValueError(f"query dim {d} does not match key dim {k.shape[1]}")
-    if v.shape[0] != l_k:
-        raise ValueError(f"keys have {l_k} rows but values have {v.shape[0]}")
-    if masked and q.shape[0] != l_k:
-        raise ValueError("masked attention needs L_Q == L_K")
-    return merge_heads(attend(*_one_head(q, k, v), causal=masked))
+    return attend(_coerce(q), _coerce(k), _coerce(v), 1, causal=masked)
 
 
 def neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
@@ -369,7 +359,7 @@ def neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
     if q.shape[0] != k.shape[0]:
         raise ValueError("neural_sparse attention is self-attention only (L_Q must equal L_K)")
     ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
-    return merge_heads(attend(*_one_head(q, k, v), ranking, c=c))
+    return attend(q, k, v, 1, ranking, c=c)
 
 
 def masked_neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
@@ -380,11 +370,8 @@ def masked_neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
     ``importance_scores(..., causal=True)``) for the output to be exactly
     independent of later inputs.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    if q.shape[0] != k.shape[0]:
-        raise ValueError("masked attention needs L_Q == L_K")
     ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
-    return merge_heads(attend(*_one_head(q, k, v), ranking, c=c, causal=True))
+    return attend(_coerce(q), _coerce(k), _coerce(v), 1, ranking, c=c, causal=True)
 
 
 def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
@@ -397,14 +384,14 @@ def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
     keys at or before i (rows that see no sampled key rank lowest) and
     selection is causal.
     """
-    q, k, v = _one_head(_coerce(q), _coerce(k), _coerce(v))
-    ranking = sampled_sparsity(q, k, c, rng, masked)
-    return merge_heads(attend(q, k, v, ranking, c=c, causal=masked))
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    ranking = sampled_sparsity(q, k, 1, c, rng, masked)
+    return attend(q, k, v, 1, ranking, c=c, causal=masked)
 
 
 class MultiHeadAttention:
     """Multi-head wrapper: project, run the configured kernel on all heads
-    at once, merge the heads, and project back.
+    at once, and project its merged output back.
 
     The projections W_Q, W_K, W_V, W_O are d_model x d_model without
     biases.  For the learned-score kinds one convolution scores all heads

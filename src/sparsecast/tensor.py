@@ -10,9 +10,10 @@ ReLU a boolean mask, dropout its boolean mask, an add only shapes), never
 the input tensors, so the tape holds only what backward reads: an output
 that no formula reads is freed as soon as the caller drops it.  Attention,
 dense or sparse (a selection mask picks the rows that attend; the rest get
-a lazy fill), is one node that keeps q, k, v and two numbers per attended
-row, not its weights: its backward recomputes them a block of rows at a
-time, so no array of score size outlives the forward.  A leaf (a tensor
+a lazy fill), is one node from the full-width projections to the merged
+heads that keeps q, k, v and two numbers per attended row, not its
+weights: its backward recomputes them a block of rows at a time, so no
+array of score size outlives the forward.  A leaf (a tensor
 that requires gradients but was not made by a recorded operation, such
 as a parameter) is its own node.  Under ``no_grad``, or when every
 input is a constant, an operation records nothing and builds no closure.
@@ -234,8 +235,8 @@ def _accum(node, g, fresh: bool = False):
     A ``fresh`` ``g`` is one the caller has just computed and hands over, so
     a first gradient adopts it, when it is a C-contiguous array, instead of
     copying it.  Any other first gradient is copied into a new C-ordered
-    buffer: ``g`` may be shared with another parent (add) or be a view of a
-    buffer the caller still uses (split_heads).
+    buffer: ``g`` may be shared with another parent (add) or be a read-only
+    broadcast view (the share of the layer norm's mean).
     """
     if node.grad is None:
         if fresh and isinstance(g, np.ndarray) and g.flags.c_contiguous:
@@ -475,38 +476,19 @@ def _getitem(a: Tensor, key) -> Tensor:
     return _make(out, nodes, bw)
 
 
-def split_heads(a, n_heads: int) -> Tensor:
-    """(L, H*d) -> (H, L, d): head h is columns h*d..(h+1)*d-1 (a view)."""
-    a = _coerce(a)
-    L, width = a.data.shape
-    if width % n_heads:
-        raise ValueError(f"width {width} not divisible by {n_heads} heads")
-    out = a.data.reshape(L, n_heads, width // n_heads).transpose(1, 0, 2)
-    nodes = _inputs(a)
-    if nodes is None:
-        return Tensor(out)
-    na, = nodes
-
-    def bw(g):
-        _accum(na, g.transpose(1, 0, 2).reshape(L, width))
-
-    return _make(out, nodes, bw)
+def head_view(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(L, H*d) -> (H, L, d), head h being columns h*d..(h+1)*d-1: a numpy
+    view of ``a`` that records nothing."""
+    if a.ndim != 2 or a.shape[1] % n_heads:
+        raise ValueError(f"head_view needs an (L, width) array whose width is divisible "
+                         f"by {n_heads} heads, got shape {a.shape}")
+    return a.reshape(a.shape[0], n_heads, a.shape[1] // n_heads).transpose(1, 0, 2)
 
 
-def merge_heads(a) -> Tensor:
-    """(H, L, d) -> (L, H*d), the inverse of ``split_heads``."""
-    a = _coerce(a)
-    H, L, d = a.data.shape
-    out = a.data.transpose(1, 0, 2).reshape(L, H * d)
-    nodes = _inputs(a)
-    if nodes is None:
-        return Tensor(out)
-    na, = nodes
-
-    def bw(g):
-        _accum(na, g.reshape(L, H, d).transpose(1, 0, 2))
-
-    return _make(out, nodes, bw)
+def _merged(a: np.ndarray) -> np.ndarray:
+    """(H, L, d) -> (L, H*d), the inverse of ``head_view``: a view when H == 1."""
+    H, L, d = a.shape
+    return a.transpose(1, 0, 2).reshape(L, H * d)
 
 
 # -- neural-network primitives -----------------------------------------
@@ -541,58 +523,66 @@ def _softmax_rows(q, k, scale, visible, row_max=None, row_sum=None):
     return w, row_max, row_sum
 
 
-def attention(q, k, v, scale: float, causal: bool = False, selected=None) -> Tensor:
-    """``softmax(q k^T * scale) v`` as one node; ``causal`` lets row i see
-    keys 0..i.  ``q`` is (..., L, d), ``k`` (..., m, d) and ``v`` (..., m,
-    d_v) with matching leading axes.
+def attention(q, k, v, n_heads: int, scale: float, causal: bool = False,
+              selected=None) -> Tensor:
+    """``softmax(q k^T * scale) v`` on each of ``n_heads`` heads, as one
+    node; ``causal`` lets row i see keys 0..i.  ``q`` is (L, H*d), ``k``
+    (m, H*d) and ``v`` (m, H*d_v), and the output is (L, H*d_v): head h of
+    each is the block of columns ``head_view`` gives it.
 
-    ``selected``, a boolean (H, L) mask over (H, L, d) heads, makes it
-    sparse: every row it leaves out gets the column mean of ``v``, or its
-    inclusive prefix sum when ``causal`` (then m == L).  A stable argsort
-    of the inverted mask picks the n rows each head attends: its selected
-    rows ascending, then its first lazy rows as padding, whose output stays
-    the fill and which get no gradient.
+    ``selected``, a boolean (H, L) mask, makes it sparse: every row it
+    leaves out gets the column mean of its head of ``v``, or its inclusive
+    prefix sum when ``causal`` (then m == L).  A stable argsort of the
+    inverted mask picks the n rows each head attends: its selected rows
+    ascending, then its first lazy rows as padding, whose output stays the
+    fill and which get no gradient.
 
-    The forward makes the (..., n, m) weights in one buffer, with the scale
+    The forward makes the (H, n, m) weights in one buffer, with the scale
     folded into ``q`` and the softmax in place, and drops them after the
     product with ``v``.  The tape keeps the attended rows of ``q``, ``k``,
-    ``v``, the rows' positions and the (..., n, 1) row max and row sum,
-    nothing of score size.  Backward walks blocks of at most
-    ``_ATTENTION_BLOCK`` scores, recomputes their weights from the row
-    statistics and adds each block's share into dq, dk and dv; dq is placed
-    by assignment, and dv also gets the fill's share.
+    ``v``, the rows' positions and the (H, n, 1) row max and row sum,
+    nothing of score size.  Backward walks the heads of the output gradient
+    in blocks of at most ``_ATTENTION_BLOCK`` scores, recomputes their
+    weights from the row statistics and adds each block's share into dq, dk
+    and dv; dq is placed by assignment, and dv also gets the fill's share.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    m = k.data.shape[-2]
-    q_data = q.data
+    q_data, k_data, v_data = (head_view(t.data, n_heads) for t in (q, k, v))
+    L, m = q.data.shape[0], k.data.shape[0]
+    if q.data.shape[1] != k.data.shape[1] or v.data.shape[0] != m:
+        raise ValueError(f"attention needs one query and key dim and one key and value row "
+                         f"count, got q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+    if selected is not None and (np.asarray(selected).dtype != bool
+                                 or np.shape(selected) != (n_heads, L)):
+        raise ValueError(f"selected must be a boolean ({n_heads}, {L}) mask for q {q.data.shape}, "
+                         f"got {np.asarray(selected).dtype} of shape {np.shape(selected)}")
     if selected is None:
-        pos = np.arange(q_data.shape[-2])
+        pos = np.arange(L)
     else:
         counts = selected.sum(axis=-1, keepdims=True)
         pos = np.argsort(~selected, axis=-1, kind="stable")[:, :counts.max()]
-        rows = (np.arange(len(pos))[:, None], pos)
+        rows = (np.arange(n_heads)[:, None], pos)
         real = np.arange(pos.shape[-1]) < counts  # the selected rows among them
         q_data = q_data[rows]
     visible = np.arange(m) <= pos[..., None] if causal else None
-    w, row_max, row_sum = _softmax_rows(q_data, k.data, scale, visible)
-    out = w @ v.data
+    w, row_max, row_sum = _softmax_rows(q_data, k_data, scale, visible)
+    out = w @ v_data
     del w, visible  # the scores are freed before the fill is made
     if selected is not None:  # the lazy fill, then the selected rows over it
         attended = out
-        out = (np.cumsum(v.data, axis=-2) if causal else
-               np.repeat(v.data.mean(axis=-2, keepdims=True), selected.shape[-1], axis=-2))
+        out = (np.cumsum(v_data, axis=-2) if causal else
+               np.repeat(v_data.mean(axis=-2, keepdims=True), L, axis=-2))
         out[selected] = attended[real]
+    out = _merged(out)
     nodes = _inputs(q, k, v)
     if nodes is None:
         return Tensor(out)
     nq, nk, nv = nodes
-    k_data, v_data = k.data, v.data
-    q_shape = q.data.shape
     lazy = None if selected is None or selected.all() else ~selected
-    step = max(1, _ATTENTION_BLOCK // (m * math.prod(row_max.shape[:-2])))
+    step = max(1, _ATTENTION_BLOCK // (m * n_heads))
 
     def bw(g):
-        g_out = g
+        g = g_out = np.ascontiguousarray(head_view(g, n_heads))  # one copy, read per block
         if selected is not None:  # the attended rows' gradient; padding rows get none
             g = g[rows] * real[..., None]
         dq = np.empty(q_data.shape) if nq is not None else None
@@ -618,13 +608,15 @@ def attention(q, k, v, scale: float, causal: bool = False, selected=None) -> Ten
             if nk is not None:
                 part = np.swapaxes(q_b, -1, -2) @ ds
                 dk_t = part if dk_t is None else np.add(dk_t, part, out=dk_t)
+        # Each merge below copies an array made in this call, or with H == 1
+        # is a view of it, so a parent may adopt it.
         if nq is not None:
             if selected is not None:
-                dq, attended = np.zeros(q_shape), dq
+                dq, attended = np.zeros((n_heads, L, dq.shape[-1])), dq
                 dq[rows] = attended
-            _accum(nq, dq, fresh=True)
+            _accum(nq, _merged(dq), fresh=True)
         if nk is not None:
-            _accum(nk, np.swapaxes(dk_t, -1, -2))
+            _accum(nk, _merged(np.swapaxes(dk_t, -1, -2)), fresh=True)
         if nv is not None:
             if lazy is not None:  # the fill's share: a suffix sum, or the mean's
                 share = g_out * lazy[..., None]
@@ -632,7 +624,7 @@ def attention(q, k, v, scale: float, causal: bool = False, selected=None) -> Ten
                     dv += np.flip(np.cumsum(np.flip(share, axis=-2), axis=-2), axis=-2)
                 else:
                     dv += share.sum(axis=-2, keepdims=True) / m
-            _accum(nv, dv, fresh=True)
+            _accum(nv, _merged(dv), fresh=True)
 
     return _make(out, nodes, bw)
 

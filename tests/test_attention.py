@@ -708,9 +708,9 @@ class TestSelectionMask:
         if causal and n_heads > 1 and L > 9:
             assert len(set(want_real.sum(axis=1))) > 1, "counts should differ"
 
-        q, k, v = (Tensor(rng.standard_normal((n_heads, L, 4))) for _ in range(3))
+        q, k, v = (Tensor(rng.standard_normal((L, n_heads * 4))) for _ in range(3))
         with counting(ScoreBudget()) as budget:
-            attention.attend(q, k, v, ranking, c=c, causal=causal)
+            attention.attend(q, k, v, n_heads, ranking, c=c, causal=causal)
         assert budget.rows_selected == want_real.sum()
         assert budget.dot_products_materialized == want_real.sum() * L
         assert budget.peak_bytes == n_heads * n * L * 8
@@ -718,23 +718,52 @@ class TestSelectionMask:
 
 @pytest.mark.parametrize("kind", attention.KINDS)
 def test_attend_records_one_tape_node(kind):
-    """Every kind's core is one node over the (H, L, d) stacks, causal
-    sparse heads that keep different counts, and so attend padding rows,
-    included."""
+    """Every kind's core is one node from the full-width (L, H*d) inputs to
+    the merged output, with no head node between: causal sparse heads that
+    keep different counts, and so attend padding rows, included."""
     H, L = 8, 40
     q, k, v = (Tensor(a, requires_grad=True)
-               for a in np.random.default_rng(12).standard_normal((3, H, L, 4)))
+               for a in np.random.default_rng(12).standard_normal((3, L, H * 4)))
     ranking = None
     if kind.endswith("sparse"):
         ranking = np.random.default_rng(13).standard_normal((H, L))
         ranking[-1] = -np.arange(L)  # every row ranks last: the fewest causal rows
     causal = kind.startswith("masked")
-    out = attention.attend(q, k, v, ranking, c=2.0, causal=causal)
+    out = attention.attend(q, k, v, H, ranking, c=2.0, causal=causal)
+    assert out.shape == (L, H * 4)
     assert out._parents == (q, k, v)
     assert all(p._backward is None for p in out._parents)
     if ranking is not None and causal:
         counts = attention._select_heads(ranking, 2.0, True).sum(axis=1)
         assert len(set(counts)) > 1, "heads should keep different counts"
+
+
+@pytest.mark.parametrize("kernel", [neural_sparse_attention, masked_neural_sparse_attention],
+                         ids=["neural_sparse", "masked_neural_sparse"])
+@pytest.mark.parametrize("n_scores", [12, 25])
+def test_single_head_kernel_names_a_ranking_of_the_wrong_length(kernel, n_scores):
+    """Scores for fewer or more rows than q has raise a ValueError naming
+    both shapes, rather than a shorter output or an IndexError."""
+    q, k, v = np.random.default_rng(30).standard_normal((3, 20, 4))
+    with pytest.raises(ValueError, match=rf"ranking of shape \(1, {n_scores}\) does not match "
+                                         r"the \(1, 20\) heads and query rows of q \(20, 4\)"):
+        kernel(q, k, v, 2.0, np.zeros(n_scores))
+
+
+def test_attend_names_a_ranking_for_the_wrong_head_count():
+    q = Tensor(np.zeros((10, 8)))
+    with pytest.raises(ValueError, match=r"ranking of shape \(4, 10\) does not match "
+                                         r"the \(2, 10\) heads and query rows of q \(10, 8\)"):
+        attention.attend(q, q, q, 2, np.zeros((4, 10)))
+
+
+def test_causal_kernels_name_unequal_query_and_key_lengths():
+    q, kv = np.zeros((7, 4)), np.zeros((9, 4))
+    for call in (lambda: canonical_attention(q, kv, kv, masked=True),
+                 lambda: masked_neural_sparse_attention(q, kv, kv, 2.0, np.zeros(7))):
+        with pytest.raises(ValueError, match=r"causal attention needs L_Q == L_K, "
+                                             r"got q \(7, 4\), k \(9, 4\)"):
+            call()
 
 
 def test_kind_names_agree():

@@ -346,14 +346,15 @@ def _tape_nodes(root) -> int:
 
 def test_smoke_training_window_tape_stays_fused():
     """The criterion-09 model (d_model 32, 2 heads, L_x 48) records exactly
-    139 tape nodes per training window: LayerNorm, Dense and each attention
-    call are one node each, so un-fusing any of them shows here."""
+    119 tape nodes per training window: LayerNorm, Dense and each attention
+    call, from the projections to the merged heads, are one node each, so
+    un-fusing any of them shows here."""
     config = ModelConfig(L_x=48, label_len=24, L_y=24, d_x=3, d_y=3, d_model=32,
                          n_heads=2, enc_blocks=3, dec_layers=1)
     model = Forecaster(config, np.random.default_rng(1))
     sample = make_windows(synthetic_seasonal_frame(200, 3, seed=2), 48, 24, 24)[0]
     loss = model.loss(sample, rng=np.random.default_rng(3), train=True)
-    assert _tape_nodes(loss) == 139
+    assert _tape_nodes(loss) == 119
 
 
 def test_long_horizon_training_window_memory():

@@ -18,16 +18,15 @@ from sparsecast.tensor import (
     elu,
     embedding_lookup,
     finite_diff_check,
+    head_view,
     layer_norm,
     linear,
     matmul,
     mean_,
-    merge_heads,
     mul,
     no_grad,
     pool1d,
     relu,
-    split_heads,
     sum_,
 )
 import sparsecast.tensor as tensor_module
@@ -316,16 +315,17 @@ class TestConstantOperands:
 
 
 class TestHeads:
-    def test_split_merge_round_trip(self):
-        x = np.random.default_rng(0).standard_normal((5, 12))
-        heads = split_heads(Tensor(x), 3)
-        assert heads.shape == (3, 5, 4)
-        npt.assert_array_equal(heads.data[1], x[:, 4:8])
-        npt.assert_array_equal(merge_heads(heads).data, x)
-
     def test_split_rejects_uneven_width(self):
-        with pytest.raises(ValueError, match="divisible"):
-            split_heads(Tensor(np.zeros((5, 7))), 2)
+        """``head_view`` gives head h as columns h*d..(h+1)*d-1, a view, and
+        names the shape it cannot split."""
+        x = np.random.default_rng(0).standard_normal((5, 12))
+        heads = head_view(x, 3)
+        assert heads.shape == (3, 5, 4) and np.shares_memory(heads, x)
+        npt.assert_array_equal(heads[1], x[:, 4:8])
+        with pytest.raises(ValueError, match=r"divisible by 2 heads, got shape \(5, 7\)"):
+            head_view(np.zeros((5, 7)), 2)
+        with pytest.raises(ValueError, match=r"divisible by 2 heads, got shape \(2, 3, 4\)"):
+            head_view(np.zeros((2, 3, 4)), 2)
 
     def test_batched_matmul_is_per_slice(self):
         rng = np.random.default_rng(1)
@@ -359,13 +359,16 @@ class TestHeads:
         with each head's own selected rows, whose lazy rows are bytewise
         the prefix sum of v."""
         q, k, v, causal, selected = _attention_case(causal)
-        got = attention(Tensor(q), Tensor(k), Tensor(v), 0.5, causal, selected).data
-        chain = _attention_oracle(Tensor(q), Tensor(k), Tensor(v), 0.5, causal, selected).data
+        out = attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.5, causal, selected).data
+        got = head_view(out, 2)
+        chain = _attention_oracle(*(Tensor(head_view(a, 2)) for a in (q, k, v)), 0.5,
+                                  causal, selected).data
         if selected is None:
             assert got.tobytes() == chain.tobytes()
         else:
             assert got[selected].tobytes() == chain[selected].tobytes()
-            assert got[~selected].tobytes() == np.cumsum(v, axis=1)[~selected].tobytes()
+            prefix = np.cumsum(head_view(v, 2), axis=1)
+            assert got[~selected].tobytes() == prefix[~selected].tobytes()
             npt.assert_allclose(got, chain, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("causal", [None, "rows", "heads"])
@@ -374,7 +377,7 @@ class TestHeads:
         bytewise the oracle chain's; with lazy rows, whose prefix sum the
         chain takes as a matmul, dv is within 1e-12 of it."""
         q, k, v, causal, selected = _attention_case(causal)
-        assert q.size // q.shape[-1] * k.shape[1] <= tensor_module._ATTENTION_BLOCK
+        assert 2 * q.shape[0] * k.shape[0] <= tensor_module._ATTENTION_BLOCK
         got = _attention_grads(attention, q, k, v, causal, selected)
         want = _attention_grads(_attention_oracle, q, k, v, causal, selected)
         for a, b in zip(got[:2], want[:2]):
@@ -391,22 +394,23 @@ class TestHeads:
         block by block, within 1e-12 of the one-block gradients; dq is per row."""
         q, k, v, causal, selected = _attention_case(causal)
         want = _attention_grads(attention, q, k, v, causal, selected)
-        monkeypatch.setattr(tensor_module, "_ATTENTION_BLOCK", 2 * q.shape[0] * k.shape[1])
+        monkeypatch.setattr(tensor_module, "_ATTENTION_BLOCK", 2 * 2 * k.shape[0])
         got = _attention_grads(attention, q, k, v, causal, selected)
         for a, b in zip(got, want):
             npt.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
     def test_attention_tape_holds_no_score_sized_array(self):
-        """The node keeps k, v, the attended rows of q, their positions and
-        the (H, n, 1) row max and row sum: no array of score size, and no
-        input tensor."""
+        """The node keeps the heads of k and v (views), the attended rows of
+        q, their positions and the (H, n, 1) row max and row sum: no array
+        of score size, and no input tensor."""
         q, k, v, causal, selected = _attention_case("heads")
         leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = attention(*leaves, 0.5, causal, selected)
+        out = attention(*leaves, 2, 0.5, causal, selected)
         assert out._parents == tuple(leaves)
         cells = [c.cell_contents for c in out._backward.__closure__]
         arrays = [c for c in cells if isinstance(c, np.ndarray)]
-        assert all(a is k or a is v or a.size <= q.size for a in arrays)
+        assert all(np.shares_memory(a, k) or np.shares_memory(a, v) or a.size <= q.size
+                   for a in arrays)
         assert sum(a.shape == (2, 7, 1) for a in arrays) == 2  # the row max and row sum
         assert not [c for c in cells if isinstance(c, Tensor) and c not in leaves]
 
@@ -414,11 +418,31 @@ class TestHeads:
     def test_attention_selecting_every_row_is_dense(self, causal):
         """A mask that selects every row attends them all, bytewise as no
         mask does, and adds no fill to dv."""
-        q, k, v = np.random.default_rng(8).standard_normal((3, 2, 6, 4))
+        q, k, v = np.random.default_rng(8).standard_normal((3, 6, 8))
         every = np.ones((2, 6), dtype=bool)
         dense = _attention_grads(attention, q, k, v, causal, None)
         for a, b in zip(_attention_grads(attention, q, k, v, causal, every), dense):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", ["int_mask", "mask_shape", "qk_width", "kv_rows"])
+    def test_attention_names_mismatched_inputs(self, case):
+        """A selection mask that is not a boolean (H, L) array, q and k of
+        different widths, and k and v of different row counts each raise
+        a ValueError that names the shapes."""
+        x, wide = np.zeros((6, 4)), np.zeros((6, 6))
+        args, match = {
+            "int_mask": ((x, x, x, _SELECTED.astype(np.int64)),
+                         r"boolean \(2, 6\) mask .* q \(6, 4\), got int64 of shape \(2, 6\)"),
+            "mask_shape": ((x, x, x, _SELECTED[:, :5]),
+                           r"boolean \(2, 6\) mask .* q \(6, 4\), got bool of shape \(2, 5\)"),
+            "qk_width": ((x, wide, wide, None),
+                         r"one query and key dim .*got q \(6, 4\), k \(6, 6\), v \(6, 6\)"),
+            "kv_rows": ((x, x, x[:5], None),
+                        r"key and value row count, got q \(6, 4\), k \(6, 4\), v \(5, 4\)"),
+        }[case]
+        q, k, v, selected = args
+        with pytest.raises(ValueError, match=match):
+            attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.5, selected=selected)
 
     def test_attention_weights_fully_masked_row_errors(self):
         with pytest.raises(ValueError, match="empty attention row"):
@@ -427,26 +451,28 @@ class TestHeads:
 
 
 def _attention_case(case):
-    """Two heads over 9 keys: (q, k, v, causal, selected).  ``case`` None is
-    7 unmasked query rows, "rows" 7 causal rows that every head attends,
-    "heads" 9 causal rows of which head 0 selects 7 and head 1 selects 4,
-    so head 1 attends its first 3 lazy rows as padding."""
+    """Two heads of width 4 over 9 keys, as full-width arrays: (q, k, v,
+    causal, selected).  ``case`` None is 7 unmasked query rows, "rows" 7
+    causal rows that every head attends, "heads" 9 causal rows of which
+    head 0 selects 7 and head 1 selects 4, so head 1 attends its first 3
+    lazy rows as padding."""
     rng = np.random.default_rng(6)
-    k, v = rng.standard_normal((2, 2, 9, 4))
+    k, v = rng.standard_normal((2, 9, 8))
     if case != "heads":
-        return rng.standard_normal((2, 7, 4)), k, v, case == "rows", None
+        return rng.standard_normal((7, 8)), k, v, case == "rows", None
     selected = np.zeros((2, 9), dtype=bool)
     selected[0, [0, 1, 3, 4, 5, 7, 8]] = True
     selected[1, [0, 2, 5, 6]] = True
-    return rng.standard_normal((2, 9, 4)), k, v, True, selected
+    return rng.standard_normal((9, 8)), k, v, True, selected
 
 
 def _attention_oracle(q, k, v, scale, causal, selected):
-    """``attention`` as a chain: ``attention_weights`` then ``matmul`` on the
-    attended rows, gathered by ``Tensor.__getitem__`` (each head's selected
-    rows, then its first lazy rows as padding); a constant placement matrix
-    puts the selected rows in place, and a constant matrix times v, lower
-    triangular or averaging, fills the lazy rows."""
+    """``attention`` as a chain on (H, L, d) head tensors: ``attention_weights``
+    then ``matmul`` on the attended rows, gathered by ``Tensor.__getitem__``
+    (each head's selected rows, then its first lazy rows as padding); a
+    constant placement matrix puts the selected rows in place, and a
+    constant matrix times v, lower triangular or averaging, fills the lazy
+    rows."""
     m = k.shape[-2]
     if selected is None:
         mask = np.arange(m) > np.arange(q.shape[-2])[:, None] if causal else None
@@ -466,12 +492,15 @@ def _attention_oracle(q, k, v, scale, causal, selected):
 
 
 def _attention_grads(op, q, k, v, causal, selected):
-    """dq, dk and dv of a fixed weighted sum of ``op``'s output."""
-    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-    out = op(*leaves, 0.5, causal, selected)
-    weights = np.random.default_rng(7).standard_normal(out.shape)
-    sum_(out * Tensor(weights)).backward()
-    return [t.grad for t in leaves]
+    """dq, dk and dv, viewed as (H, L, d) heads, of a fixed weighted sum of
+    the output: ``attention`` gets the full-width arrays as leaves, and
+    ``_attention_oracle`` gets their two heads."""
+    oracle = op is _attention_oracle
+    leaves = [Tensor(head_view(a, 2) if oracle else a, requires_grad=True) for a in (q, k, v)]
+    out = op(*leaves, 0.5, causal, selected) if oracle else op(*leaves, 2, 0.5, causal, selected)
+    weights = np.random.default_rng(7).standard_normal((q.shape[0], v.shape[1]))
+    sum_(out * Tensor(head_view(weights, 2) if oracle else weights)).backward()
+    return [t.grad if oracle else head_view(t.grad, 2) for t in leaves]
 
 
 def _layer_norm_chain(x, gain, bias, eps):
@@ -789,30 +818,27 @@ PRIMITIVES = {
     "concat": lambda p, rng: concat([p["a"], p["b"]], axis=0),
     "slice": lambda p, rng: p["a"][2:5],
     "gather": lambda p, rng: p["a"][np.array([3, 1, 1, 0])],
-    "split_heads": lambda p, rng: split_heads(p["a"][:, :4], 2),
-    "merge_heads": lambda p, rng: merge_heads(split_heads(p["a"][:, :4], 2)
-                                              * split_heads(p["b"][:, :4], 2)),
-    "matmul_heads": lambda p, rng: matmul(split_heads(p["a"][:, :4], 2),
-                                          split_heads(p["b"][:2, :4], 2)),
-    "gather_heads": lambda p, rng: split_heads(p["a"][:, :4], 2)[
+    "matmul_heads": lambda p, rng: matmul(p["heads"][..., :2], p["heads"][:, :2, 2:]),
+    "gather_heads": lambda p, rng: p["heads"][
         np.arange(2)[:, None], np.array([[3, 1, 4], [0, 5, 2]])],
     "attention_weights": lambda p, rng: attention_weights(
-        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2), 0.7),
+        p["heads"][..., :2], p["heads"][..., 2:], 0.7),
     "attention_weights_masked": lambda p, rng: attention_weights(
-        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2), 0.7,
+        p["heads"][..., :2], p["heads"][..., 2:], 0.7,
         mask=np.triu(np.ones((6, 6), bool), k=1)),
     "attention": lambda p, rng: attention(
-        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
-        split_heads(p["b"][:, 1:], 2), 0.7),
+        p["a"][:, :4], p["b"][:, :4], p["b"][:, 1:], 2, 0.7),
     "attention_causal": lambda p, rng: attention(
-        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
-        split_heads(p["b"][:, 1:], 2), 0.7, causal=True),
+        p["a"][:, :4], p["b"][:, :4], p["b"][:, 1:], 2, 0.7, causal=True),
     "attention_selected": lambda p, rng: attention(
-        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
-        split_heads(p["b"][:, 1:], 2), 0.7, selected=_SELECTED),
+        p["a"][:, :4], p["b"][:, :4], p["b"][:, 1:], 2, 0.7, selected=_SELECTED),
     "attention_selected_causal": lambda p, rng: attention(
-        split_heads(p["a"][:, :4], 2), split_heads(p["b"][:, :4], 2),
-        split_heads(p["b"][:, 1:], 2), 0.7, causal=True, selected=_SELECTED),
+        p["a"][:, :4], p["b"][:, :4], p["b"][:, 1:], 2, 0.7, causal=True,
+        selected=_SELECTED),
+    # v twice as wide as q and k: dq and dk merge heads of width 1, dv of width 2
+    "attention_wide_v": lambda p, rng: attention(
+        p["a"][:, :2], p["b"][:, :2], p["b"][:, 1:], 2, 0.7, causal=True,
+        selected=_SELECTED),
     "layer_norm": lambda p, rng: layer_norm(p["a"], p["b"][0], p["b"][1], 1e-5),
     "linear": lambda p, rng: linear(p["a"], p["b"][:5], p["b"][5]),
     "linear_no_bias": lambda p, rng: linear(p["a"], transpose(p["b"][:3])),
@@ -827,6 +853,7 @@ def test_reverse_gradient_contract(name):
     store.add("a", rng.standard_normal((6, 5)))
     store.add("b", rng.standard_normal((6, 5)))
     store.add("conv_k", rng.standard_normal((4, 5, 3)))
+    store.add("heads", rng.standard_normal((2, 6, 4)))  # (H, L, d) stacks
     op = PRIMITIVES[name]
     check_rng = np.random.default_rng(99)
     weights_cache = {}
@@ -843,7 +870,7 @@ def test_reverse_gradient_contract(name):
 def _op_leaves(requires_grad: bool) -> dict:
     rng = np.random.default_rng(12)
     shapes = {"a": (6, 4), "b": (6, 4), "w": (4, 3), "bias": (3,), "vec": (4,),
-              "kernel": (2, 4, 3), "heads": (2, 6, 3), "table": (7, 4)}
+              "kernel": (2, 4, 3), "table": (7, 4)}
     return {name: Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
             for name, shape in shapes.items()}
 
@@ -861,12 +888,11 @@ PUBLIC_OPS = {
     "mean_": lambda t: mean_(t["a"]),
     "_getitem": lambda t: t["a"][1:4],
     "_getitem[rows]": lambda t: t["a"][np.array([3, 0, 3])],
-    "split_heads": lambda t: split_heads(t["a"], 2),
-    "merge_heads": lambda t: merge_heads(t["heads"]),
-    "attention": lambda t: attention(t["heads"], t["heads"], t["heads"], 0.5, causal=True),
-    "attention[selected]": lambda t: attention(t["heads"], t["heads"], t["heads"], 0.5,
+    "attention": lambda t: attention(t["a"], t["b"], t["b"], 2, 0.5),
+    "attention[causal]": lambda t: attention(t["a"], t["b"], t["b"], 2, 0.5, causal=True),
+    "attention[selected]": lambda t: attention(t["a"], t["b"], t["b"], 2, 0.5,
                                                selected=_SELECTED),
-    "attention[selected+causal]": lambda t: attention(t["heads"], t["heads"], t["heads"], 0.5,
+    "attention[selected+causal]": lambda t: attention(t["a"], t["b"], t["b"], 2, 0.5,
                                                       causal=True, selected=_SELECTED),
     "layer_norm": lambda t: layer_norm(t["a"], t["vec"], t["vec"], 1e-5),
     "conv1d_time": lambda t: conv1d_time(t["a"], t["kernel"], padding=1),
@@ -942,7 +968,8 @@ class TestTensorBasics:
         public = {name for name, f in vars(tensor_module).items()
                   if inspect.isfunction(f) and f.__module__ == tensor_module.__name__
                   and not name.startswith("_")}
-        public -= {"no_grad", "finite_diff_check", "fnv1a64", "pack_u64", "unpack_u64"}
+        public -= {"no_grad", "finite_diff_check", "fnv1a64", "pack_u64", "unpack_u64",
+                   "head_view"}
         assert public | {"_getitem"} == {name.split("[")[0] for name in PUBLIC_OPS}
         for name, op in PUBLIC_OPS.items():
             out = op(_op_leaves(True))

@@ -42,7 +42,7 @@ from .tensor import (
     attention,
     conv1d_time,
     head_view,
-    matmul,
+    linear,
     no_grad,
 )
 
@@ -200,7 +200,7 @@ def importance_scores(q, k, kernel, bias=None, causal: bool = False) -> np.ndarr
     The result is detached: selection is discrete, so no gradient flows
     through these scores.
     """
-    q_data, k_data, kernel = _coerce(q).data, _coerce(k).data, _coerce(kernel)
+    q_data, k_data = _coerce(q).data, _coerce(k).data
     if q_data.shape[0] != k_data.shape[0]:
         raise ValueError(
             f"importance scores need L_Q == L_K, got {q_data.shape[0]} != {k_data.shape[0]}"
@@ -211,12 +211,8 @@ def importance_scores(q, k, kernel, bias=None, causal: bool = False) -> np.ndarr
         if causal:
             width = kernel.shape[2]
             padded = np.vstack([np.zeros((width - 1, fused.shape[1])), fused])
-            scores = conv1d_time(padded, kernel, padding=0).data
-        else:
-            scores = conv1d_time(fused, kernel, padding=1).data
-    if bias is not None:
-        scores = scores + _coerce(bias).data
-    return scores
+            return conv1d_time(padded, kernel, 0, bias).data
+        return conv1d_time(fused, kernel, 1, bias).data
 
 
 def _select_heads(ranking: np.ndarray, c: float, causal: bool) -> np.ndarray:
@@ -426,8 +422,8 @@ class MultiHeadAttention:
         if x_kv is None:
             x_kv = x_q
         merged = attend_kind(
-            cfg.kind, matmul(x_q, self.w_q), matmul(x_kv, self.w_k), matmul(x_kv, self.w_v),
+            cfg.kind, linear(x_q, self.w_q), linear(x_kv, self.w_k), linear(x_kv, self.w_v),
             cfg.n_heads, cfg.c, score_kernel=self.score_kernel, score_bias=self.score_bias,
             rng=eval_rng(cfg.kind) if rng is None else rng,
         )
-        return matmul(merged, self.w_o)
+        return linear(merged, self.w_o)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .layers import uniform_init
-from .tensor import ParamStore, Tensor, conv1d_time, embedding_lookup, linear, relu
+from .tensor import ParamStore, Tensor, conv1d_time, embedding_sum, linear, relu
 
 # calendar stamp categories and their vocabulary sizes
 STAMP_CATEGORIES = ("month", "day", "weekday", "hour", "minute15")
@@ -56,6 +56,8 @@ def validate_stamps(stamps: np.ndarray) -> np.ndarray:
     stamps = np.asarray(stamps)
     if stamps.ndim != 2 or stamps.shape[1] != len(STAMP_CATEGORIES):
         raise ValueError(f"stamps must be (L, {len(STAMP_CATEGORIES)}), got {stamps.shape}")
+    if not np.issubdtype(stamps.dtype, np.integer):
+        raise ValueError(f"stamps must be integers, got dtype {stamps.dtype}")
     bad = (stamps < 0) | (stamps >= _VOCAB_SIZES)
     if bad.any():
         col = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -67,12 +69,7 @@ def validate_stamps(stamps: np.ndarray) -> np.ndarray:
 
 def stamp_embedding_sum(stamps: np.ndarray, tables: dict) -> Tensor:
     """Sum the looked-up rows of every stamp-category table, per position."""
-    stamps = validate_stamps(stamps)
-    total = None
-    for col, name in enumerate(STAMP_CATEGORIES):
-        looked = embedding_lookup(tables[name], stamps[:, col])
-        total = looked if total is None else total + looked
-    return total
+    return embedding_sum([tables[name] for name in STAMP_CATEGORIES], validate_stamps(stamps))
 
 
 def beta_gate(pe_plus_se: Tensor, gate_w: Tensor, gate_b: Tensor) -> Tensor:

@@ -32,7 +32,7 @@ class DistillParams:
 
 def conv_elu_feature(x: Tensor, params: DistillParams) -> Tensor:
     """Length-preserving feature map: ELU(conv width 3, padding 1)."""
-    return elu(conv1d_time(x, params.kernel, padding=1) + params.bias)
+    return elu(conv1d_time(x, params.kernel, 1, params.bias))
 
 
 def distill_step(x: Tensor, params: DistillParams, kind: str = "parallel_pool") -> Tensor:

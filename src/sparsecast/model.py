@@ -52,6 +52,14 @@ class ModelConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name}: must be finite, got {getattr(self, f.name)}")
+        # each of the enc_blocks - 1 distill steps maps L -> ceil(L/2) and needs
+        # L >= 2, so L_x must exceed 2^(enc_blocks-2); compared by bit length, so
+        # a huge enc_blocks builds no huge power
+        if self.L_x < 1 or (self.enc_blocks >= 2
+                            and (self.L_x - 1).bit_length() < self.enc_blocks - 1):
+            low = "1" if self.enc_blocks < 2 else f"2^{self.enc_blocks - 2} + 1"
+            raise ValueError(f"L_x: must be >= {low} for enc_blocks={self.enc_blocks}, "
+                             f"got {self.L_x}")
         if self.label_len > self.L_x:
             raise ValueError(f"label_len: {self.label_len} exceeds L_x={self.L_x}")
         for key, low in (("label_len", 0), ("L_y", 1), ("h", 0), ("n_heads", 1),

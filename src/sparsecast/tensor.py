@@ -5,18 +5,19 @@ and at least one input requires them, the operation also records a graph
 node on its output: a ``_Node`` holding the output's gradient buffer, the
 nodes of the inputs that require gradients, the output shape and a
 backward closure.  The closure captures those parent nodes plus exactly
-the arrays its own gradient formula reads (a matmul keeps its operands, a
-ReLU a boolean mask, dropout its boolean mask, an add only shapes), never
-the input tensors, so the tape holds only what backward reads: an output
-that no formula reads is freed as soon as the caller drops it.  Attention,
-dense or sparse (a selection mask picks the rows that attend; the rest get
-a lazy fill), is one node from the full-width projections to the merged
-heads that keeps q, k, v and two numbers per attended row, not its
-weights: its backward recomputes them a block of rows at a time, so no
-array of score size outlives the forward.  A leaf (a tensor
-that requires gradients but was not made by a recorded operation, such
-as a parameter) is its own node.  Under ``no_grad``, or when every
-input is a constant, an operation records nothing and builds no closure.
+the arrays its own gradient formula reads (a linear map keeps its
+operands, a ReLU a boolean mask, dropout its boolean mask, an add only
+shapes), never the input tensors, so the tape holds only what backward
+reads: an output that no formula reads is freed as soon as the caller
+drops it.  Attention, dense or sparse (a selection mask picks the rows
+that attend; the rest get a lazy fill), is one node from the full-width
+projections to the merged heads that keeps q, k, v and two numbers per
+attended row, not its weights: its backward recomputes them a block of
+rows at a time, so no array of score size outlives the forward.  A leaf
+(a tensor that requires gradients but was not made by a recorded
+operation, such as a parameter) is its own node.  Under ``no_grad``, or
+when every input is a constant, an operation records nothing and builds
+no closure.
 
 Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates ``grad`` buffers on every
@@ -30,8 +31,6 @@ frozen parameter set can be read from multiple threads; gradient buffers
 belong to a single training loop at a time.
 """
 
-import math
-import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -180,9 +179,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -359,32 +355,6 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 # -- linear algebra ---------------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of 2-D tensors, or of stacks of them whose leading
-    axes match exactly (no broadcasting), e.g. (H, L, d) @ (H, d, m)."""
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
-        raise ValueError("matmul expects 2-D tensors (or stacks of them with matching "
-                         f"leading axes), got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
-    nodes = _inputs(a, b)
-    if nodes is None:
-        return Tensor(out)
-    na, nb = nodes
-    a_data = a.data if nb is not None else None
-    b_data = b.data if na is not None else None
-
-    def bw(g):
-        if na is not None:
-            _accum(na, g @ np.swapaxes(b_data, -1, -2), fresh=True)
-        if nb is not None:
-            _accum(nb, np.swapaxes(a_data, -1, -2) @ g, fresh=True)
-
-    return _make(out, nodes, bw)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -681,12 +651,15 @@ def _conv_windows(xp: np.ndarray, l_out: int, k: int) -> np.ndarray:
     return windows.reshape(l_out, xp.shape[1] * k)
 
 
-def conv1d_time(x, kernel, padding: int) -> Tensor:
-    """Cross-correlation along the time axis with zero padding.
+def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
+    """Cross-correlation along the time axis with zero padding, plus an
+    optional bias, as one node.
 
-    ``x`` is (L, C_in), ``kernel`` is (C_out, C_in, k) with odd k; the
-    result is (L + 2*padding - k + 1, C_out).  The tape keeps the padded
-    input for the kernel's gradient and the kernel for the input's.
+    ``x`` is (L, C_in), ``kernel`` is (C_out, C_in, k) with odd k and the
+    optional ``bias`` (C_out,); the result is (L + 2*padding - k + 1,
+    C_out).  The tape keeps the padded input for the kernel's gradient and
+    the kernel for the input's; the bias's gradient is the output gradient
+    summed over time.
     """
     x, kernel = _coerce(x), _coerce(kernel)
     if x.data.ndim != 2 or kernel.data.ndim != 3:
@@ -712,10 +685,16 @@ def conv1d_time(x, kernel, padding: int) -> Tensor:
         xp = np.ascontiguousarray(x.data)
     flat_kernel = kernel.data.reshape(c_out, c_in * k)
     out = _conv_windows(xp, l_out, k) @ flat_kernel.T
-    nodes = _inputs(x, kernel)
+    if bias is None:
+        nodes = _inputs(x, kernel)
+    else:
+        bias = _coerce(bias)
+        out += bias.data
+        nodes = _inputs(x, kernel, bias)
     if nodes is None:
         return Tensor(out)
-    nx, nk = nodes
+    nx, nk = nodes[:2]
+    nb = nodes[2] if len(nodes) == 3 else None
     padded_shape = xp.shape
     xp = xp if nk is not None else None
     flat_kernel = flat_kernel if nx is not None else None
@@ -730,6 +709,8 @@ def conv1d_time(x, kernel, padding: int) -> Tensor:
             for i in range(k):
                 gxp[i : i + l_out] += g_windows[:, :, i]
             _accum(nx, gxp[padding : padding + L] if padding else gxp, fresh=True)
+        if nb is not None:
+            _accum(nb, g.sum(axis=0), fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -801,26 +782,39 @@ def pool1d(x, kind: str, kernel: int, stride: int, padding: int) -> Tensor:
     return _make(out, nodes, bw)
 
 
-def embedding_lookup(table, index) -> Tensor:
-    """Rows of ``table`` (V, d) selected by integer ``index`` (L,)."""
-    table = _coerce(table)
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.min(initial=0) < 0 or (idx.size and idx.max() >= table.data.shape[0]):
-        raise IndexError(
-            f"embedding index out of range [0, {table.data.shape[0]}): "
-            f"min={idx.min()}, max={idx.max()}"
-        )
-    out = table.data[idx]
-    nodes = _inputs(table)
+def embedding_sum(tables, index) -> Tensor:
+    """``sum_j tables[j][index[:, j]]`` as one node: k (V_j, d) tables and
+    an (L, k) integer ``index``, one column per table.
+
+    The forward adds the looked-up rows in table order, and the backward
+    scatters the output gradient into each table with one ``np.bincount``.
+    """
+    tables = [_coerce(t) for t in tables]
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu" or idx.ndim != 2 or idx.shape[1] != len(tables):
+        raise IndexError(f"embedding index must be an (L, {len(tables)}) integer array, one "
+                         f"column per table, got {idx.dtype} of shape {idx.shape}")
+    idx = idx.astype(np.intp, copy=False)
+    sizes = np.array([t.data.shape[0] for t in tables])
+    bad = ((idx < 0) | (idx >= sizes)).any(axis=0)
+    if bad.any():
+        col = int(bad.argmax())
+        raise IndexError(f"embedding index column {col} out of range [0, {sizes[col]}): "
+                         f"min={idx[:, col].min()}, max={idx[:, col].max()}")
+    out = tables[0].data[idx[:, 0]]
+    for table, rows in zip(tables[1:], idx.T[1:]):
+        out += table.data[rows]
+    nodes = _inputs(*tables)
     if nodes is None:
         return Tensor(out)
-    nt, = nodes
-    V, d = table.data.shape
+    shapes = [t.data.shape for t in tables]
 
     def bw(g):
-        flat = idx[:, None] * d + np.arange(d)
-        _accum(nt, np.bincount(flat.ravel(), weights=g.ravel(),
-                               minlength=V * d).reshape(V, d), fresh=True)
+        for node, (V, d), rows in zip(nodes, shapes, idx.T):
+            if node is not None:
+                flat = rows[:, None] * d + np.arange(d)
+                _accum(node, np.bincount(flat.ravel(), weights=g.ravel(),
+                                         minlength=V * d).reshape(V, d), fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -941,19 +935,3 @@ def finite_diff_check(f, params: ParamStore, step: float = 1e-5) -> float:
                     max_rel = rel
     return max_rel
 
-
-def fnv1a64(payload: bytes, h: int = 0xCBF29CE484222325) -> int:
-    """64-bit FNV-1a hash of a byte string.  Passing the hash of the bytes
-    before ``payload`` as ``h`` continues it, so a stream hashes in chunks."""
-    for b in payload:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def pack_u64(value: int) -> bytes:
-    return struct.pack("<Q", value)
-
-
-def unpack_u64(buf: bytes, offset: int) -> tuple[int, int]:
-    return struct.unpack_from("<Q", buf, offset)[0], offset + 8

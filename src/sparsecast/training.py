@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention import NaNScoreError
 from .data import MetricResult, metrics
-from .tensor import ParamStore, fnv1a64, no_grad, pack_u64, unpack_u64
+from .tensor import ParamStore, no_grad
 
 CHECKPOINT_MAGIC = b"HGNT2"
 _READABLE_MAGICS = (b"HGNT1", CHECKPOINT_MAGIC)
@@ -282,6 +282,16 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
 _CHUNK_BYTES = 1 << 20
 
 
+def fnv1a64(payload: bytes, h: int = 0xCBF29CE484222325) -> int:
+    """64-bit FNV-1a hash of a byte string, the ``HGNT1`` checksum.  Passing
+    the hash of the bytes before ``payload`` as ``h`` continues it, so a
+    stream hashes in chunks."""
+    for b in payload:
+        h ^= b
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 def _payload_chunks(params: ParamStore):
     """The checkpoint payload in order: per parameter a header (name length
     + UTF-8 name + rank + extents, u64 LE) and then its float64 LE values.
@@ -293,8 +303,8 @@ def _payload_chunks(params: ParamStore):
     batch, size = [], 0
     for name, t in params.items():
         encoded = name.encode("utf-8")
-        batch += [pack_u64(len(encoded)), encoded, pack_u64(t.data.ndim),
-                  *(pack_u64(extent) for extent in t.data.shape)]
+        batch += [struct.pack("<Q", len(encoded)), encoded,
+                  struct.pack(f"<{1 + t.data.ndim}Q", t.data.ndim, *t.data.shape)]
         values = np.ascontiguousarray(t.data, dtype="<f8").reshape(-1).view(np.uint8)
         if values.nbytes >= _CHUNK_BYTES:
             yield b"".join(batch)
@@ -351,7 +361,7 @@ def _verify_checksum(fp, magic: bytes, size: int) -> None:
             state.update(chunk[:n])
         size -= n
     computed = state if fnv else int.from_bytes(state.digest(), "little")
-    if computed != unpack_u64(_read_exact(fp, 8), 0)[0]:
+    if computed != struct.unpack("<Q", _read_exact(fp, 8))[0]:
         raise ValueError("checkpoint checksum mismatch")
 
 
@@ -380,7 +390,7 @@ def _read_entries(path) -> list:
             return _read_exact(fp, n)
 
         def read_u64() -> int:
-            return unpack_u64(read(8), 0)[0]
+            return struct.unpack("<Q", read(8))[0]
 
         entries = []
         while left:

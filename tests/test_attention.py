@@ -32,7 +32,7 @@ from sparsecast.tensor import (
     ParamStore,
     Tensor,
     finite_diff_check,
-    matmul,
+    linear,
     sum_,
 )
 
@@ -486,7 +486,7 @@ class TestMultiHead:
 
 def _oracle_head(q, k, v, selected, masked, budget):
     """One head as the per-head path computed it: gather the selected rows
-    (``Tensor.__getitem__``), score them in a separate matmul, scale and
+    (``Tensor.__getitem__``), score them in a separate product, scale and
     softmax, then put them in place with a constant placement matrix and
     fill the lazy rows with a constant matrix times V, lower triangular for
     the prefix sum or averaging for the mean.  ``selected`` None means every
@@ -497,9 +497,9 @@ def _oracle_head(q, k, v, selected, masked, budget):
     budget.dot_products_materialized += rows.size * l_k
     budget.rows_selected += rows.size
     q_rows = q if selected is None else q[rows]
-    scores = matmul(q_rows, transpose(k)) * (1.0 / math.sqrt(d))
+    scores = linear(q_rows, transpose(k)) * (1.0 / math.sqrt(d))
     mask = np.arange(l_k)[None, :] > rows[:, None] if masked else None
-    out = matmul(softmax_lastdim(scores, mask), v)
+    out = linear(softmax_lastdim(scores, mask), v)
     if selected is None:
         return out
     place = np.zeros((L, rows.size))
@@ -507,7 +507,7 @@ def _oracle_head(q, k, v, selected, masked, budget):
     lazy = np.ones((L, 1))
     lazy[rows] = 0.0
     fill = np.tri(L, l_k) if masked else np.full((L, l_k), 1.0 / l_k)
-    return matmul(Tensor(place), out) + matmul(Tensor(fill * lazy), v)
+    return linear(Tensor(place), out) + linear(Tensor(fill * lazy), v)
 
 
 def _oracle_sampled_measure(q, k, c, rng, masked):
@@ -532,7 +532,7 @@ def _per_head_oracle(mha, x_q, x_kv=None, rng=None, budget=None):
     kind = cfg.kind
     budget = ScoreBudget() if budget is None else budget
     x_kv = x_q if x_kv is None else x_kv
-    q_full, k_full, v_full = (matmul(x, w) for x, w in
+    q_full, k_full, v_full = (linear(x, w) for x, w in
                               ((x_q, mha.w_q), (x_kv, mha.w_k), (x_kv, mha.w_v)))
     masked = kind.startswith("masked")
     if kind.endswith("neural_sparse"):
@@ -556,7 +556,7 @@ def _per_head_oracle(mha, x_q, x_kv=None, rng=None, budget=None):
             selected = select(ranking, cfg.c)
         heads.append(_oracle_head(qh, kh, vh, selected, masked, budget))
     merged = heads[0] if len(heads) == 1 else concat(heads, axis=1)
-    return matmul(merged, mha.w_o)
+    return linear(merged, mha.w_o)
 
 
 def _run_with_grads(fn, store, weights):

@@ -239,6 +239,18 @@ class TestCli:
         assert err["error"] == "config"
         assert err["message"].startswith(f"{section}.{key}: ")
 
+    @pytest.mark.parametrize("L_x", [0, 1, 2])
+    def test_L_x_too_short_for_the_encoder_exits_2(self, tmp_path, capsys, L_x):
+        """Three encoder blocks halve L_x twice, so L_x below 3 exits 2
+        naming ``model.L_x`` before the dataset is read."""
+        config = _config(tmp_path, tmp_path / "missing.csv", L_x=L_x, label_len=0,
+                         enc_blocks=3)
+        code = cli(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config"
+        assert err["message"] == f"model.L_x: must be >= 2^1 + 1 for enc_blocks=3, got {L_x}"
+
     @pytest.mark.parametrize("section, key, value", [
         *((section, f.name, value)
           for section, cls in (("model", ModelConfig), ("train", TrainConfig))

@@ -83,7 +83,7 @@ class TestLoadCsv:
             load_csv(path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dataset": {"path": str(path)},
-                                      "model": {"L_x": 2, "label_len": 1, "L_y": 1}}))
+                                      "model": {"L_x": 3, "label_len": 1, "L_y": 1}}))
         assert cli(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "data row 3 (2021-01-01 02:00:00" in capsys.readouterr().err
 

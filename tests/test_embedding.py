@@ -114,6 +114,17 @@ class TestStampEmbedding:
         with pytest.raises(ValueError, match="weekday.*9"):
             stamp_embedding_sum(stamps, _zero_tables(4))
 
+    @pytest.mark.parametrize("stamps", [np.full((2, 5), 0.7), np.full((2, 5), np.nan),
+                                        np.zeros((2, 5)), np.zeros((2, 5), dtype=bool)],
+                             ids=["fraction", "nan", "whole float", "bool"])
+    def test_non_integer_stamps_are_rejected(self, stamps):
+        """A float or boolean stamp matrix is refused, naming its dtype,
+        instead of being truncated to some integer stamp."""
+        with pytest.raises(ValueError, match=f"^stamps must be integers, got dtype "
+                                             f"{stamps.dtype}$"):
+            validate_stamps(stamps)
+        with pytest.raises(ValueError, match="stamps must be integers"):
+            stamp_embedding_sum(stamps, _zero_tables(4))
 
     def test_first_bad_column_and_value_are_named(self):
         """The vectorised check names the first bad category in column

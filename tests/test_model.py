@@ -1,6 +1,7 @@
 """Model tests: decoder input assembly, loss, shape law, determinism, causality."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,27 @@ class TestForecaster:
             ModelConfig(L_x=8, label_len=4, L_y=4, d_x=1, d_y=1, attention="other")
         with pytest.raises(ValueError, match="^d_model: must be even"):
             ModelConfig(L_x=8, label_len=4, L_y=4, d_x=1, d_y=1, d_model=9, n_heads=3)
+
+    @pytest.mark.parametrize("L_x, enc_blocks, low", [
+        (0, 1, "1"), (-1, 3, "2^1 + 1"), (1, 2, "2^0 + 1"), (2, 3, "2^1 + 1"),
+        (4, 4, "2^2 + 1"), (2**40, 10**18, f"2^{10**18 - 2} + 1"),
+    ])
+    def test_L_x_too_short_for_the_encoder_is_named(self, L_x, enc_blocks, low):
+        """Each of the enc_blocks - 1 distill steps needs a length of at
+        least 2, so L_x must exceed 2^(enc_blocks-2); the check comes before
+        the label_len check and builds no huge power for a huge enc_blocks."""
+        with pytest.raises(ValueError, match=rf"^L_x: must be >= {re.escape(low)} for "
+                                             rf"enc_blocks={enc_blocks}, got {L_x}$"):
+            ModelConfig(L_x=L_x, label_len=0, L_y=1, d_x=1, d_y=1, d_model=8, n_heads=2,
+                        enc_blocks=enc_blocks)
+
+    @pytest.mark.parametrize("L_x, enc_blocks", [(1, 1), (2, 2), (3, 3), (5, 4)])
+    def test_shortest_L_x_for_the_encoder_runs(self, L_x, enc_blocks):
+        config = ModelConfig(L_x=L_x, label_len=0, L_y=2, d_x=1, d_y=1, d_model=8,
+                             n_heads=2, enc_blocks=enc_blocks)
+        model = Forecaster(config, np.random.default_rng(0))
+        sample = make_windows(synthetic_seasonal_frame(20, 1, seed=1), L_x, 0, 2)[0]
+        assert model.predict(sample).predictions.shape == (2, 1)
 
     def test_unknown_distill_rejected_before_any_forward(self):
         with pytest.raises(ValueError, match="^distill: must be one of"):
@@ -346,15 +368,16 @@ def _tape_nodes(root) -> int:
 
 def test_smoke_training_window_tape_stays_fused():
     """The criterion-09 model (d_model 32, 2 heads, L_x 48) records exactly
-    119 tape nodes per training window: LayerNorm, Dense and each attention
-    call, from the projections to the merged heads, are one node each, so
-    un-fusing any of them shows here."""
+    101 tape nodes per training window: LayerNorm, Dense, each attention
+    call from the projections to the merged heads, each window's stamp
+    embedding and each distill convolution with its bias are one node
+    each, so un-fusing any of them shows here."""
     config = ModelConfig(L_x=48, label_len=24, L_y=24, d_x=3, d_y=3, d_model=32,
                          n_heads=2, enc_blocks=3, dec_layers=1)
     model = Forecaster(config, np.random.default_rng(1))
     sample = make_windows(synthetic_seasonal_frame(200, 3, seed=2), 48, 24, 24)[0]
     loss = model.loss(sample, rng=np.random.default_rng(3), train=True)
-    assert _tape_nodes(loss) == 119
+    assert _tape_nodes(loss) == 101
 
 
 def test_long_horizon_training_window_memory():

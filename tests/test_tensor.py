@@ -16,12 +16,11 @@ from sparsecast.tensor import (
     conv1d_time,
     dropout,
     elu,
-    embedding_lookup,
+    embedding_sum,
     finite_diff_check,
     head_view,
     layer_norm,
     linear,
-    matmul,
     mean_,
     mul,
     no_grad,
@@ -82,6 +81,32 @@ def concat(tensors, axis=0) -> Tensor:
                 sl[axis] = slice(off, off + s)
                 _accum(node, g[tuple(sl)])
             off += s
+
+    return _make(out, nodes, bw)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product of 2-D tensors, or of stacks of them whose leading
+    axes match exactly (no broadcasting), e.g. (H, L, d) @ (H, d, m)."""
+    a, b = _coerce(a), _coerce(b)
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
+        raise ValueError("matmul expects 2-D tensors (or stacks of them with matching "
+                         f"leading axes), got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    out = a.data @ b.data
+    nodes = _inputs(a, b)
+    if nodes is None:
+        return Tensor(out)
+    na, nb = nodes
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
+
+    def bw(g):
+        if na is not None:
+            _accum(na, g @ np.swapaxes(b_data, -1, -2), fresh=True)
+        if nb is not None:
+            _accum(nb, np.swapaxes(a_data, -1, -2) @ g, fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -287,6 +312,9 @@ class TestConstantOperands:
 
     OPS = {
         "matmul": (lambda a, b: matmul(a, b), (4, 3), (3, 5)),
+        "linear": (lambda a, b: linear(a, b), (4, 3), (3, 5)),
+        "embedding_sum": (lambda a, b: embedding_sum([a, b], [[3, 0], [0, 4], [3, 4]]),
+                          (4, 3), (5, 3)),
         "mul": (mul, (4, 3), (4, 3)),
         "mul_scalar": (mul, (4, 3), ()),
         "add": (add, (4, 3), (3,)),
@@ -565,6 +593,57 @@ class TestFusedNodes:
                   rng.standard_normal(d_out) if bias else None]
         _assert_same_bits(*_fused_vs_chain(linear, _linear_chain, arrays, seed=2))
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv1d_bias_matches_conv_then_add(self, padding):
+        """``conv1d_time(..., bias)`` is bytewise ``conv1d_time(...) + bias``,
+        forward and backward."""
+        rng = np.random.default_rng(11 + padding)
+        arrays = [rng.standard_normal((9, 4)), rng.standard_normal((6, 4, 3)),
+                  rng.standard_normal(6)]
+        _assert_same_bits(*_fused_vs_chain(
+            lambda x, k, b: conv1d_time(x, k, padding, b),
+            lambda x, k, b: conv1d_time(x, k, padding) + b,
+            arrays, seed=4))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("n_tables", [1, 3, 5])
+    def test_embedding_sum_matches_lookups_then_adds(self, n_tables, dtype):
+        """``embedding_sum`` is bytewise the left-to-right sum of one row
+        gather per table, forward and backward, repeated rows included."""
+        rng = np.random.default_rng(n_tables)
+        sizes = [13, 32, 7, 24, 4][:n_tables]
+        tables = [rng.standard_normal((V, 16)) * 10.0 ** j for j, V in enumerate(sizes)]
+        idx = np.stack([rng.integers(0, V, 40) for V in sizes], axis=1).astype(dtype)
+
+        def chain(*leaves):
+            out = leaves[0][idx[:, 0]]
+            for j in range(1, n_tables):
+                out = out + leaves[j][idx[:, j]]
+            return out
+
+        got, want = _fused_vs_chain(lambda *t: embedding_sum(t, idx), chain, tables, seed=5)
+        _assert_same_bits(got, want)
+        rows = [t[idx[:, j]] for j, t in enumerate(tables)]
+        assert got[0].tobytes() == sum(rows[1:], rows[0]).tobytes()
+
+    @pytest.mark.parametrize("index, match", [
+        (np.zeros(4, dtype=int), r"must be an \(L, 3\) integer array, one column per "
+                                 r"table, got int64 of shape \(4,\)$"),
+        (np.zeros((4, 2), dtype=int), r"got int64 of shape \(4, 2\)$"),
+        (np.zeros((4, 3, 1), dtype=int), r"got int64 of shape \(4, 3, 1\)$"),
+        (np.full((4, 3), 0.7), r"got float64 of shape \(4, 3\)$"),
+        (np.zeros((4, 3), dtype=bool), r"got bool of shape \(4, 3\)$"),
+        ([[0, 0, 0], [5, 0, 0]], r"column 0 out of range \[0, 5\): min=0, max=5$"),
+        ([[0, 0, 0], [0, -1, 0]], r"column 1 out of range \[0, 2\): min=-1, max=0$"),
+        ([[0, 0, 9], [0, 2, 0]], r"column 1 out of range \[0, 2\): min=0, max=2$"),
+        ([[0, 0, 9], [0, 0, 0]], r"column 2 out of range \[0, 9\): min=0, max=9$"),
+    ], ids=["1-D", "too few columns", "3-D", "float", "bool", "col0 high", "col1 negative",
+            "first bad column", "col2 high"])
+    def test_embedding_sum_index_errors_name_the_column(self, index, match):
+        tables = [Tensor(np.zeros((V, 2)), requires_grad=True) for V in (5, 2, 9)]
+        with pytest.raises(IndexError, match=match):
+            embedding_sum(tables, index)
+
     def test_linear_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match=r"linear shape mismatch: \(3, 4\) @ \(5, 2\)"):
             linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
@@ -652,7 +731,7 @@ class TestScatterBackward:
 
     def test_embedding(self):
         idx = np.array([2, 0, 5, 2, 2, 31, 0])
-        grad, g, _ = self._grad(lambda t: embedding_lookup(t, idx),
+        grad, g, _ = self._grad(lambda t: embedding_sum([t], idx[:, None]),
                                 np.random.default_rng(0).standard_normal((32, 8)), 1)
         npt.assert_array_equal(grad, _add_at((32, 8), idx, g))
 
@@ -804,6 +883,7 @@ _SELECTED = np.array([[True, False, True, False, False, True],
 PRIMITIVES = {
     "matmul": lambda p, rng: matmul(p["a"], transpose(p["b"])),
     "conv1d": lambda p, rng: conv1d_time(p["a"], p["conv_k"], padding=1),
+    "conv1d_bias": lambda p, rng: conv1d_time(p["a"], p["conv_k"], 1, p["b"][0, :4]),
     "pool_max": lambda p, rng: pool1d(p["a"], "max", 3, 2, 1),
     "pool_avg": lambda p, rng: pool1d(p["a"], "avg", 3, 2, 1),
     "softmax": lambda p, rng: softmax_lastdim(p["a"]),
@@ -811,7 +891,11 @@ PRIMITIVES = {
         p["a"], mask=np.triu(np.ones((p["a"].shape[0], p["a"].shape[1]), bool), k=1)),
     "elu": lambda p, rng: elu(p["a"]),
     "relu": lambda p, rng: relu(p["a"]),
-    "embedding": lambda p, rng: embedding_lookup(p["a"], np.array([2, 0, 1, 2])),
+    "embedding": lambda p, rng: embedding_sum([p["a"]], np.array([[2], [0], [1], [2]])),
+    # three tables, the middle one constant, with repeated rows in each
+    "embedding_sum": lambda p, rng: embedding_sum(
+        [p["a"], Tensor(np.arange(20.0).reshape(4, 5)), p["b"]],
+        np.array([[5, 3, 0], [1, 0, 0], [5, 3, 2], [0, 1, 5], [1, 2, 0]])),
     "add": lambda p, rng: p["a"] + p["b"],
     "mul": lambda p, rng: p["a"] * p["b"],
     "mean_time": lambda p, rng: mean_(p["a"], axis=0, keepdims=True),
@@ -870,7 +954,7 @@ def test_reverse_gradient_contract(name):
 def _op_leaves(requires_grad: bool) -> dict:
     rng = np.random.default_rng(12)
     shapes = {"a": (6, 4), "b": (6, 4), "w": (4, 3), "bias": (3,), "vec": (4,),
-              "kernel": (2, 4, 3), "table": (7, 4)}
+              "kernel": (2, 4, 3), "table": (7, 4), "table2": (3, 4), "conv_bias": (2,)}
     return {name: Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
             for name, shape in shapes.items()}
 
@@ -882,8 +966,8 @@ PUBLIC_OPS = {
     "relu": lambda t: relu(t["a"]),
     "elu": lambda t: elu(t["a"]),
     "dropout": lambda t: dropout(t["a"], 0.5, np.random.default_rng(0)),
-    "matmul": lambda t: matmul(t["a"], t["w"]),
     "linear": lambda t: linear(t["a"], t["w"], t["bias"]),
+    "linear[no bias]": lambda t: linear(t["a"], t["w"]),
     "sum_": lambda t: sum_(t["a"], axis=0),
     "mean_": lambda t: mean_(t["a"]),
     "_getitem": lambda t: t["a"][1:4],
@@ -896,9 +980,13 @@ PUBLIC_OPS = {
                                                       causal=True, selected=_SELECTED),
     "layer_norm": lambda t: layer_norm(t["a"], t["vec"], t["vec"], 1e-5),
     "conv1d_time": lambda t: conv1d_time(t["a"], t["kernel"], padding=1),
+    "conv1d_time[bias]": lambda t: conv1d_time(t["a"], t["kernel"], 1, t["conv_bias"]),
     "pool1d": lambda t: pool1d(t["a"], "max", 3, 2, 1),
     "pool1d[avg]": lambda t: pool1d(t["a"], "avg", 3, 2, 1),
-    "embedding_lookup": lambda t: embedding_lookup(t["table"], np.array([6, 0, 2])),
+    "embedding_sum": lambda t: embedding_sum([t["table"]], np.array([[6], [0], [2]])),
+    "embedding_sum[k=3, one constant]": lambda t: embedding_sum(
+        [t["table"], Tensor(np.ones((2, 4))), t["table2"]],
+        np.array([[6, 1, 2], [0, 0, 2], [6, 1, 0]])),
 }
 
 
@@ -968,8 +1056,7 @@ class TestTensorBasics:
         public = {name for name, f in vars(tensor_module).items()
                   if inspect.isfunction(f) and f.__module__ == tensor_module.__name__
                   and not name.startswith("_")}
-        public -= {"no_grad", "finite_diff_check", "fnv1a64", "pack_u64", "unpack_u64",
-                   "head_view"}
+        public -= {"no_grad", "finite_diff_check", "head_view"}
         assert public | {"_getitem"} == {name.split("[")[0] for name in PUBLIC_OPS}
         for name, op in PUBLIC_OPS.items():
             out = op(_op_leaves(True))
@@ -1022,16 +1109,16 @@ class TestTensorBasics:
 
     def test_embedding_out_of_range(self):
         with pytest.raises(IndexError, match="out of range"):
-            embedding_lookup(Tensor(np.zeros((3, 2))), np.array([0, 3]))
+            embedding_sum([Tensor(np.zeros((3, 2)))], np.array([[0], [3]]))
 
 
 def _residual_stack(store: ParamStore, x: np.ndarray):
-    """relu(h @ W_i + h) over every weight in ``store``, reduced to a scalar;
+    """relu(linear(h, W_i) + h) over every weight in ``store``, reduced to a scalar;
     returns the loss and the activations it was built from."""
     h = Tensor(x)
     acts = []
     for name in store:
-        h = relu(matmul(h, store[name]) + h)
+        h = relu(linear(h, store[name]) + h)
         acts.append(h)
     return sum_(h * h), acts
 
@@ -1091,9 +1178,9 @@ class TestTapeLifetime:
         assert store["w0"].grad.shape == (2, 2)
 
     def test_tape_keeps_matmul_inputs_and_relu_masks(self):
-        """Per layer the tape keeps the matmul's input and the ReLU's boolean
-        mask: neither the matmul output nor the add output outlives the
-        forward."""
+        """Per layer the tape keeps the linear map's input and the ReLU's
+        boolean mask: neither the linear output nor the add output outlives
+        the forward."""
         store = self._store()
         x = np.random.default_rng(7).standard_normal((256, 64))
         tracemalloc.start()

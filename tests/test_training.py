@@ -3,8 +3,12 @@
 import dataclasses
 import gc
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +18,7 @@ from conftest import make_split_windows
 from sparsecast import training
 from sparsecast.attention import NaNScoreError
 from sparsecast.model import Forecaster, ModelConfig
-from sparsecast.tensor import ParamStore, fnv1a64
+from sparsecast.tensor import ParamStore
 from sparsecast.training import (
     OptimizerState,
     TrainConfig,
@@ -22,6 +26,7 @@ from sparsecast.training import (
     adam_step,
     checkpoint_bytes,
     evaluate,
+    fnv1a64,
     inspect_checkpoint,
     load_checkpoint,
     lr_schedule,
@@ -299,6 +304,39 @@ class TestTrainLoop:
             evaluate(model, [])
 
 
+# A two-step train_loop at the aiops_paper shape (d_model 128, 8 heads, 20
+# columns, L_x 96); prints the SHA-256 of the checkpoint bytes.
+_BLAS_RUN = """
+import hashlib
+import numpy as np
+from sparsecast.data import make_windows, synthetic_aiops_frame
+from sparsecast.model import Forecaster, ModelConfig
+from sparsecast.training import TrainConfig, checkpoint_bytes, train_loop
+
+windows = make_windows(synthetic_aiops_frame(200, seed=4), 96, 48, 24)
+config = ModelConfig(L_x=96, label_len=48, L_y=24, d_x=20, d_y=20, d_model=128, n_heads=8)
+model = Forecaster(config, np.random.default_rng(1))
+train_loop(model, [windows[i] for i in range(4)], [windows[10]],
+           TrainConfig(lr=1e-3, batch_size=2, epochs=1, max_steps=2, seed=1))
+print(hashlib.sha256(checkpoint_bytes(model.params)).hexdigest())
+"""
+
+
+def test_checkpoint_is_the_same_for_one_and_two_blas_threads():
+    """The same seed and data give byte-identical checkpoint bytes whether
+    OpenBLAS runs its products on one thread or two."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env, cwd=root,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1], digests
+
+
 class TestEvaluate:
     def test_exact_model_scores_perfectly(self):
         model, _, _, test_w = _tiny_trainable(seed=10)
@@ -442,7 +480,6 @@ class TestCheckpoint:
             inspect_checkpoint(path)
 
     def test_fnv1a_reference_vectors(self):
-        from sparsecast.tensor import fnv1a64
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8

@@ -62,7 +62,7 @@ _STRICT_LOWER = np.tri(_SELECT_BLOCK, k=-1, dtype=bool)
 
 
 class NaNScoreError(ValueError):
-    """A causal selection got a NaN score, as a model whose parameters are
+    """A query selection got a NaN score, as a model whose parameters are
     no longer finite gives."""
 
 
@@ -143,11 +143,15 @@ def select_top_queries(scores, c: float) -> np.ndarray:
     """Indices (ascending) of the n = c*ln(L) largest scores.
 
     Ties are broken toward the lower index.  An (H, L) array of per-head
-    scores gives an (H, n) array, one row of indices per head.
+    scores gives an (H, n) array, one row of indices per head.  A NaN score
+    raises ``NaNScoreError`` naming its head and row.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         s = s.reshape(-1)
+    if np.isnan(s).any():
+        head, row = np.argwhere(np.isnan(np.atleast_2d(s)))[0]
+        raise NaNScoreError(f"selection got a NaN score at head {head}, row {row}")
     n = top_n_count(s.shape[-1], c)
     order = np.argsort(-s, axis=-1, kind="stable")
     return np.sort(order[..., :n], axis=-1)

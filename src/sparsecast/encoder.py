@@ -36,18 +36,19 @@ def conv_elu_feature(x: Tensor, params: DistillParams) -> Tensor:
 
 
 def distill_step(x: Tensor, params: DistillParams, kind: str = "parallel_pool") -> Tensor:
-    """Halve the sequence length of one attention block's output.
+    """Halve the sequence length of one attention block's output, L to
+    ceil(L/2), through ``pool1d``'s width-3, stride-2 pools.
 
     ``kind`` is one of ``model.DISTILL_CHOICES``, checked by ``ModelConfig``.
     """
     if x.shape[0] < 2:
         raise ValueError("cannot distill length-1 sequence")
     features = conv_elu_feature(x, params)
-    pooled_max = pool1d(features, "max", kernel=3, stride=2, padding=1)
+    pooled_max = pool1d(features, "max")
     if kind == "maxpool_only":
         return pooled_max
-    pooled_avg = pool1d(features, "avg", kernel=3, stride=2, padding=1)
-    downsampled = pool1d(x, "avg", kernel=3, stride=2, padding=1)
+    pooled_avg = pool1d(features, "avg")
+    downsampled = pool1d(x, "avg")
     return pooled_max + params.gamma * pooled_avg + downsampled
 
 

@@ -33,7 +33,6 @@ belong to a single training loop at a time.
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import lru_cache
 
 import numpy as np
 
@@ -715,69 +714,52 @@ def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
     return _make(out, nodes, bw)
 
 
-@lru_cache(maxsize=64)
-def _pool_plan(L: int, kernel: int, stride: int, padding: int):
-    """Read-only index plan shared by every ``pool1d`` call of one shape.
+def pool1d(x, kind: str) -> Tensor:
+    """Centred width-3, stride-2 max or average pool along the time axis:
+    (L, C) to (ceil(L/2), C), window i reading input rows 2i-1..2i+1.
 
-    ``mask`` (l_out, kernel, 1) marks the in-range taps of each window,
-    ``safe`` (l_out, kernel) is each tap's input row clipped into range and
-    ``counts`` the in-range taps per window; ``tap_window``/``tap_row``
-    list the window and input row of every in-range tap, row-major.
-    """
-    l_out = (L + 2 * padding - kernel) // stride + 1
-    if l_out < 1:
-        raise ValueError("sequence too short to pool")
-    idx = -padding + stride * np.arange(l_out)[:, None] + np.arange(kernel)[None, :]
-    valid = (idx >= 0) & (idx < L)
-    if not valid.any(axis=1).all():
-        raise ValueError("pooling window contains no in-range elements")
-    safe = np.clip(idx, 0, L - 1)
-    tap_window, tap_col = np.nonzero(valid)
-    plan = (valid[:, :, None], safe, valid.sum(axis=1), tap_window, safe[tap_window, tap_col])
-    for a in plan:
-        a.setflags(write=False)
-    return plan
-
-
-def pool1d(x, kind: str, kernel: int, stride: int, padding: int) -> Tensor:
-    """Per-channel max or average pooling along the time axis.
-
-    Average pooling divides by the number of in-range elements in each
-    window, so padding never dilutes the result.  The tape keeps the
-    argmax of each max window and nothing for an average.
+    The three taps are strided views ``xp[j:j+2n:2]`` of one padded copy.
+    Max pads with -inf and tapes which tap won, ties to the earliest as
+    ``argmax`` does.  Average pads with zeros, sums from +0.0 as ``np.sum``
+    does and divides by the in-range count: 3, or 2 at the first window
+    and, for odd L, the last.
     """
     x = _coerce(x)
     if kind not in ("max", "avg"):
         raise ValueError(f"unknown pooling kind: {kind!r}")
-    if kernel < 1 or stride < 1:
-        raise ValueError("kernel and stride must be >= 1")
     L, C = x.data.shape
-    mask, safe, counts, tap_window, tap_row = _pool_plan(L, kernel, stride, padding)
-    win = x.data[safe]  # (l_out, kernel, C)
+    if L < 1:
+        raise ValueError("sequence too short to pool")
+    n = (L + 1) // 2
+    xp = np.full((2 * n + 1, C), -np.inf if kind == "max" else 0.0)
+    xp[1 : L + 1] = x.data
+    t0, t1, t2 = [xp[j : j + 2 * n : 2] for j in range(3)]
     if kind == "max":
-        masked = np.where(mask, win, -np.inf)
-        out = masked.max(axis=1)
+        out = np.maximum(t0, t1)
+        np.maximum(out, t2, out=out)
     else:
-        out = (win * mask).sum(axis=1) / counts[:, None]
+        counts = np.full((n, 1), 3.0)
+        counts[0, 0] -= 1.0
+        counts[-1, 0] -= L % 2
+        out = 0.0 + t0
+        out += t1
+        out += t2
+        out /= counts
     nodes = _inputs(x)
     if nodes is None:
         return Tensor(out)
     nx, = nodes
-
     if kind == "max":
-        arg = masked.argmax(axis=1)  # (l_out, C)
+        first = t0 == out
+        second = (t1 == out) & ~first
+        wins = (first, second, ~(first | second))
 
-        def bw(g):
-            flat = np.take_along_axis(safe, arg, axis=1) * C + np.arange(C)
-            _accum(nx, np.bincount(flat.ravel(), weights=g.ravel(),
-                                   minlength=L * C).reshape(L, C), fresh=True)
-
-    else:
-        def bw(g):
-            flat = tap_row[:, None] * C + np.arange(C)
-            share = (g / counts[:, None])[tap_window]
-            _accum(nx, np.bincount(flat.ravel(), weights=share.ravel(),
-                                   minlength=L * C).reshape(L, C), fresh=True)
+    def bw(g):
+        shares = [np.where(w, g, 0.0) for w in wins] if kind == "max" else [g / counts] * 3
+        gp = np.zeros((2 * n + 1, C))
+        for j, share in enumerate(shares):
+            gp[j : j + 2 * n : 2] += share
+        _accum(nx, gp[1 : L + 1], fresh=True)
 
     return _make(out, nodes, bw)
 

@@ -65,13 +65,20 @@ class OptimizerState:
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, batch: int, lr: float):
-        super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}, lr {lr:.3e}"
-        )
+    """Training met a non-finite value.  ``reason`` is ``loss`` (a step's
+    loss), ``selection`` (a NaN score in a step, before its loss) or
+    ``validation`` (a NaN score in the validation after ``batch`` batches)."""
+
+    def __init__(self, epoch: int, batch: int, lr: float, reason: str = "loss"):
+        where = {"loss": f"non-finite loss at epoch {epoch}, batch {batch}",
+                 "selection": f"NaN selection score at epoch {epoch}, batch {batch}",
+                 "validation": f"NaN selection score in the validation of epoch {epoch} "
+                               f"after {batch} batches"}[reason]
+        super().__init__(f"{where}, lr {lr:.3e}")
         self.epoch = epoch
         self.batch = batch
         self.lr = lr
+        self.reason = reason
 
 
 def lr_schedule(config: TrainConfig, epoch: int) -> float:
@@ -222,7 +229,7 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
     Gradients are averaged over each batch; the checkpoint with the best
     validation MSE is retained.  ``max_steps`` truncates the run (the
     final partial epoch is still validated and recorded).  A non-finite
-    loss, or a NaN score in a step's or a validation's causal selection,
+    loss, or a NaN score in a step's or a validation's query selection,
     raises ``TrainingDiverged``.
     """
     if not train_samples:
@@ -247,7 +254,7 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
                 try:
                     loss_value = _train_step(model, batch, rng, state, lr, config)
                 except NaNScoreError as exc:  # only non-finite parameters give a NaN score
-                    raise TrainingDiverged(epoch, n_batches, lr) from exc
+                    raise TrainingDiverged(epoch, n_batches, lr, "selection") from exc
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(epoch, n_batches, lr)
             epoch_loss += loss_value
@@ -259,7 +266,7 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
         try:
             val = evaluate(model, val_samples) if val_samples else None
         except NaNScoreError as exc:
-            raise TrainingDiverged(epoch, n_batches, lr) from exc
+            raise TrainingDiverged(epoch, n_batches, lr, "validation") from exc
         record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_batches, 1),
                   "steps": steps}
         if val is not None:

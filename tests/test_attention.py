@@ -193,12 +193,11 @@ class TestSelection:
 
     def test_per_head_rows_match_lexsort_oracle(self):
         """An (H, L) score array selects each head's rows exactly as a full
-        lexicographic sort of that head's scores does, ties and NaN included."""
+        lexicographic sort of that head's scores does, ties and -inf included."""
         rng = np.random.default_rng(31)
         for _ in range(200):
             L = int(rng.integers(1, 120))
             scores = np.round(rng.standard_normal((3, L)) * 2)
-            scores[rng.random((3, L)) < 0.1] = np.nan
             scores[rng.random((3, L)) < 0.1] = -np.inf
             got = select_top_queries(scores, 2.0)
             n = top_n_count(L, 2.0)
@@ -206,6 +205,16 @@ class TestSelection:
                 want = np.sort(np.lexsort((np.arange(L), -scores[h]))[:n])
                 npt.assert_array_equal(got[h], want)
                 npt.assert_array_equal(select_top_queries(scores[h], 2.0), want)
+
+    @pytest.mark.parametrize("scores, where", [
+        ([1.0, np.nan, 2.0, 0.5], "head 0, row 1"),
+        ([np.nan, np.nan], "head 0, row 0"),
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, np.nan]], "head 1, row 2"),
+    ])
+    def test_nan_score_names_head_and_row(self, scores, where):
+        with pytest.raises(attention.NaNScoreError,
+                           match=f"^selection got a NaN score at {where}$"):
+            select_top_queries(np.array(scores), 1)
 
     def test_causal_selection_always_keeps_row_zero(self):
         rng = np.random.default_rng(9)

@@ -279,7 +279,8 @@ class TestCli:
     def test_huge_lr_exits_1_with_training_diverged(self, tmp_path, capsys):
         """A finite but huge lr passes the config checks; the first Adam step
         makes the parameters non-finite, and the run exits 1 naming the
-        divergence, not the NaN score the decoder's selection meets."""
+        divergence in the second step's query selection, not the NaN score
+        itself."""
         config = _config(tmp_path, _aiops_csv(tmp_path, length=300))
         raw = json.loads(config.read_text())
         raw["train"]["lr"] = 1e300
@@ -289,7 +290,7 @@ class TestCli:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip()) == {
             "error": "TrainingDiverged",
-            "message": "non-finite loss at epoch 0, batch 1, lr 1.000e+300"}
+            "message": "NaN selection score at epoch 0, batch 1, lr 1.000e+300"}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("schema, target", [

@@ -251,9 +251,10 @@ class TestTrainLoop:
     @pytest.mark.parametrize("max_steps, where", [(4, "step"), (1, "validation")])
     def test_nan_selection_score_is_divergence(self, max_steps, where):
         """A huge lr makes the parameters non-finite after the first step, so
-        the decoder's causal selection meets a NaN score: in the next step,
+        the encoder's query selection meets a NaN score: in the next step,
         or with one step, in the validation after it.  Either way the run
-        stops with ``TrainingDiverged``, chained from the selection's error."""
+        stops with ``TrainingDiverged``, chained from the selection's error,
+        whose ``reason`` says which of the two it was."""
         model, train_w, val_w, _ = _tiny_trainable(seed=8)
         steps = []
         original = training._train_step
@@ -268,9 +269,21 @@ class TestTrainLoop:
             with pytest.raises(TrainingDiverged) as raised:
                 train_loop(model, train_w[:8], val_w[:2], cfg)
         assert isinstance(raised.value.__cause__, NaNScoreError)
-        assert str(raised.value.__cause__).startswith("causal selection got a NaN score")
+        assert str(raised.value.__cause__) == "selection got a NaN score at head 0, row 0"
         assert (raised.value.epoch, raised.value.batch, raised.value.lr) == (0, 1, 1e300)
+        assert raised.value.reason == ("selection" if where == "step" else "validation")
         assert len(steps) == (2 if where == "step" else 1)
+
+    def test_divergence_message_names_its_reason(self):
+        messages = {
+            "loss": "non-finite loss at epoch 2, batch 3, lr 1.000e-04",
+            "selection": "NaN selection score at epoch 2, batch 3, lr 1.000e-04",
+            "validation": "NaN selection score in the validation of epoch 2 after 3 batches, "
+                          "lr 1.000e-04",
+        }
+        for reason, message in messages.items():
+            diverged = TrainingDiverged(2, 3, 1e-4, reason)
+            assert (str(diverged), diverged.reason) == (message, reason)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_gc_state_restored(self, enabled, monkeypatch):

@@ -1,5 +1,7 @@
-"""Walkthrough of the three attention kernels.
+"""Walkthrough of the attention kinds on one head.
 
+``attend`` attends the top-ranked query rows of a ranking you give it;
+``attend_kind`` builds the ranking of one of the six kinds itself.
 Shows, on one random instance:
   * that the sparse kernels reproduce dense attention exactly on their
     selected query rows,
@@ -16,13 +18,11 @@ import numpy as np
 from sparsecast import (
     ScoreBudget,
     Tensor,
+    attend,
+    attend_kind,
     bench_attention,
-    canonical_attention,
     counting,
     importance_scores,
-    masked_neural_sparse_attention,
-    neural_sparse_attention,
-    prob_sparse_attention,
     select_top_queries,
     top_n_count,
 )
@@ -41,8 +41,8 @@ selected = select_top_queries(scores, c)
 print("selected query rows:", selected)
 
 with counting(ScoreBudget()) as budget:
-    sparse_out = neural_sparse_attention(q, k, v, c, scores).data
-dense_out = canonical_attention(q, k, v).data
+    sparse_out = attend(q, k, v, 1, np.reshape(scores, (1, -1)), c=c).data
+dense_out = attend(q, k, v, 1).data
 
 err = np.abs(sparse_out[selected] - dense_out[selected]).max()
 lazy = np.setdiff1d(np.arange(L), selected)
@@ -54,15 +54,15 @@ print(f"dot products materialized: {budget.dot_products_materialized} "
 
 # causal variant: selection and fill only ever look backwards
 cscores = importance_scores(q, k, kernel, causal=True)[:, 0]
-masked_out = masked_neural_sparse_attention(q, k, v, c, cscores).data
+masked_out = attend(q, k, v, 1, np.reshape(cscores, (1, -1)), c=c, causal=True).data
 v2 = v.copy()
 v2[-1] += 100.0  # a huge change at the last position...
-masked_out2 = masked_neural_sparse_attention(q, k, v2, c, cscores).data
+masked_out2 = attend(q, k, v2, 1, np.reshape(cscores, (1, -1)), c=c, causal=True).data
 print("causal kernel: perturbing the last position changes earlier rows by",
       np.abs(masked_out2[:-1] - masked_out[:-1]).max())
 
 # sampled-score baseline
-prob_out = prob_sparse_attention(q, k, v, c, np.random.default_rng(1)).data
+prob_out = attend_kind("prob_sparse", q, k, v, 1, c, rng=np.random.default_rng(1)).data
 agree = np.abs(prob_out - dense_out).max(axis=1) < 1e-10
 print(f"sampled-score baseline: {agree.sum()} rows exact, "
       f"{L - agree.sum()} rows mean-filled\n")

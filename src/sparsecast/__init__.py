@@ -4,12 +4,10 @@ learned sparse attention, built on a small float64 autodiff tensor core."""
 from .attention import (
     AttentionConfig,
     ScoreBudget,
-    canonical_attention,
+    attend,
+    attend_kind,
     counting,
     importance_scores,
-    masked_neural_sparse_attention,
-    neural_sparse_attention,
-    prob_sparse_attention,
     select_top_queries,
     top_n_count,
 )

@@ -46,12 +46,13 @@ from .tensor import (
     no_grad,
 )
 
+# The order is fixed: a kind's index seeds its cells in ``bench``.
 KINDS = (
     "canonical",
-    "masked_canonical",
-    "neural_sparse",
-    "masked_neural_sparse",
     "prob_sparse",
+    "neural_sparse",
+    "masked_canonical",
+    "masked_neural_sparse",
     "masked_prob_sparse",
 )
 
@@ -278,7 +279,7 @@ def sampled_sparsity(q: Tensor, k: Tensor, n_heads: int, c: float,
     that see no sampled key rank lowest.
     """
     budget = _ACTIVE.get()
-    q_heads, k_heads = head_view(q.data, n_heads), head_view(k.data, n_heads)
+    q_heads, k_heads = (head_view(_coerce(x).data, n_heads) for x in (q, k))
     H, L, d = q_heads.shape
     if k_heads.shape[1] != L:
         raise ValueError("prob_sparse attention is self-attention only (L_Q must equal L_K)")
@@ -337,56 +338,6 @@ def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
             raise ValueError("prob_sparse attention requires an rng")
         ranking = sampled_sparsity(q_full, k_full, n_heads, c, rng, causal)
     return attend(q_full, k_full, v_full, n_heads, ranking, c=c, causal=causal)
-
-
-def canonical_attention(q, k, v, masked: bool = False) -> Tensor:
-    """Dense attention: softmax(Q K^T / sqrt(d)) V.
-
-    ``masked`` forbids each query the keys after its own position, which
-    needs L_Q == L_K.
-    """
-    return attend(_coerce(q), _coerce(k), _coerce(v), 1, causal=masked)
-
-
-def neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
-    """Sparse self-attention ranked by precomputed importance scores.
-
-    The top-n rows get exact dense attention over all keys; lazy rows are
-    filled with the column mean of V.  ``scores`` is this head's
-    importance column of length L.
-    """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    if q.shape[0] != k.shape[0]:
-        raise ValueError("neural_sparse attention is self-attention only (L_Q must equal L_K)")
-    ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
-    return attend(q, k, v, 1, ranking, c=c)
-
-
-def masked_neural_sparse_attention(q, k, v, c: float, scores) -> Tensor:
-    """Causal sparse self-attention: selected rows attend to keys at or
-    before them; lazy row i is the inclusive prefix sum of V rows 0..i.
-
-    ``scores`` must come from a causal ranking signal (see
-    ``importance_scores(..., causal=True)``) for the output to be exactly
-    independent of later inputs.
-    """
-    ranking = np.asarray(scores, dtype=np.float64).reshape(1, -1)
-    return attend(_coerce(q), _coerce(k), _coerce(v), 1, ranking, c=c, causal=True)
-
-
-def prob_sparse_attention(q, k, v, c: float, rng: np.random.Generator,
-                          masked: bool = False) -> Tensor:
-    """Sparse self-attention ranked by a sampled sparsity statistic.
-
-    u = c*ln(L) keys are sampled uniformly without replacement; each
-    query's statistic is max - mean of its scaled dot products with the
-    sample.  In masked mode the statistic for row i uses only sampled
-    keys at or before i (rows that see no sampled key rank lowest) and
-    selection is causal.
-    """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    ranking = sampled_sparsity(q, k, 1, c, rng, masked)
-    return attend(q, k, v, 1, ranking, c=c, causal=masked)
 
 
 class MultiHeadAttention:

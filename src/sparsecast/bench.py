@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import ScoreBudget, attend_kind, counting
+from .attention import KINDS, ScoreBudget, attend_kind, counting
 from .layers import uniform_init
 from .tensor import Tensor, no_grad
 
-# The default sweep; the masked (decoder) kernels are appended after it so
-# that each kernel's index, and with it every cell's seed, stays fixed.
-BENCH_KERNELS = ("canonical", "prob_sparse", "neural_sparse")
-ALL_BENCH_KERNELS = BENCH_KERNELS + ("masked_canonical", "masked_neural_sparse",
-                                     "masked_prob_sparse")
+# The default sweep is the unmasked kinds; a kernel's index in ``KINDS``
+# seeds its cells, so the masked (decoder) kinds stay after them.
+BENCH_KERNELS = KINDS[:3]
 CSV_HEADER = ["kernel", "batch", "seq_len", "heads", "dims", "median_ns",
               "dot_products", "peak_bytes", "t1_ns", "t2_ns", "t3_ns"]
 DEFAULT_BATCHES = (1, 4, 16, 32, 64)
@@ -78,8 +76,8 @@ def check_bench_args(batches, seq_lens, kernels, heads: int, dims: int, repeats:
     for name, values in (("batches", batches), ("seq_lens", seq_lens)):
         if not values or min(values) < 1:
             raise ValueError(f"{name}: must list integers >= 1, got {list(values)}")
-    if not kernels or not set(kernels) <= set(ALL_BENCH_KERNELS):
-        raise ValueError(f"kernels: must list kernels among {list(ALL_BENCH_KERNELS)}, "
+    if not kernels or not set(kernels) <= set(KINDS):
+        raise ValueError(f"kernels: must list kernels among {list(KINDS)}, "
                          f"got {list(kernels)}")
     for name, value, low in (("heads", heads, 1), ("dims", dims, 1), ("repeats", repeats, 1),
                              ("warmup", warmup, 0), ("c", c, 1), ("seed", seed, 0)):
@@ -104,7 +102,7 @@ def bench_attention(batches=DEFAULT_BATCHES, seq_lens=DEFAULT_SEQ_LENS,
             for batch in batches:
                 for L in seq_lens:
                     cell_seed = np.random.SeedSequence(
-                        [seed, ALL_BENCH_KERNELS.index(kernel), batch, L]
+                        [seed, KINDS.index(kernel), batch, L]
                     ).generate_state(1)[0]
                     rng = np.random.default_rng(cell_seed)
                     try:

@@ -212,6 +212,8 @@ def load_csv(path, schema: str = "generic", target: str | None = None) -> TimeSe
     ``aiops`` expects 20 numeric columns with a ``RESP-TIME`` target and
     5-minute sampling; ``generic`` accepts anything (target defaults to
     the last column).  A ``target`` other than the schema's own is an error.
+    Every schema needs at least one value column, each named once; header
+    column 1 is the timestamp.
 
     An ASCII file of plain numbers and ``YYYY-MM-DD HH:MM:SS`` timestamps is
     parsed in one numpy pass; any other file, and every file with a fault,
@@ -224,6 +226,12 @@ def load_csv(path, schema: str = "generic", target: str | None = None) -> TimeSe
     with open(path, "rb") as fp:
         parsed = _read_fast(fp.read())
     columns, timestamps, values = parsed if parsed is not None else _read_rows(path)
+    if not columns:
+        raise DataError("CSV has no value columns")
+    for i, name in enumerate(columns):
+        if name in columns[:i]:
+            raise DataError(f"CSV header repeats value column {name!r} "
+                            f"(header columns {columns.index(name) + 2} and {i + 2})")
 
     if schema == "aiops":
         if len(columns) != 20:
@@ -507,15 +515,16 @@ def metrics(y, y_hat) -> MetricResult:
     """CORR / MSE / MAE between truth and prediction.
 
     Multivariate inputs score correlation per output dimension and
-    average; MSE and MAE run over every entry.  A zero-variance series
-    reports correlation 0 with a flag instead of failing.
+    average; MSE and MAE run over every entry.  A zero-variance series,
+    as every one-row block is, reports correlation 0 with a flag instead
+    of failing.
     """
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise DataError(f"shape mismatch: truth {y.shape} vs prediction {y_hat.shape}")
-    if y.shape[0] < 2:
-        raise DataError("metrics need at least two rows")
+    if y.ndim == 0 or y.size == 0:
+        raise DataError("metrics need at least one row")
     y2 = y.reshape(y.shape[0], -1)
     p2 = y_hat.reshape(y.shape[0], -1)
     corrs, flags = [], []

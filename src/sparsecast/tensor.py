@@ -97,21 +97,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
         """Zero the gradient buffer in place, allocating it only if missing."""
@@ -167,26 +156,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(_coerce(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(_coerce(other), mul(self, -1.0))
-
-    def __truediv__(self, other):
-        return mul(self, 1.0 / float(other))
-
     def __getitem__(self, key):
         return _getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
 
 
 def _coerce(x) -> Tensor:
@@ -827,9 +801,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __len__(self) -> int:
         return len(self._params)

@@ -15,10 +15,9 @@ from sparsecast.ablation import VARIANTS, run_ablation
 from sparsecast.attention import (
     AttentionConfig,
     MultiHeadAttention,
+    attend,
+    attend_kind,
     importance_scores,
-    masked_neural_sparse_attention,
-    neural_sparse_attention,
-    prob_sparse_attention,
     select_top_queries,
     select_top_queries_causal,
     top_n_count,
@@ -76,7 +75,7 @@ def test_c01_sparse_dense_oracle():
         kernel = Tensor(rng.standard_normal((1, d, 3)))
 
         scores = importance_scores(q, k, kernel)[:, 0]
-        out = neural_sparse_attention(q, k, v, c, scores).data
+        out = attend(q, k, v, 1, np.reshape(scores, (1, -1)), c=c).data
         sel = select_top_queries(scores, c)
         lazy = np.setdiff1d(np.arange(L), sel)
         oracle = dense_attention(q, k, v)
@@ -85,7 +84,7 @@ def test_c01_sparse_dense_oracle():
             assert np.array_equal(out[lazy], np.tile(v.mean(axis=0), (lazy.size, 1)))
 
         cscores = importance_scores(q, k, kernel, causal=True)[:, 0]
-        mout = masked_neural_sparse_attention(q, k, v, c, cscores).data
+        mout = attend(q, k, v, 1, np.reshape(cscores, (1, -1)), c=c, causal=True).data
         msel = select_top_queries_causal(cscores, c)
         mlazy = np.setdiff1d(np.arange(L), msel)
         causal_oracle = dense_attention(q, k, v, causal=True)
@@ -105,11 +104,11 @@ def test_c02_causality():
 
     def run_neural(q_, k_, v_):
         cs = importance_scores(q_, k_, kernel, causal=True)[:, 0]
-        return masked_neural_sparse_attention(q_, k_, v_, c, cs).data
+        return attend(q_, k_, v_, 1, np.reshape(cs, (1, -1)), c=c, causal=True).data
 
     def run_prob(q_, k_, v_):
-        return prob_sparse_attention(q_, k_, v_, c, np.random.default_rng(13),
-                                     masked=True).data
+        return attend_kind("masked_prob_sparse", q_, k_, v_, 1, c,
+                           rng=np.random.default_rng(13)).data
 
     for run in (run_neural, run_prob):
         base = run(q, k, v)

@@ -17,13 +17,11 @@ from sparsecast.attention import (
     AttentionConfig,
     MultiHeadAttention,
     ScoreBudget,
-    canonical_attention,
+    attend,
+    attend_kind,
     counting,
     importance_scores,
-    masked_neural_sparse_attention,
-    neural_sparse_attention,
     prefix_top_counts,
-    prob_sparse_attention,
     select_top_queries,
     select_top_queries_causal,
     top_n_count,
@@ -43,7 +41,7 @@ class TestCanonical:
         q = rng.standard_normal((5, 4))
         k = np.tile(rng.standard_normal(4), (6, 1))
         v = rng.standard_normal((6, 4))
-        out = canonical_attention(q, k, v).data
+        out = attend(q, k, v, 1).data
         npt.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-12)
 
     def test_single_key(self):
@@ -51,7 +49,7 @@ class TestCanonical:
         q = rng.standard_normal((4, 3))
         k = rng.standard_normal((1, 3))
         v = rng.standard_normal((1, 3))
-        out = canonical_attention(q, k, v).data
+        out = attend(q, k, v, 1).data
         npt.assert_allclose(out, np.tile(v[0], (4, 1)), atol=1e-15)
 
     def test_strong_alignment_picks_value(self):
@@ -59,18 +57,18 @@ class TestCanonical:
         k = np.eye(4)
         v = rng.standard_normal((4, 4))
         q = 50.0 * k[2:3]
-        out = canonical_attention(q, k, v).data
+        out = attend(q, k, v, 1).data
         npt.assert_allclose(out[0], v[2], atol=1e-6)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
-            canonical_attention(np.zeros((3, 4)), np.zeros((3, 5)), np.zeros((3, 5)))
+            attend(np.zeros((3, 4)), np.zeros((3, 5)), np.zeros((3, 5)), 1)
 
     def test_budget_counts_full_grid(self):
         rng = np.random.default_rng(3)
         with counting(ScoreBudget()) as budget:
-            canonical_attention(rng.standard_normal((7, 4)), rng.standard_normal((9, 4)),
-                                rng.standard_normal((9, 4)))
+            attend(rng.standard_normal((7, 4)), rng.standard_normal((9, 4)),
+                   rng.standard_normal((9, 4)), 1)
         assert budget.dot_products_materialized == 7 * 9
 
 
@@ -78,23 +76,23 @@ class TestCounting:
     def test_record_inactive_after_exit(self):
         x = np.ones((3, 2))
         with counting(ScoreBudget()) as budget:
-            canonical_attention(x, x, x)
-        canonical_attention(x, x, x)
+            attend(x, x, x, 1)
+        attend(x, x, x, 1)
         assert budget.dot_products_materialized == 9
         with pytest.raises(RuntimeError, match="inside"):
             with counting(ScoreBudget()) as failed:
                 raise RuntimeError("inside")
-        canonical_attention(x, x, x)
+        attend(x, x, x, 1)
         assert failed.dot_products_materialized == 0
         assert attention._ACTIVE.get() is None
 
     def test_nested_block_restores_outer_record(self):
         x3, x4 = np.ones((3, 2)), np.ones((4, 2))
         with counting(ScoreBudget()) as outer:
-            canonical_attention(x3, x3, x3)
+            attend(x3, x3, x3, 1)
             with counting(ScoreBudget()) as inner:
-                canonical_attention(x4, x4, x4)
-            canonical_attention(x3, x3, x3)
+                attend(x4, x4, x4, 1)
+            attend(x3, x3, x3, 1)
         assert (outer.dot_products_materialized, inner.dot_products_materialized) == (18, 16)
 
     def test_threads_count_into_their_own_records(self):
@@ -109,7 +107,7 @@ class TestCounting:
             barrier.wait()
             with counting(ScoreBudget()) as budget:
                 for _ in range(calls):
-                    canonical_attention(x, x, x)
+                    attend(x, x, x, 1)
             counted[i] = budget.dot_products_materialized
 
         interval = sys.getswitchinterval()
@@ -298,21 +296,21 @@ class TestNeuralSparse:
     def test_degenerates_to_dense_bitwise(self):
         rng = np.random.default_rng(11)
         q, k, v, scores, _ = _scored_instance(rng, 12, 4)
-        sparse = neural_sparse_attention(q, k, v, 1000.0, scores).data
-        dense = canonical_attention(q, k, v).data
+        sparse = attend(q, k, v, 1, np.reshape(scores, (1, -1)), c=1000.0).data
+        dense = attend(q, k, v, 1).data
         assert np.array_equal(sparse, dense)
 
     def test_constant_value_rows(self):
         rng = np.random.default_rng(12)
         q, k, _, scores, _ = _scored_instance(rng, 10, 4)
         v = np.tile([1.0, -2.0, 0.5, 3.0], (10, 1))
-        out = neural_sparse_attention(q, k, v, 2.0, scores).data
+        out = attend(q, k, v, 1, np.reshape(scores, (1, -1)), c=2.0).data
         npt.assert_allclose(out, v, atol=1e-12)
 
     def test_selected_match_oracle_lazy_equal_mean(self):
         rng = np.random.default_rng(13)
         q, k, v, scores, _ = _scored_instance(rng, 16, 4)
-        out = neural_sparse_attention(q, k, v, 2.0, scores).data
+        out = attend(q, k, v, 1, np.reshape(scores, (1, -1)), c=2.0).data
         sel = select_top_queries(scores, 2.0)
         lazy = np.setdiff1d(np.arange(16), sel)
         assert lazy.size > 0
@@ -324,7 +322,7 @@ class TestNeuralSparse:
         rng = np.random.default_rng(14)
         q, k, v, scores, _ = _scored_instance(rng, 20, 4)
         with counting(ScoreBudget()) as budget:
-            neural_sparse_attention(q, k, v, 2.0, scores)
+            attend(q, k, v, 1, np.reshape(scores, (1, -1)), c=2.0)
         n = top_n_count(20, 2.0)
         assert budget.dot_products_materialized == n * 20
         assert budget.rows_selected == n
@@ -334,7 +332,7 @@ class TestMaskedNeuralSparse:
     def test_row_zero_returns_first_value(self):
         rng = np.random.default_rng(15)
         q, k, v, _, cscores = _scored_instance(rng, 8, 4)
-        out = masked_neural_sparse_attention(q, k, v, 2.0, cscores).data
+        out = attend(q, k, v, 1, np.reshape(cscores, (1, -1)), c=2.0, causal=True).data
         npt.assert_allclose(out[0], v[0], atol=1e-15)
 
     def test_lazy_rows_are_cumulative_sums(self):
@@ -342,7 +340,7 @@ class TestMaskedNeuralSparse:
         v = np.array([[1.0], [2.0], [3.0]])
         q = k = np.zeros((3, 1))
         scores = np.array([3.0, 2.0, 1.0])
-        out = masked_neural_sparse_attention(q, k, v, 1.0, scores).data
+        out = attend(q, k, v, 1, np.reshape(scores, (1, -1)), c=1.0, causal=True).data
         sel = select_top_queries_causal(scores, 1.0)
         npt.assert_array_equal(sel, [0])  # rows 1 and 2 are lazy
         npt.assert_array_equal(out, [[1.0], [3.0], [6.0]])
@@ -350,7 +348,7 @@ class TestMaskedNeuralSparse:
     def test_selected_match_causal_oracle(self):
         rng = np.random.default_rng(16)
         q, k, v, _, cscores = _scored_instance(rng, 12, 4)
-        out = masked_neural_sparse_attention(q, k, v, 2.0, cscores).data
+        out = attend(q, k, v, 1, np.reshape(cscores, (1, -1)), c=2.0, causal=True).data
         sel = select_top_queries_causal(cscores, 2.0)
         lazy = np.setdiff1d(np.arange(12), sel)
         oracle = dense_attention(q, k, v, causal=True)
@@ -365,7 +363,7 @@ class TestMaskedNeuralSparse:
 
         def run(q_, k_, v_):
             cs = importance_scores(q_, k_, kernel, causal=True)[:, 0]
-            return masked_neural_sparse_attention(q_, k_, v_, 2.0, cs).data
+            return attend(q_, k_, v_, 1, np.reshape(cs, (1, -1)), c=2.0, causal=True).data
 
         base = run(q, k, v)
         t = 4
@@ -382,15 +380,15 @@ class TestProbSparse:
     def test_degenerates_to_dense(self):
         rng = np.random.default_rng(18)
         q, k, v = rng.standard_normal((3, 12, 4))
-        out = prob_sparse_attention(q, k, v, 1000.0, np.random.default_rng(0)).data
-        assert np.array_equal(out, canonical_attention(q, k, v).data)
+        out = attend_kind("prob_sparse", q, k, v, 1, 1000.0, rng=np.random.default_rng(0)).data
+        assert np.array_equal(out, attend(q, k, v, 1).data)
 
     def test_masked_degenerates_to_causal_dense(self):
         rng = np.random.default_rng(19)
         q, k, v = rng.standard_normal((3, 12, 4))
-        out = prob_sparse_attention(q, k, v, 1000.0, np.random.default_rng(0),
-                                    masked=True).data
-        dense = canonical_attention(q, k, v, masked=True).data
+        out = attend_kind("masked_prob_sparse", q, k, v, 1, 1000.0,
+                          rng=np.random.default_rng(0)).data
+        dense = attend(q, k, v, 1, causal=True).data
         assert np.array_equal(out, dense)
 
     def test_identical_queries_tie_break_lowest(self):
@@ -398,14 +396,14 @@ class TestProbSparse:
         k, v = rng.standard_normal((2, 16, 4))
         q = np.tile(rng.standard_normal(4), (16, 1))
         with counting(ScoreBudget()) as budget:
-            prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(1))
+            attend_kind("prob_sparse", q, k, v, 1, 2.0, rng=np.random.default_rng(1))
         n = top_n_count(16, 2.0)
         assert budget.rows_selected == n  # ties resolved, exactly n rows
 
     def test_selected_rows_match_oracle(self):
         rng = np.random.default_rng(21)
         q, k, v = rng.standard_normal((3, 16, 4))
-        out = prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(7)).data
+        out = attend_kind("prob_sparse", q, k, v, 1, 2.0, rng=np.random.default_rng(7)).data
         oracle = dense_attention(q, k, v)
         lazy_fill = v.mean(axis=0)
         n = top_n_count(16, 2.0)
@@ -418,7 +416,7 @@ class TestProbSparse:
         rng = np.random.default_rng(22)
         q, k, v = rng.standard_normal((3, 20, 4))
         with counting(ScoreBudget()) as budget:
-            prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(3))
+            attend_kind("prob_sparse", q, k, v, 1, 2.0, rng=np.random.default_rng(3))
         n = top_n_count(20, 2.0)
         assert budget.dot_products_materialized == 20 * n + n * 20
 
@@ -426,8 +424,8 @@ class TestProbSparse:
         rng = np.random.default_rng(23)
         L, d = 16, 4
         q, k, v = rng.standard_normal((3, L, d))
-        base = prob_sparse_attention(q, k, v, 2.0, np.random.default_rng(5),
-                                     masked=True).data
+        base = attend_kind("masked_prob_sparse", q, k, v, 1, 2.0,
+                           rng=np.random.default_rng(5)).data
         t = 6
         for _ in range(10):
             tp = rng.integers(t + 1, L)
@@ -435,8 +433,8 @@ class TestProbSparse:
             q2[tp] += rng.standard_normal(d)
             k2[tp] += rng.standard_normal(d)
             v2[tp] += rng.standard_normal(d)
-            out = prob_sparse_attention(q2, k2, v2, 2.0, np.random.default_rng(5),
-                                        masked=True).data
+            out = attend_kind("masked_prob_sparse", q2, k2, v2, 1, 2.0,
+                              rng=np.random.default_rng(5)).data
             assert np.array_equal(out[: t + 1], base[: t + 1])
 
 
@@ -452,7 +450,7 @@ class TestMultiHead:
             w.data[...] = np.eye(4)
         x = np.random.default_rng(24).standard_normal((6, 4))
         out = mha(Tensor(x)).data
-        expected = canonical_attention(x, x, x).data
+        expected = attend(x, x, x, 1).data
         npt.assert_allclose(out, expected, atol=1e-12)
 
     def test_neural_sparse_degenerates_to_canonical(self):
@@ -747,16 +745,15 @@ def test_attend_records_one_tape_node(kind):
         assert len(set(counts)) > 1, "heads should keep different counts"
 
 
-@pytest.mark.parametrize("kernel", [neural_sparse_attention, masked_neural_sparse_attention],
-                         ids=["neural_sparse", "masked_neural_sparse"])
+@pytest.mark.parametrize("causal", [False, True], ids=["neural_sparse", "masked_neural_sparse"])
 @pytest.mark.parametrize("n_scores", [12, 25])
-def test_single_head_kernel_names_a_ranking_of_the_wrong_length(kernel, n_scores):
+def test_single_head_kernel_names_a_ranking_of_the_wrong_length(causal, n_scores):
     """Scores for fewer or more rows than q has raise a ValueError naming
     both shapes, rather than a shorter output or an IndexError."""
     q, k, v = np.random.default_rng(30).standard_normal((3, 20, 4))
     with pytest.raises(ValueError, match=rf"ranking of shape \(1, {n_scores}\) does not match "
                                          r"the \(1, 20\) heads and query rows of q \(20, 4\)"):
-        kernel(q, k, v, 2.0, np.zeros(n_scores))
+        attend(q, k, v, 1, np.zeros((1, n_scores)), c=2.0, causal=causal)
 
 
 def test_attend_names_a_ranking_for_the_wrong_head_count():
@@ -768,18 +765,16 @@ def test_attend_names_a_ranking_for_the_wrong_head_count():
 
 def test_causal_kernels_name_unequal_query_and_key_lengths():
     q, kv = np.zeros((7, 4)), np.zeros((9, 4))
-    for call in (lambda: canonical_attention(q, kv, kv, masked=True),
-                 lambda: masked_neural_sparse_attention(q, kv, kv, 2.0, np.zeros(7))):
+    for call in (lambda: attend(q, kv, kv, 1, causal=True),
+                 lambda: attend(q, kv, kv, 1, np.zeros((1, 7)), c=2.0, causal=True)):
         with pytest.raises(ValueError, match=r"causal attention needs L_Q == L_K, "
                                              r"got q \(7, 4\), k \(9, 4\)"):
             call()
 
 
 def test_kind_names_agree():
-    from sparsecast.bench import ALL_BENCH_KERNELS
     from sparsecast.model import ATTENTION_CHOICES
 
     assert len(set(attention.KINDS)) == len(attention.KINDS) == 6
-    assert set(ALL_BENCH_KERNELS) == set(attention.KINDS)
     for kind in ATTENTION_CHOICES:
         assert kind in attention.KINDS and f"masked_{kind}" in attention.KINDS

@@ -9,9 +9,8 @@ import numpy.testing as npt
 import pytest
 
 from sparsecast.ablation import VARIANTS, run_ablation
-from sparsecast.attention import canonical_attention, neural_sparse_attention, \
-    prob_sparse_attention, importance_scores, top_n_count
-from sparsecast.bench import ALL_BENCH_KERNELS, CSV_HEADER, bench_attention, bench_csv_text
+from sparsecast.attention import KINDS, attend, attend_kind, importance_scores, top_n_count
+from sparsecast.bench import CSV_HEADER, bench_attention, bench_csv_text
 from sparsecast import cli as cli_module
 from sparsecast.cli import cli, validate_config, ConfigError
 from sparsecast.data import synthetic_aiops_frame, write_csv, make_windows, split_622, \
@@ -44,10 +43,10 @@ class TestBenchCounters:
     def test_length_one_kernels_coincide(self):
         rng = np.random.default_rng(0)
         q, k, v = rng.standard_normal((3, 1, 4))
-        dense = canonical_attention(q, k, v).data
+        dense = attend(q, k, v, 1).data
         scores = importance_scores(q, k, Tensor(rng.standard_normal((1, 4, 3))))[:, 0]
-        sparse = neural_sparse_attention(q, k, v, 5.0, scores).data
-        prob = prob_sparse_attention(q, k, v, 5.0, np.random.default_rng(1)).data
+        sparse = attend(q, k, v, 1, np.reshape(scores, (1, -1)), c=5.0).data
+        prob = attend_kind("prob_sparse", q, k, v, 1, 5.0, rng=np.random.default_rng(1)).data
         npt.assert_allclose(dense, sparse, atol=1e-12)
         npt.assert_allclose(dense, prob, atol=1e-12)
         npt.assert_allclose(dense, v, atol=1e-12)
@@ -105,9 +104,9 @@ class TestBenchCounters:
         assert record.peak_bytes == 4 * 16 * 16 * 8
 
     def test_phases_attributed_to_their_kernels(self):
-        records = bench_attention(batches=[1], seq_lens=[32], kernels=ALL_BENCH_KERNELS,
+        records = bench_attention(batches=[1], seq_lens=[32], kernels=KINDS,
                                   heads=2, dims=4, repeats=1, warmup=0, c=2.0)
-        assert [r.kernel for r in records] == list(ALL_BENCH_KERNELS)
+        assert [r.kernel for r in records] == list(KINDS)
         for r in records:
             if r.kernel.endswith("canonical"):
                 assert r.t1_ns == r.t2_ns == 0 < r.t3_ns, r
@@ -117,7 +116,7 @@ class TestBenchCounters:
 
     @pytest.mark.parametrize("repeats", [2, 4])
     def test_even_repeats_report_a_real_repeat(self, repeats):
-        records = bench_attention(batches=[1], seq_lens=[32], kernels=ALL_BENCH_KERNELS,
+        records = bench_attention(batches=[1], seq_lens=[32], kernels=KINDS,
                                   heads=2, dims=4, repeats=repeats, warmup=0, c=2.0)
         for r in records:
             assert r.t1_ns + r.t2_ns + r.t3_ns <= r.median_ns, r
@@ -367,6 +366,15 @@ class TestCli:
         cells = lines[1].split(",")
         assert len(cells) == 3
         float(cells[1]), float(cells[2])  # numeric payload
+
+    def test_train_with_one_step_horizon_exits_0(self, tmp_path):
+        """``L_y`` 1 windows score one row each: validation and test report
+        CORR 0 with flags instead of failing after the training steps."""
+        config = _config(tmp_path, _aiops_csv(tmp_path), L_y=1)
+        out = tmp_path / "out"
+        assert cli(["train", "--config", str(config), "--out", str(out)]) == 0
+        scores = json.loads((out / "metrics.json").read_text())
+        assert scores["corr"] == 0.0 and "zero_variance_truth" in scores["flags"]
 
     def test_eval_original_units_reads_csv_once(self, tmp_path, monkeypatch):
         csv_path = _aiops_csv(tmp_path)

@@ -87,6 +87,26 @@ class TestLoadCsv:
         assert cli(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "data row 3 (2021-01-01 02:00:00" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, message", [
+        ("date,a,a", "CSV header repeats value column 'a' (header columns 2 and 3)"),
+        ("date,a,b,c,b", "CSV header repeats value column 'b' (header columns 3 and 5)"),
+        ("date", "CSV has no value columns"),
+    ], ids=["repeated", "repeated_apart", "date_only"])
+    def test_value_columns_unique_and_present(self, tmp_path, capsys, header, message):
+        """A repeated name would leave the default target ambiguous (a univariate
+        model trained on the first ``a`` of ``date,a,a``), and no value column
+        leaves no target at all: both are a ``DataError``, so ``train`` exits 2."""
+        cells = ",1.0" * header.count(",")
+        path = _write(tmp_path, [f"2021-01-01 0{h}:00:00{cells}" for h in range(3)],
+                      header=header)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_csv(path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": {"path": str(path)},
+                                      "model": {"L_x": 3, "label_len": 1, "L_y": 1}}))
+        assert cli(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = _write(tmp_path, [
             "2021-01-01 00:00:00,1.0,2.0",
@@ -559,6 +579,18 @@ class TestMetrics:
         result = metrics([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         assert result.corr == 0.0
         assert "zero_variance_truth" in result.flags
+
+    def test_one_row_scores_like_a_constant_series(self):
+        """A one-row block (an ``L_y`` 1 window) has no variance to correlate:
+        CORR 0 with both flags, and exact MSE and MAE."""
+        result = metrics([[2.0]], [[3.5]])
+        assert (result.corr, result.mse, result.mae, result.n) == (0.0, 2.25, 1.5, 1)
+        assert result.flags == ["zero_variance_truth", "zero_variance_prediction"]
+
+    @pytest.mark.parametrize("y", [np.float64(1.0), np.zeros(0), np.zeros((0, 3))])
+    def test_empty_or_0d_block_rejected(self, y):
+        with pytest.raises(DataError, match="^metrics need at least one row$"):
+            metrics(y, y)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(12)

@@ -9,9 +9,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_attention_kernels_demo_runs():
-    """``demos/attention_kernels.py`` calls every single-head kernel: it exits
-    0 and prints exact selected rows, the mean fill and an exactly causal
-    masked kernel."""
+    """``demos/attention_kernels.py`` calls ``attend`` with a given ranking
+    and ``attend_kind`` for a kind: it exits 0 and prints exact selected
+    rows, the mean fill and an exactly causal masked kernel."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / "attention_kernels.py")],
                             cwd=ROOT, env={**os.environ, "PYTHONPATH": path},

@@ -2,7 +2,6 @@
 learned sparse attention, built on a small float64 autodiff tensor core."""
 
 from .attention import (
-    AttentionConfig,
     ScoreBudget,
     attend,
     attend_kind,
@@ -24,8 +23,8 @@ from .data import (
     split_622,
     synthetic_seasonal_frame,
 )
-from .embedding import embed_window, positional_encoding, stamp_embedding_sum
-from .encoder import conv_elu_feature, distill_step, encoder_output_length
+from .embedding import positional_encoding
+from .encoder import distill_step, encoder_output_length
 from .model import Forecast, Forecaster, ModelConfig, build_decoder_input, mse_loss
 from .tensor import ParamStore, Tensor, finite_diff_check, no_grad
 from .training import (

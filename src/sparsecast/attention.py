@@ -68,28 +68,6 @@ class NaNScoreError(ValueError):
 
 
 @dataclass
-class AttentionConfig:
-    """Shape and sparsity settings for one multi-head attention module."""
-
-    n_heads: int
-    d_model: int
-    c: float = 5.0
-    kind: str = "canonical"
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if self.c < 1:
-            raise ValueError(f"sparsity factor c must be >= 1, got {self.c}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown attention kind {self.kind!r}")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
-
-
-@dataclass
 class ScoreBudget:
     """What the attention kernels of one ``counting`` block did: materialized
     query-key dot products, selected rows, the bytes of the largest transient
@@ -322,8 +300,10 @@ def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
     every row, ``neural_sparse`` ranks by the score convolution (one call
     for all heads), ``prob_sparse`` by the sampled statistic; the
     ``masked_*`` kinds add the causal mask.  Returns the merged (L, H*d)
-    output.
+    output.  An unknown ``kind`` raises ``ValueError`` listing ``KINDS``.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown attention kind {kind!r}; expected one of {', '.join(KINDS)}")
     causal = kind.startswith("masked")
     ranking = None
     if kind.endswith("neural_sparse"):
@@ -341,7 +321,7 @@ def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
 
 
 class MultiHeadAttention:
-    """Multi-head wrapper: project, run the configured kernel on all heads
+    """Multi-head wrapper: project, run the kernel of ``kind`` on all heads
     at once, and project its merged output back.
 
     The projections W_Q, W_K, W_V, W_O are d_model x d_model without
@@ -352,33 +332,32 @@ class MultiHeadAttention:
     outside training and draws from ``eval_rng(kind)``.
     """
 
-    def __init__(self, store: ParamStore, prefix: str, config: AttentionConfig,
-                 rng: np.random.Generator):
-        self.config = config
-        d = config.d_model
+    def __init__(self, store: ParamStore, prefix: str, kind: str, d_model: int,
+                 n_heads: int, c: float, rng: np.random.Generator):
+        self.kind, self.n_heads, self.c = kind, n_heads, c
+        d = d_model
         self.w_q = store.add(f"{prefix}.w_q", uniform_init(rng, (d, d), d))
         self.w_k = store.add(f"{prefix}.w_k", uniform_init(rng, (d, d), d))
         self.w_v = store.add(f"{prefix}.w_v", uniform_init(rng, (d, d), d))
         self.w_o = store.add(f"{prefix}.w_o", uniform_init(rng, (d, d), d))
-        if config.kind in ("neural_sparse", "masked_neural_sparse"):
+        if kind in ("neural_sparse", "masked_neural_sparse"):
             self.score_kernel = store.add(
-                f"{prefix}.score.kernel", uniform_init(rng, (config.n_heads, d, 3), d * 3)
+                f"{prefix}.score.kernel", uniform_init(rng, (n_heads, d, 3), d * 3)
             )
-            self.score_bias = store.add(f"{prefix}.score.bias", np.zeros(config.n_heads))
+            self.score_bias = store.add(f"{prefix}.score.bias", np.zeros(n_heads))
         else:
             self.score_kernel = None
             self.score_bias = None
 
     def __call__(self, x_q: Tensor, x_kv: Tensor | None = None, *,
                  rng: np.random.Generator | None = None) -> Tensor:
-        cfg = self.config
-        if x_kv is not None and cfg.kind != "canonical":
-            raise ValueError(f"cross-attention requires the canonical kernel, got {cfg.kind!r}")
+        if x_kv is not None and self.kind != "canonical":
+            raise ValueError(f"cross-attention requires the canonical kernel, got {self.kind!r}")
         if x_kv is None:
             x_kv = x_q
         merged = attend_kind(
-            cfg.kind, linear(x_q, self.w_q), linear(x_kv, self.w_k), linear(x_kv, self.w_v),
-            cfg.n_heads, cfg.c, score_kernel=self.score_kernel, score_bias=self.score_bias,
-            rng=eval_rng(cfg.kind) if rng is None else rng,
+            self.kind, linear(x_q, self.w_q), linear(x_kv, self.w_k), linear(x_kv, self.w_v),
+            self.n_heads, self.c, score_kernel=self.score_kernel, score_bias=self.score_bias,
+            rng=eval_rng(self.kind) if rng is None else rng,
         )
         return linear(merged, self.w_o)

@@ -182,7 +182,7 @@ def _scaled_splits(config: dict, L_y: int):
     splits, scaler = fit_apply_scaler(
         train_f, [val_f, test_f], mode=config["preprocess"]["mode"],
         scope=config["preprocess"]["scope"])
-    dims = len(frame.target_columns) if ds["mode"] == "univariate" else len(frame.columns)
+    dims = len(_output_indices(frame, config))
     return frame, tuple(splits), scaler, ModelConfig(d_x=dims, d_y=dims, **md)
 
 
@@ -266,9 +266,8 @@ def cmd_predict(args) -> int:
     model = Forecaster(model_config, np.random.default_rng(config["train"]["seed"]))
     model.params.copy_from(load_checkpoint(args.checkpoint))
 
-    univariate = config["dataset"]["mode"] == "univariate"
-    columns = (test_frame.target_columns if univariate else test_frame.columns)
     target_idx = _output_indices(test_frame, config)
+    columns = [test_frame.columns[i] for i in target_idx]
     forecast = model.predict(sample, scaler=scaler, target_columns=target_idx)
     truth_scaled = sample.target
     truth = scaler.inverse(truth_scaled, columns=target_idx)

@@ -49,6 +49,10 @@ class TimeSeriesFrame:
 
     def __post_init__(self):
         self._check_values()
+        for i, name in enumerate(self.columns):
+            if name in self.columns[:i]:
+                raise DataError(f"frame repeats column {name!r} "
+                                f"(columns {self.columns.index(name) + 1} and {i + 1})")
         ts = self.timestamps
         if len(ts) >= 2:
             try:

@@ -67,16 +67,6 @@ def validate_stamps(stamps: np.ndarray) -> np.ndarray:
     return stamps.astype(np.intp, copy=False)
 
 
-def stamp_embedding_sum(stamps: np.ndarray, tables: dict) -> Tensor:
-    """Sum the looked-up rows of every stamp-category table, per position."""
-    return embedding_sum([tables[name] for name in STAMP_CATEGORIES], validate_stamps(stamps))
-
-
-def beta_gate(pe_plus_se: Tensor, gate_w: Tensor, gate_b: Tensor) -> Tensor:
-    """Nonnegative per-position scalar: ReLU of a d_model -> 1 affine map."""
-    return relu(linear(pe_plus_se, gate_w, gate_b))
-
-
 class WindowEmbedding:
     """Trainable embedding parameters; windows of any length share them."""
 
@@ -98,23 +88,20 @@ class WindowEmbedding:
         self.gate_b = store.add(f"{prefix}.gate.b", np.zeros(1))
 
     def __call__(self, values, stamps: np.ndarray) -> Tensor:
-        return embed_window(values, stamps, self)
+        """Embed one window of raw values plus calendar stamps.
 
-
-def embed_window(values, stamps: np.ndarray, params: WindowEmbedding) -> Tensor:
-    """Embed one window of raw values plus calendar stamps.
-
-    ``values`` is (L, d_in); the result is (L, d_model).  Deterministic
-    given (values, stamps, params).
-    """
-    values = values if isinstance(values, Tensor) else Tensor(values)
-    L = values.shape[0]
-    if stamps.shape[0] != L:
-        raise ValueError(f"values have {L} rows but stamps have {stamps.shape[0]}")
-    u = conv1d_time(values, params.token_kernel, padding=1)
-    pe = Tensor(positional_encoding(L, params.d_model))
-    se = stamp_embedding_sum(stamps, params.tables)
-    if params.gated:
-        beta = beta_gate(pe + se, params.gate_w, params.gate_b)
-        return u + pe + beta * se
-    return u + pe + se
+        ``values`` is (L, d_in); the result is (L, d_model).  Deterministic
+        given (values, stamps, parameters).
+        """
+        values = values if isinstance(values, Tensor) else Tensor(values)
+        L = values.shape[0]
+        if stamps.shape[0] != L:
+            raise ValueError(f"values have {L} rows but stamps have {stamps.shape[0]}")
+        u = conv1d_time(values, self.token_kernel, padding=1)
+        pe = Tensor(positional_encoding(L, self.d_model))
+        se = embedding_sum([self.tables[name] for name in STAMP_CATEGORIES],
+                           validate_stamps(stamps))
+        if self.gated:
+            beta = relu(linear(pe + se, self.gate_w, self.gate_b))
+            return u + pe + beta * se
+        return u + pe + se

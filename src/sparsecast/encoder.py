@@ -14,7 +14,7 @@ branch and no residual.
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadAttention
+from .attention import MultiHeadAttention
 from .layers import FeedForward, LayerNorm, residual, uniform_init
 from .tensor import ParamStore, Tensor, conv1d_time, elu, pool1d
 
@@ -30,20 +30,16 @@ class DistillParams:
         self.gamma = store.add(f"{prefix}.gamma", np.asarray(1.0))
 
 
-def conv_elu_feature(x: Tensor, params: DistillParams) -> Tensor:
-    """Length-preserving feature map: ELU(conv width 3, padding 1)."""
-    return elu(conv1d_time(x, params.kernel, 1, params.bias))
-
-
 def distill_step(x: Tensor, params: DistillParams, kind: str = "parallel_pool") -> Tensor:
     """Halve the sequence length of one attention block's output, L to
-    ceil(L/2), through ``pool1d``'s width-3, stride-2 pools.
+    ceil(L/2), through ``pool1d``'s width-3, stride-2 pools of the
+    length-preserving features ELU(conv width 3, padding 1).
 
     ``kind`` is one of ``model.DISTILL_CHOICES``, checked by ``ModelConfig``.
     """
     if x.shape[0] < 2:
         raise ValueError("cannot distill length-1 sequence")
-    features = conv_elu_feature(x, params)
+    features = elu(conv1d_time(x, params.kernel, 1, params.bias))
     pooled_max = pool1d(features, "max")
     if kind == "maxpool_only":
         return pooled_max
@@ -53,18 +49,18 @@ def distill_step(x: Tensor, params: DistillParams, kind: str = "parallel_pool") 
 
 
 class AttentionBlock:
-    """Multi-head attention then feed-forward, each in a post-norm residual.
+    """Multi-head attention of ``config.attention`` then feed-forward, each in
+    a post-norm residual.  ``rng`` is given in training only: it drives
+    dropout and the sampled ranking."""
 
-    ``rng`` is given in training only: it drives dropout and the sampled
-    ranking."""
-
-    def __init__(self, store: ParamStore, prefix: str, attn_config: AttentionConfig,
-                 d_ff: int, drop: float, rng: np.random.Generator):
-        self.attn = MultiHeadAttention(store, f"{prefix}.attn", attn_config, rng)
-        self.norm1 = LayerNorm(store, f"{prefix}.norm1", attn_config.d_model)
-        self.ffn = FeedForward(store, f"{prefix}.ffn", attn_config.d_model, d_ff, rng)
-        self.norm2 = LayerNorm(store, f"{prefix}.norm2", attn_config.d_model)
-        self.drop = drop
+    def __init__(self, store: ParamStore, prefix: str, config, rng: np.random.Generator):
+        d = config.d_model
+        self.attn = MultiHeadAttention(store, f"{prefix}.attn", config.attention, d,
+                                       config.n_heads, config.c, rng)
+        self.norm1 = LayerNorm(store, f"{prefix}.norm1", d)
+        self.ffn = FeedForward(store, f"{prefix}.ffn", d, config.d_ff, rng)
+        self.norm2 = LayerNorm(store, f"{prefix}.norm2", d)
+        self.drop = config.dropout
 
     def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None) -> Tensor:
         x = residual(self.norm1, x, self.attn(x, rng=rng), self.drop, rng)
@@ -72,21 +68,18 @@ class AttentionBlock:
 
 
 class Encoder:
-    """n_blocks attention blocks with a distill step between consecutive blocks."""
+    """``config.enc_blocks`` attention blocks of a ``model.ModelConfig``, with
+    a ``config.distill`` step between consecutive blocks."""
 
-    def __init__(self, store: ParamStore, prefix: str, n_blocks: int,
-                 attn_config: AttentionConfig, d_ff: int, drop: float,
-                 rng: np.random.Generator, distill_kind: str = "parallel_pool"):
-        if n_blocks < 1:
-            raise ValueError("encoder needs at least one block")
-        self.distill_kind = distill_kind
+    def __init__(self, store: ParamStore, prefix: str, config, rng: np.random.Generator):
+        self.distill_kind = config.distill
         self.blocks = [
-            AttentionBlock(store, f"{prefix}.block{j}", attn_config, d_ff, drop, rng)
-            for j in range(n_blocks)
+            AttentionBlock(store, f"{prefix}.block{j}", config, rng)
+            for j in range(config.enc_blocks)
         ]
         self.distills = [
-            DistillParams(store, f"{prefix}.distill{j}", attn_config.d_model, rng)
-            for j in range(n_blocks - 1)
+            DistillParams(store, f"{prefix}.distill{j}", config.d_model, rng)
+            for j in range(config.enc_blocks - 1)
         ]
 
     def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None) -> Tensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadAttention, ScoreBudget, counting
+from .attention import MultiHeadAttention, ScoreBudget, counting
 from .data import DataError
 from .embedding import WindowEmbedding
 from .encoder import Encoder
@@ -113,13 +113,12 @@ class DecoderLayer:
 
     def __init__(self, store: ParamStore, prefix: str, config: ModelConfig,
                  rng: np.random.Generator):
-        d = config.d_model
-        self_cfg = AttentionConfig(config.n_heads, d, c=config.c,
-                                   kind=f"masked_{config.attention}")
-        cross_cfg = AttentionConfig(config.n_heads, d, c=config.c, kind="canonical")
-        self.self_attn = MultiHeadAttention(store, f"{prefix}.self_attn", self_cfg, rng)
+        d, heads, c = config.d_model, config.n_heads, config.c
+        self.self_attn = MultiHeadAttention(store, f"{prefix}.self_attn",
+                                            f"masked_{config.attention}", d, heads, c, rng)
         self.norm1 = LayerNorm(store, f"{prefix}.norm1", d)
-        self.cross_attn = MultiHeadAttention(store, f"{prefix}.cross_attn", cross_cfg, rng)
+        self.cross_attn = MultiHeadAttention(store, f"{prefix}.cross_attn", "canonical",
+                                             d, heads, c, rng)
         self.norm2 = LayerNorm(store, f"{prefix}.norm2", d)
         self.ffn = FeedForward(store, f"{prefix}.ffn", d, config.d_ff, rng)
         self.norm3 = LayerNorm(store, f"{prefix}.norm3", d)
@@ -145,11 +144,7 @@ class Forecaster:
         self.params = store
         self.enc_embed = WindowEmbedding(store, "enc_embed", config.d_x, config.d_model,
                                          rng, gated=config.gated_embedding)
-        enc_attn = AttentionConfig(config.n_heads, config.d_model, c=config.c,
-                                   kind=config.attention)
-        self.encoder = Encoder(store, "encoder", config.enc_blocks, enc_attn,
-                               config.d_ff, config.dropout, rng,
-                               distill_kind=config.distill)
+        self.encoder = Encoder(store, "encoder", config, rng)
         self.dec_embed = WindowEmbedding(store, "dec_embed", config.d_y, config.d_model,
                                          rng, gated=config.gated_embedding)
         self.decoder_layers = [

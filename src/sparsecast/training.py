@@ -161,18 +161,18 @@ def evaluate(model, samples, *, units: str = "scaled", scaler=None,
 
 
 def _mean_of_windows(results) -> MetricResult:
-    """Mean of per-window metric results, summed in window order; the flags
-    of every window are kept in that order."""
+    """Mean of per-window metric results, summed in window order; each
+    distinct flag is kept once, in the order it is first seen."""
     corr = mse = mae = 0.0
-    flags: list = []
+    flags: dict = {}
     n = 0
     for result in results:
         corr += result.corr
         mse += result.mse
         mae += result.mae
-        flags.extend(result.flags)
+        flags.update(dict.fromkeys(result.flags))
         n += 1
-    return MetricResult(corr=corr / n, mse=mse / n, mae=mae / n, n=n, flags=flags)
+    return MetricResult(corr=corr / n, mse=mse / n, mae=mae / n, n=n, flags=list(flags))
 
 
 @dataclass

@@ -13,7 +13,6 @@ import pytest
 from conftest import dense_attention
 from sparsecast.ablation import VARIANTS, run_ablation
 from sparsecast.attention import (
-    AttentionConfig,
     MultiHeadAttention,
     attend,
     attend_kind,
@@ -33,7 +32,7 @@ from sparsecast.data import (
     synthetic_aiops_frame,
     synthetic_seasonal_frame,
 )
-from sparsecast.embedding import WindowEmbedding, embed_window, positional_encoding
+from sparsecast.embedding import WindowEmbedding, positional_encoding
 from sparsecast.encoder import DistillParams, Encoder, distill_step, encoder_output_length
 from sparsecast.model import DecoderLayer, Forecaster, ModelConfig
 from sparsecast.tensor import ParamStore, Tensor, finite_diff_check, sum_
@@ -138,7 +137,7 @@ def test_c03_gradient_suite():
                        rng.integers(0, 4, 12)], axis=1)
     w = rng.standard_normal((12, 8))
     err = finite_diff_check(
-        lambda p: sum_(embed_window(values, stamps, emb) * Tensor(w)), store, step)
+        lambda p: sum_(emb(values, stamps) * Tensor(w)), store, step)
     assert err < tol, f"embedding block: {err}"
 
     # attention blocks, every kind
@@ -147,9 +146,7 @@ def test_c03_gradient_suite():
     for kind in ("canonical", "neural_sparse", "masked_neural_sparse",
                  "prob_sparse", "masked_prob_sparse"):
         store = ParamStore()
-        mha = MultiHeadAttention(store, "attn",
-                                 AttentionConfig(n_heads=2, d_model=8, c=2.0, kind=kind),
-                                 np.random.default_rng(5))
+        mha = MultiHeadAttention(store, "attn", kind, 8, 2, 2.0, np.random.default_rng(5))
 
         def f(params):
             return sum_(mha(Tensor(x_const), rng=np.random.default_rng(0))
@@ -200,8 +197,9 @@ def test_c03_gradient_suite():
 @criterion(4, "encoder length law")
 def test_c04_shape_law():
     store = ParamStore()
-    enc = Encoder(store, "enc", 3, AttentionConfig(n_heads=2, d_model=8),
-                  d_ff=16, drop=0.0, rng=np.random.default_rng(0))
+    config = ModelConfig(L_x=96, label_len=0, L_y=1, d_x=1, d_y=1, d_model=8, n_heads=2,
+                         enc_blocks=3, d_ff=16, dropout=0.0, attention="canonical")
+    enc = Encoder(store, "enc", config, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     for L, expected in ((96, 24), (48, 12)):
         out = enc(Tensor(rng.standard_normal((L, 8))))

@@ -14,7 +14,6 @@ from conftest import dense_attention
 from test_tensor import concat, softmax_lastdim, transpose
 import sparsecast.attention as attention
 from sparsecast.attention import (
-    AttentionConfig,
     MultiHeadAttention,
     ScoreBudget,
     attend,
@@ -441,8 +440,8 @@ class TestProbSparse:
 class TestMultiHead:
     def _mha(self, kind, d_model=8, n_heads=2, c=5.0, seed=0):
         store = ParamStore()
-        cfg = AttentionConfig(n_heads=n_heads, d_model=d_model, c=c, kind=kind)
-        return MultiHeadAttention(store, "attn", cfg, np.random.default_rng(seed)), store
+        return MultiHeadAttention(store, "attn", kind, d_model, n_heads, c,
+                                  np.random.default_rng(seed)), store
 
     def test_identity_plumbing_matches_raw_kernel(self):
         mha, _ = self._mha("canonical", d_model=4, n_heads=1)
@@ -473,12 +472,23 @@ class TestMultiHead:
             mha(x, y)
 
     def test_config_validation(self):
+        """Widths that the heads do not divide fail at the first call.  The
+        model's widths and sparsity factor are checked by ``ModelConfig``."""
+        mha, _ = self._mha("canonical", d_model=8, n_heads=3)
         with pytest.raises(ValueError, match="divisible"):
-            AttentionConfig(n_heads=3, d_model=8)
-        with pytest.raises(ValueError, match="kind"):
-            AttentionConfig(n_heads=2, d_model=8, kind="mystery")
-        with pytest.raises(ValueError, match="c"):
-            AttentionConfig(n_heads=2, d_model=8, c=0.5)
+            mha(Tensor(np.zeros((4, 8))))
+
+    @pytest.mark.parametrize("kind", ["mystery", "neural-sparse", "masked_nueral_sparse"])
+    def test_unknown_kind_is_named(self, kind):
+        """A misspelled kind raises, naming it and listing the kinds, where
+        it used to run dense attention."""
+        x = np.random.default_rng(29).standard_normal((6, 4))
+        message = f"^unknown attention kind {kind!r}; expected one of {', '.join(attention.KINDS)}$"
+        with pytest.raises(ValueError, match=message):
+            attend_kind(kind, x, x, x, 2, 5.0)
+        mha, _ = self._mha(kind, d_model=4)
+        with pytest.raises(ValueError, match=message):
+            mha(Tensor(x))
 
     def test_gradients_flow_through_sparse_path(self):
         mha, store = self._mha("neural_sparse", c=2.0)
@@ -535,8 +545,7 @@ def _per_head_oracle(mha, x_q, x_kv=None, rng=None, budget=None):
     """``MultiHeadAttention.__call__`` as a loop over heads, one kernel call
     per head on column slices of the projections: the reference for the
     all-heads core."""
-    cfg = mha.config
-    kind = cfg.kind
+    kind = mha.kind
     budget = ScoreBudget() if budget is None else budget
     x_kv = x_q if x_kv is None else x_kv
     q_full, k_full, v_full = (linear(x, w) for x, w in
@@ -546,8 +555,8 @@ def _per_head_oracle(mha, x_q, x_kv=None, rng=None, budget=None):
         scores = importance_scores(q_full, k_full, mha.score_kernel, mha.score_bias,
                                    causal=masked)
     heads = []
-    dh = cfg.d_head
-    for h in range(cfg.n_heads):
+    dh = q_full.shape[1] // mha.n_heads
+    for h in range(mha.n_heads):
         cols = slice(h * dh, (h + 1) * dh)
         qh, kh, vh = q_full[:, cols], k_full[:, cols], v_full[:, cols]
         if kind.endswith("canonical"):
@@ -556,11 +565,11 @@ def _per_head_oracle(mha, x_q, x_kv=None, rng=None, budget=None):
             if kind.endswith("neural_sparse"):
                 ranking = scores[:, h]
             else:
-                ranking, sampled = _oracle_sampled_measure(qh.data, kh.data, cfg.c, rng,
+                ranking, sampled = _oracle_sampled_measure(qh.data, kh.data, mha.c, rng,
                                                            masked)
                 budget.dot_products_materialized += sampled
             select = select_top_queries_causal if masked else select_top_queries
-            selected = select(ranking, cfg.c)
+            selected = select(ranking, mha.c)
         heads.append(_oracle_head(qh, kh, vh, selected, masked, budget))
     merged = heads[0] if len(heads) == 1 else concat(heads, axis=1)
     return linear(merged, mha.w_o)
@@ -594,8 +603,8 @@ class TestAllHeadsCore:
     def test_matches_per_head_oracle(self, kind, n_heads, L, c):
         d_model = 24
         store = ParamStore()
-        cfg = AttentionConfig(n_heads=n_heads, d_model=d_model, c=c, kind=kind)
-        mha = MultiHeadAttention(store, "attn", cfg, np.random.default_rng(L + n_heads))
+        mha = MultiHeadAttention(store, "attn", kind, d_model, n_heads, c,
+                                 np.random.default_rng(L + n_heads))
         data = np.random.default_rng(L)
         x = data.standard_normal((L, d_model))
         weights = data.standard_normal((L, d_model))
@@ -618,7 +627,7 @@ class TestAllHeadsCore:
     @pytest.mark.parametrize("n_heads", [1, 2, 8])
     def test_cross_attention_matches_oracle(self, n_heads):
         store = ParamStore()
-        mha = MultiHeadAttention(store, "attn", AttentionConfig(n_heads=n_heads, d_model=16),
+        mha = MultiHeadAttention(store, "attn", "canonical", 16, n_heads, 5.0,
                                  np.random.default_rng(1))
         data = np.random.default_rng(2)
         x_q, x_kv = data.standard_normal((9, 16)), data.standard_normal((13, 16))
@@ -638,9 +647,7 @@ class TestAllHeadsCore:
         """Heads that select fewer rows are padded; the padded rows are
         neither counted nor visible in the output or the gradients."""
         store = ParamStore()
-        mha = MultiHeadAttention(store, "attn",
-                                 AttentionConfig(n_heads=8, d_model=24, c=2.0, kind=kind),
-                                 np.random.default_rng(3))
+        mha = MultiHeadAttention(store, "attn", kind, 24, 8, 2.0, np.random.default_rng(3))
         data = np.random.default_rng(4)
         x, weights = data.standard_normal((2, 40, 24))
         counts = []

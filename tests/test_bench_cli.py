@@ -367,6 +367,23 @@ class TestCli:
         assert len(cells) == 3
         float(cells[1]), float(cells[2])  # numeric payload
 
+    def test_multivariate_predict_names_every_column(self, tmp_path):
+        csv_path = _aiops_csv(tmp_path)
+        config = _config(tmp_path, csv_path)
+        raw = json.loads(config.read_text())
+        raw["dataset"]["mode"] = "multivariate"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli(["train", "--config", str(config), "--out", str(out)]) == 0
+        assert cli(["predict", "--config", str(config), "--checkpoint",
+                    str(out / "checkpoint.hgnt"), "--out", str(out), "--window", "0"]) == 0
+        lines = (out / "forecast.csv").read_text().strip().splitlines()
+        columns = synthetic_aiops_frame(20, seed=3).columns
+        assert len(columns) == 20
+        assert lines[0] == "timestamp," + ",".join(f"truth_{c},pred_{c}" for c in columns)
+        assert len(lines) == 1 + 4  # header + L_y rows
+        assert all(len(line.split(",")) == 1 + 2 * 20 for line in lines[1:])
+
     def test_train_with_one_step_horizon_exits_0(self, tmp_path):
         """``L_y`` 1 windows score one row each: validation and test report
         CORR 0 with flags instead of failing after the training steps."""

@@ -332,6 +332,16 @@ class TestFastParsing:
                                             rf"\({re.escape(str(frame.timestamps[0]))}\)"):
             frame.with_values(values)
 
+    @pytest.mark.parametrize("columns, message", [
+        (["a", "a"], "frame repeats column 'a' (columns 1 and 2)"),
+        (["a", "b", "c", "b"], "frame repeats column 'b' (columns 2 and 4)"),
+    ], ids=["repeated", "repeated_apart"])
+    def test_frame_refuses_repeated_column_names(self, columns, message):
+        """A frame built without ``load_csv`` refuses a repeated name too,
+        where a univariate window read the first ``a`` as the target."""
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            synthetic_seasonal_frame(50, len(columns), columns=columns)
+
     def test_timestamp_features_match_loop(self):
         step = timedelta(days=3, hours=5, minutes=7, seconds=13)
         cases = [

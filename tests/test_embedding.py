@@ -1,4 +1,5 @@
-"""Embedding tests: positional code identities, stamp tables, the beta gate."""
+"""Embedding tests: positional code identities, then the stamp tables and the
+beta gate through ``WindowEmbedding``."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,10 +9,7 @@ from sparsecast.embedding import (
     STAMP_CATEGORIES,
     STAMP_VOCAB,
     WindowEmbedding,
-    beta_gate,
-    embed_window,
     positional_encoding,
-    stamp_embedding_sum,
     validate_stamps,
 )
 from sparsecast.tensor import ParamStore, Tensor, conv1d_time
@@ -68,10 +66,19 @@ def test_angle_property_depends_on_position():
         assert cos < 1.0 - 1e-12
 
 
-def _zero_tables(d_model):
+def _embedding(d_in=2, d_model=8, gated=True, seed=0):
     store = ParamStore()
-    return {name: store.add(f"se.{name}", np.zeros((STAMP_VOCAB[name], d_model)))
-            for name in STAMP_CATEGORIES}
+    return WindowEmbedding(store, "emb", d_in, d_model, np.random.default_rng(seed),
+                           gated=gated), store
+
+
+def _zero_tables(d_model, gated=False):
+    """An embedding whose stamp tables are zero: on zero values it gives
+    PE plus the stamp term (times beta when gated)."""
+    emb, _ = _embedding(d_model=d_model, gated=gated)
+    for table in emb.tables.values():
+        table.data[...] = 0.0
+    return emb
 
 
 def _stamps(L, rng):
@@ -82,37 +89,41 @@ def _stamps(L, rng):
 class TestStampEmbedding:
     def test_zero_tables(self):
         rng = np.random.default_rng(0)
-        out = stamp_embedding_sum(_stamps(5, rng), _zero_tables(6))
-        npt.assert_array_equal(out.data, np.zeros((5, 6)))
+        emb = _zero_tables(6)
+        values = rng.standard_normal((5, 2))
+        out = emb(values, _stamps(5, rng))
+        u = conv1d_time(Tensor(values), emb.token_kernel, padding=1).data
+        npt.assert_array_equal(out.data, u + positional_encoding(5, 6))
 
     def test_single_category_row_copy(self):
-        tables = _zero_tables(4)
-        tables["hour"].data[7] = [1.0, 2.0, 3.0, 4.0]
+        emb = _zero_tables(4)
+        emb.tables["hour"].data[7] = [1.0, 2.0, 3.0, 4.0]
         stamps = np.zeros((3, 5), dtype=int)
         stamps[:, STAMP_CATEGORIES.index("hour")] = [7, 0, 7]
-        out = stamp_embedding_sum(stamps, tables).data
-        npt.assert_array_equal(out[0], [1, 2, 3, 4])
-        npt.assert_array_equal(out[1], np.zeros(4))
-        npt.assert_array_equal(out[2], [1, 2, 3, 4])
+        out = emb(np.zeros((3, 2)), stamps).data
+        pe = positional_encoding(3, 4)
+        npt.assert_array_equal(out[0], pe[0] + [1, 2, 3, 4])
+        npt.assert_array_equal(out[1], pe[1])
+        npt.assert_array_equal(out[2], pe[2] + [1, 2, 3, 4])
 
     def test_two_categories_sum(self):
         rng = np.random.default_rng(1)
-        tables = _zero_tables(4)
-        a = rng.standard_normal(tables["month"].shape)
-        b = rng.standard_normal(tables["weekday"].shape)
-        tables["month"].data[...] = a
-        tables["weekday"].data[...] = b
+        emb = _zero_tables(4)
+        a = rng.standard_normal(emb.tables["month"].shape)
+        b = rng.standard_normal(emb.tables["weekday"].shape)
+        emb.tables["month"].data[...] = a
+        emb.tables["weekday"].data[...] = b
         stamps = _stamps(6, rng)
-        out = stamp_embedding_sum(stamps, tables).data
+        out = emb(np.zeros((6, 2)), stamps).data
         expected = (a[stamps[:, STAMP_CATEGORIES.index("month")]]
                     + b[stamps[:, STAMP_CATEGORIES.index("weekday")]])
-        npt.assert_array_equal(out, expected)
+        npt.assert_array_equal(out, positional_encoding(6, 4) + expected)
 
     def test_out_of_range_names_category(self):
         stamps = np.zeros((2, 5), dtype=int)
         stamps[1, STAMP_CATEGORIES.index("weekday")] = 9
         with pytest.raises(ValueError, match="weekday.*9"):
-            stamp_embedding_sum(stamps, _zero_tables(4))
+            _zero_tables(4)(np.zeros((2, 2)), stamps)
 
     @pytest.mark.parametrize("stamps", [np.full((2, 5), 0.7), np.full((2, 5), np.nan),
                                         np.zeros((2, 5)), np.zeros((2, 5), dtype=bool)],
@@ -124,7 +135,7 @@ class TestStampEmbedding:
                                              f"{stamps.dtype}$"):
             validate_stamps(stamps)
         with pytest.raises(ValueError, match="stamps must be integers"):
-            stamp_embedding_sum(stamps, _zero_tables(4))
+            _zero_tables(4)(np.zeros((2, 2)), stamps)
 
     def test_first_bad_column_and_value_are_named(self):
         """The vectorised check names the first bad category in column
@@ -153,85 +164,90 @@ class TestStampEmbedding:
 
 
 class TestBetaGate:
+    """beta = ReLU(linear(PE + SE_sum)) scales the stamp term; one table is
+    set, so the stamp term is its looked-up row exactly."""
+
+    def _gated(self, rng, gate_w, gate_b):
+        emb = _zero_tables(4, gated=True)
+        emb.tables["hour"].data[...] = rng.standard_normal(emb.tables["hour"].shape)
+        emb.gate_w.data[...] = gate_w
+        emb.gate_b.data[...] = gate_b
+        stamps = _stamps(5, rng)
+        se = emb.tables["hour"].data[stamps[:, STAMP_CATEGORIES.index("hour")]]
+        return emb(np.zeros((5, 2)), stamps).data, positional_encoding(5, 4), se
+
     def test_negative_bias_clamps_to_zero(self):
-        x = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
-        out = beta_gate(x, Tensor(np.zeros((4, 1))), Tensor(np.array([-1.0])))
-        npt.assert_array_equal(out.data, np.zeros((5, 1)))
+        out, pe, _ = self._gated(np.random.default_rng(2), np.zeros((4, 1)), -1.0)
+        npt.assert_array_equal(out, pe)
 
     def test_constant_affine(self):
-        x = Tensor(np.random.default_rng(3).standard_normal((5, 4)))
-        out = beta_gate(x, Tensor(np.zeros((4, 1))), Tensor(np.array([0.5])))
-        npt.assert_array_equal(out.data, np.full((5, 1), 0.5))
+        out, pe, se = self._gated(np.random.default_rng(3), np.zeros((4, 1)), 0.5)
+        npt.assert_array_equal(out, pe + 0.5 * se)
 
     def test_matches_hand_dot_product(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((6, 4))
         w = rng.standard_normal((4, 1))
         b = 0.3
-        out = beta_gate(Tensor(x), Tensor(w), Tensor(np.array([b]))).data
-        expected = np.maximum(x @ w + b, 0.0)
-        npt.assert_allclose(out, expected, atol=1e-15)
+        out, pe, se = self._gated(rng, w, b)
+        beta = np.maximum((pe + se) @ w + b, 0.0)
+        assert (beta == 0).any() and (beta > 0).any()
+        npt.assert_allclose(out, pe + beta * se, atol=1e-15)
 
 
 class TestEmbedWindow:
-    def _params(self, d_in=2, d_model=8, gated=True, seed=0):
-        store = ParamStore()
-        return WindowEmbedding(store, "emb", d_in, d_model, np.random.default_rng(seed),
-                               gated=gated), store
-
     def test_zero_tables_reduce_to_projection_plus_pe(self):
-        params, _ = self._params()
+        params, _ = _embedding()
         for t in params.tables.values():
             t.data[...] = 0.0
         rng = np.random.default_rng(5)
         values = rng.standard_normal((10, 2))
         stamps = _stamps(10, rng)
-        out = embed_window(values, stamps, params).data
+        out = params(values, stamps).data
         u = conv1d_time(Tensor(values), params.token_kernel, padding=1).data
         npt.assert_allclose(out, u + positional_encoding(10, 8), atol=1e-12)
 
     def test_large_negative_gate_bias_kills_stamp_term(self):
-        params, _ = self._params()
+        params, _ = _embedding()
         params.gate_w.data[...] = 0.0
         params.gate_b.data[...] = -100.0
         rng = np.random.default_rng(6)
         values = rng.standard_normal((10, 2))
         stamps = _stamps(10, rng)
-        out = embed_window(values, stamps, params).data
+        out = params(values, stamps).data
         u = conv1d_time(Tensor(values), params.token_kernel, padding=1).data
         npt.assert_array_equal(out, u + positional_encoding(10, 8))
 
     def test_zero_values_and_tables_leave_pe_exactly(self):
-        params, _ = self._params()
+        params, _ = _embedding()
         for t in params.tables.values():
             t.data[...] = 0.0
         stamps = _stamps(10, np.random.default_rng(7))
-        out = embed_window(np.zeros((10, 2)), stamps, params).data
+        out = params(np.zeros((10, 2)), stamps).data
         npt.assert_array_equal(out, positional_encoding(10, 8))
 
     def test_ungated_matches_beta_of_one(self):
-        gated, store_g = self._params(gated=True, seed=3)
-        ungated, store_u = self._params(gated=False, seed=3)
+        gated, store_g = _embedding(gated=True, seed=3)
+        ungated, store_u = _embedding(gated=False, seed=3)
         # force beta = ReLU(0*x + 1) = 1 on the gated module
         gated.gate_w.data[...] = 0.0
         gated.gate_b.data[...] = 1.0
         rng = np.random.default_rng(8)
         values = rng.standard_normal((10, 2))
         stamps = _stamps(10, rng)
-        out_g = embed_window(values, stamps, gated).data
-        out_u = embed_window(values, stamps, ungated).data
+        out_g = gated(values, stamps).data
+        out_u = ungated(values, stamps).data
         npt.assert_allclose(out_g, out_u, atol=1e-12)
 
     def test_deterministic(self):
-        params, _ = self._params()
+        params, _ = _embedding()
         rng = np.random.default_rng(9)
         values = rng.standard_normal((10, 2))
         stamps = _stamps(10, rng)
-        a = embed_window(values, stamps, params).data
-        b = embed_window(values, stamps, params).data
+        a = params(values, stamps).data
+        b = params(values, stamps).data
         npt.assert_array_equal(a, b)
 
     def test_length_mismatch(self):
-        params, _ = self._params()
+        params, _ = _embedding()
         with pytest.raises(ValueError, match="rows"):
-            embed_window(np.zeros((10, 2)), np.zeros((9, 5), dtype=int), params)
+            params(np.zeros((10, 2)), np.zeros((9, 5), dtype=int))

@@ -5,14 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import identity_tap_kernel
-from sparsecast.attention import AttentionConfig
-from sparsecast.encoder import (
-    DistillParams,
-    Encoder,
-    conv_elu_feature,
-    distill_step,
-    encoder_output_length,
-)
+from sparsecast.encoder import DistillParams, Encoder, distill_step, encoder_output_length
+from sparsecast.model import ModelConfig
 from sparsecast.tensor import ParamStore, Tensor, conv1d_time, elu, finite_diff_check, mean_, pool1d
 
 
@@ -22,26 +16,29 @@ def _distill_params(d_model, seed=0):
 
 
 class TestConvEluFeature:
+    """The features ELU(conv) that ``distill_step`` pools, seen through its
+    ``maxpool_only`` kind: maxpool of the features alone."""
+
     def test_zero_input_zero_bias(self):
         params, _ = _distill_params(3)
         params.bias.data[...] = 0.0
-        out = conv_elu_feature(Tensor(np.zeros((6, 3))), params)
-        npt.assert_array_equal(out.data, np.zeros((6, 3)))
+        out = distill_step(Tensor(np.zeros((6, 3))), params, kind="maxpool_only")
+        npt.assert_array_equal(out.data, np.zeros((3, 3)))
 
     def test_identity_tap_on_positive_input(self):
         params, _ = _distill_params(3)
         params.kernel.data[...] = identity_tap_kernel(3)
         params.bias.data[...] = 0.0
         x = np.abs(np.random.default_rng(1).standard_normal((5, 3))) + 0.1
-        out = conv_elu_feature(Tensor(x), params)
-        npt.assert_array_equal(out.data, x)
+        out = distill_step(Tensor(x), params, kind="maxpool_only")
+        npt.assert_array_equal(out.data, pool1d(Tensor(x), "max").data)
 
     def test_identity_tap_on_negative_input(self):
         params, _ = _distill_params(1)
         params.kernel.data[...] = identity_tap_kernel(1)
         params.bias.data[...] = 0.0
-        out = conv_elu_feature(Tensor(np.full((3, 1), -10.0)), params)
-        npt.assert_allclose(out.data, np.full((3, 1), np.expm1(-10.0)), atol=1e-15)
+        out = distill_step(Tensor(np.full((3, 1), -10.0)), params, kind="maxpool_only")
+        npt.assert_allclose(out.data, np.full((2, 1), np.expm1(-10.0)), atol=1e-15)
 
 
 class TestDistillStep:
@@ -97,10 +94,13 @@ class TestDistillStep:
 
 
 def _encoder(n_blocks=3, d_model=8, kind="canonical", distill_kind="parallel_pool", seed=0):
+    """The encoder reads its blocks from the config; L_x only bounds the
+    model's windows, so the forwards below may use other lengths."""
     store = ParamStore()
-    cfg = AttentionConfig(n_heads=2, d_model=d_model, kind=kind)
-    enc = Encoder(store, "enc", n_blocks, cfg, d_ff=16, drop=0.0,
-                  rng=np.random.default_rng(seed), distill_kind=distill_kind)
+    cfg = ModelConfig(L_x=96, label_len=0, L_y=1, d_x=1, d_y=1, d_model=d_model, n_heads=2,
+                      enc_blocks=n_blocks, d_ff=16, dropout=0.0, attention=kind,
+                      distill=distill_kind)
+    enc = Encoder(store, "enc", cfg, np.random.default_rng(seed))
     return enc, store
 
 
@@ -133,5 +133,5 @@ class TestEncoderForward:
         assert out.shape == (8, 8)
 
     def test_needs_at_least_one_block(self):
-        with pytest.raises(ValueError, match="at least one block"):
+        with pytest.raises(ValueError, match="^enc_blocks: must be >= 1, got 0$"):
             _encoder(n_blocks=0)

@@ -17,6 +17,7 @@ import pytest
 from conftest import make_split_windows
 from sparsecast import training
 from sparsecast.attention import NaNScoreError
+from sparsecast.data import make_windows, synthetic_seasonal_frame
 from sparsecast.model import Forecaster, ModelConfig
 from sparsecast.tensor import ParamStore
 from sparsecast.training import (
@@ -379,6 +380,14 @@ class TestEvaluate:
         result = repeat_last_baseline(test_w)
         assert np.isfinite([result.corr, result.mse, result.mae]).all()
         assert result.mse > 0
+
+    def test_flags_are_kept_once_each(self):
+        """Every one-row window flags zero variance; the mean keeps each
+        distinct flag once, so the flags do not grow with the test split."""
+        windows = make_windows(synthetic_seasonal_frame(56, 1, seed=13), 4, 2, 1)
+        assert len(windows) == 52
+        result = repeat_last_baseline(windows)
+        assert result.flags == ["zero_variance_truth", "zero_variance_prediction"]
 
 
 class TestCheckpoint:

@@ -119,18 +119,19 @@ def prefix_top_counts(length: int, c: float) -> np.ndarray:
 
 
 def select_top_queries(scores, c: float) -> np.ndarray:
-    """Indices (ascending) of the n = c*ln(L) largest scores.
+    """Indices (ascending) of the n = c*ln(L) largest scores along the last
+    axis.
 
-    Ties are broken toward the lower index.  An (H, L) array of per-head
-    scores gives an (H, n) array, one row of indices per head.  A NaN score
-    raises ``NaNScoreError`` naming its head and row.
+    Ties are broken toward the lower index.  An (..., H, L) array of
+    per-head scores gives an (..., H, n) array, one row of indices per
+    window and head.  A NaN score raises ``NaNScoreError`` naming its
+    window, head and row; a 1-D array is head 0.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        s = s.reshape(-1)
+    s = np.atleast_1d(np.asarray(scores, dtype=np.float64))
     if np.isnan(s).any():
-        head, row = np.argwhere(np.isnan(np.atleast_2d(s)))[0]
-        raise NaNScoreError(f"selection got a NaN score at head {head}, row {row}")
+        *windows, head, row = np.argwhere(np.isnan(np.atleast_2d(s)))[0].tolist()
+        at = "".join(f"window {i}, " for i in windows)
+        raise NaNScoreError(f"selection got a NaN score at {at}head {head}, row {row}")
     n = top_n_count(s.shape[-1], c)
     order = np.argsort(-s, axis=-1, kind="stable")
     return np.sort(order[..., :n], axis=-1)
@@ -148,8 +149,11 @@ def select_top_queries_causal(scores, c: float) -> np.ndarray:
     rows of their block and the K = n_{L-1} largest scores before it.
     That count is exact whenever it is below K >= n_i, so the selection
     equals a full prefix ranking at O(L*(K+B)) time, with no L x L buffer.
+    ``scores`` must be 1-D: one head of one window.
     """
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError(f"causal selection ranks one head's 1-D scores, got shape {s.shape}")
     nan = np.flatnonzero(np.isnan(s))
     if nan.size:
         raise NaNScoreError(f"causal selection got a NaN score at index {nan[0]}")
@@ -172,11 +176,11 @@ def select_top_queries_causal(scores, c: float) -> np.ndarray:
 
 
 def importance_scores(q, k, kernel, bias=None, causal: bool = False) -> np.ndarray:
-    """Per-query importance scores, one column per head.
+    """Per-query importance scores, (..., L, H): one column per head.
 
     A width-3 convolution over Q+K (in-channels d_model, out-channels
-    n_heads).  Requires self-attention shapes (L_Q == L_K); cross
-    attention has no query ranking and must use the canonical kernel.
+    n_heads) along axis -2.  Requires self-attention shapes (L_Q == L_K);
+    cross attention has no query ranking and must use the canonical kernel.
     With ``causal=True`` the input is left-padded instead of centered, so
     score i only sees positions i-2..i.
 
@@ -184,87 +188,93 @@ def importance_scores(q, k, kernel, bias=None, causal: bool = False) -> np.ndarr
     through these scores.
     """
     q_data, k_data = _coerce(q).data, _coerce(k).data
-    if q_data.shape[0] != k_data.shape[0]:
+    if q_data.shape[-2] != k_data.shape[-2]:
         raise ValueError(
-            f"importance scores need L_Q == L_K, got {q_data.shape[0]} != {k_data.shape[0]}"
+            f"importance scores need L_Q == L_K, got {q_data.shape[-2]} != {k_data.shape[-2]}"
             " (cross-attention must use the canonical kernel)"
         )
     fused = q_data + k_data
     with no_grad():
         if causal:
             width = kernel.shape[2]
-            padded = np.vstack([np.zeros((width - 1, fused.shape[1])), fused])
+            pad = np.zeros((*fused.shape[:-2], width - 1, fused.shape[-1]))
+            padded = np.concatenate([pad, fused], axis=-2)
             return conv1d_time(padded, kernel, 0, bias).data
         return conv1d_time(fused, kernel, 1, bias).data
 
 
 def _select_heads(ranking: np.ndarray, c: float, causal: bool) -> np.ndarray:
-    """Each head's selection as an (H, L) boolean mask."""
-    H, L = ranking.shape
-    selected = np.zeros((H, L), dtype=bool)
+    """Each head's selection as an (..., H, L) boolean mask.  The causal
+    selection runs once per window and head."""
+    selected = np.zeros(ranking.shape, dtype=bool)
+    flat = selected.reshape(-1, ranking.shape[-1])  # a view: one row per window and head
     if causal:
-        for h, scores in enumerate(ranking):
-            selected[h, select_top_queries_causal(scores, c)] = True
+        for row, scores in zip(flat, ranking.reshape(flat.shape)):
+            row[select_top_queries_causal(scores, c)] = True
     else:
-        selected[np.arange(H)[:, None], select_top_queries(ranking, c)] = True
+        chosen = select_top_queries(ranking, c)
+        flat[np.arange(len(flat))[:, None], chosen.reshape(len(flat), -1)] = True
     return selected
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int, ranking=None, *,
            c: float = 5.0, causal: bool = False) -> Tensor:
-    """The one attention core: one node from the full-width (L, H*d)
-    projections of ``n_heads`` heads to their merged (L, H*d_v) output.
+    """The one attention core: one node from the full-width (..., L, H*d)
+    projections of ``n_heads`` heads to their merged (..., L, H*d_v) output.
 
     With ``ranking`` None every query row attends (canonical; ``causal``
-    adds the causal mask).  Otherwise ``ranking`` is an (H, L) array of
-    per-head query scores, and ``tensor.attention`` gets each head's top-n
-    rows as a selection mask.  Inside ``counting`` only selected rows are
-    counted, and the score buffer of every head is one buffer.
+    adds the causal mask).  Otherwise ``ranking`` is an (..., H, L) array
+    of per-head query scores, and ``tensor.attention`` gets each head's
+    top-n rows as a selection mask.  Inside ``counting`` only selected rows
+    are counted, and the score buffer of every window and head is one
+    buffer.
     """
     budget = _ACTIVE.get()
-    l_q, l_k = q.shape[0], k.shape[0]
+    heads = (*q.shape[:-2], n_heads)
+    l_q, l_k = q.shape[-2], k.shape[-2]
     if causal and l_q != l_k:
         raise ValueError(f"causal attention needs L_Q == L_K, got q {q.shape}, k {k.shape}")
     selected = None
     if ranking is not None:
-        if ranking.shape != (n_heads, l_q):
+        if ranking.shape != (*heads, l_q):
             raise ValueError(f"ranking of shape {ranking.shape} does not match the "
-                             f"({n_heads}, {l_q}) heads and query rows of q {q.shape}")
+                             f"{(*heads, l_q)} heads and query rows of q {q.shape}")
         start = _now(budget)
         selected = _select_heads(ranking, c, causal)
         if budget is not None:
             budget.t2_ns += time.perf_counter_ns() - start
     start = _now(budget)
-    out = attention(q, k, v, n_heads, 1.0 / math.sqrt(q.shape[1] // n_heads), causal,
+    out = attention(q, k, v, n_heads, 1.0 / math.sqrt(q.shape[-1] // n_heads), causal,
                     selected)
     if budget is not None:
         budget.t3_ns += time.perf_counter_ns() - start
-        counts = np.full(n_heads, l_q) if selected is None else selected.sum(axis=1)
+        counts = np.full(heads, l_q) if selected is None else selected.sum(axis=-1)
         budget.dot_products_materialized += int(counts.sum()) * l_k
         budget.rows_selected += int(counts.sum())
-        budget.peak_bytes = max(budget.peak_bytes, n_heads * int(counts.max()) * l_k * 8)
+        budget.peak_bytes = max(budget.peak_bytes, counts.size * int(counts.max()) * l_k * 8)
     return out
 
 
 def sampled_sparsity(q: Tensor, k: Tensor, n_heads: int, c: float,
                      rng: np.random.Generator, causal: bool = False) -> np.ndarray:
-    """(H, L) ``prob_sparse`` ranking of the full-width projections: per
-    head, max - mean of the scaled dot products with u = c*ln(L) keys
-    sampled uniformly without replacement.
+    """(..., H, L) ``prob_sparse`` ranking of the full-width (..., L, H*d)
+    projections: per head, max - mean of the scaled dot products with u =
+    c*ln(L) keys sampled uniformly without replacement.
 
-    Heads draw their samples in head order from ``rng``.  When ``causal``
-    the statistic of row i uses only sampled keys at or before i, and rows
-    that see no sampled key rank lowest.
+    Heads draw their samples in head order from ``rng``, one (H, u) draw
+    per call that every window of a stack shares.  When ``causal`` the
+    statistic of row i uses only sampled keys at or before i, and rows that
+    see no sampled key rank lowest.
     """
     budget = _ACTIVE.get()
     q_heads, k_heads = (head_view(_coerce(x).data, n_heads) for x in (q, k))
-    H, L, d = q_heads.shape
-    if k_heads.shape[1] != L:
+    *_, H, L, d = q_heads.shape
+    if k_heads.shape[-2] != L:
         raise ValueError("prob_sparse attention is self-attention only (L_Q must equal L_K)")
     start = _now(budget)
     u = top_n_count(L, c)
     sample = np.stack([np.sort(rng.choice(L, size=u, replace=False)) for _ in range(H)])
-    keys = np.take_along_axis(k_heads, sample[:, :, None], axis=1)
+    keys = k_heads[..., np.arange(H)[:, None], sample, :]
     sampled_scores = (q_heads @ np.swapaxes(keys, -1, -2)) / math.sqrt(d)
     if causal:
         visible = sample[:, None, :] <= np.arange(L)[:, None]
@@ -276,8 +286,8 @@ def sampled_sparsity(q: Tensor, k: Tensor, n_heads: int, c: float,
         measure = sampled_scores.max(axis=-1) - sampled_scores.mean(axis=-1)
     if budget is not None:
         budget.t1_ns += time.perf_counter_ns() - start
-        budget.dot_products_materialized += H * L * u
-        budget.peak_bytes = max(budget.peak_bytes, H * L * u * 8)
+        budget.dot_products_materialized += measure.size * u
+        budget.peak_bytes = max(budget.peak_bytes, measure.size * u * 8)
     return measure
 
 
@@ -294,12 +304,13 @@ def eval_rng(kind: str) -> np.random.Generator | None:
 def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
                 score_kernel=None, score_bias=None,
                 rng: np.random.Generator | None = None) -> Tensor:
-    """Multi-head attention of one ``kind`` on full-width (L, H*d) projections.
+    """Multi-head attention of one ``kind`` on full-width (..., L, H*d)
+    projections.
 
     The kinds differ only in how queries are ranked: ``canonical`` keeps
     every row, ``neural_sparse`` ranks by the score convolution (one call
     for all heads), ``prob_sparse`` by the sampled statistic; the
-    ``masked_*`` kinds add the causal mask.  Returns the merged (L, H*d)
+    ``masked_*`` kinds add the causal mask.  Returns the merged (..., L, H*d)
     output.  An unknown ``kind`` raises ``ValueError`` listing ``KINDS``.
     """
     if kind not in KINDS:
@@ -310,7 +321,7 @@ def attend_kind(kind: str, q_full, k_full, v_full, n_heads: int, c: float, *,
         budget = _ACTIVE.get()
         start = _now(budget)
         ranking = importance_scores(q_full, k_full, score_kernel, score_bias,
-                                    causal=causal).T
+                                    causal=causal).swapaxes(-1, -2)
         if budget is not None:
             budget.t1_ns += time.perf_counter_ns() - start
     elif kind.endswith("prob_sparse"):

@@ -52,17 +52,20 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 
 
 def validate_stamps(stamps: np.ndarray) -> np.ndarray:
-    """Check an (L, 5) integer stamp matrix against the category vocabularies."""
+    """Check an (..., L, 5) integer stamp matrix against the category
+    vocabularies."""
     stamps = np.asarray(stamps)
-    if stamps.ndim != 2 or stamps.shape[1] != len(STAMP_CATEGORIES):
+    if stamps.ndim < 2 or stamps.shape[-1] != len(STAMP_CATEGORIES):
         raise ValueError(f"stamps must be (L, {len(STAMP_CATEGORIES)}), got {stamps.shape}")
     if not np.issubdtype(stamps.dtype, np.integer):
         raise ValueError(f"stamps must be integers, got dtype {stamps.dtype}")
     bad = (stamps < 0) | (stamps >= _VOCAB_SIZES)
     if bad.any():
+        rows = stamps.reshape(-1, len(STAMP_CATEGORIES))  # every window's rows, in order
+        bad = bad.reshape(rows.shape)
         col = int(np.flatnonzero(bad.any(axis=0))[0])
         name = STAMP_CATEGORIES[col]
-        value = int(stamps[bad[:, col], col][0])
+        value = int(rows[bad[:, col], col][0])
         raise ValueError(f"stamp {name!r} index {value} outside [0, {STAMP_VOCAB[name]})")
     return stamps.astype(np.intp, copy=False)
 
@@ -88,15 +91,16 @@ class WindowEmbedding:
         self.gate_b = store.add(f"{prefix}.gate.b", np.zeros(1))
 
     def __call__(self, values, stamps: np.ndarray) -> Tensor:
-        """Embed one window of raw values plus calendar stamps.
+        """Embed windows of raw values plus calendar stamps.
 
-        ``values`` is (L, d_in); the result is (L, d_model).  Deterministic
-        given (values, stamps, parameters).
+        ``values`` is (..., L, d_in) and ``stamps`` (..., L, 5); the result
+        is (..., L, d_model).  Deterministic given (values, stamps,
+        parameters).
         """
         values = values if isinstance(values, Tensor) else Tensor(values)
-        L = values.shape[0]
-        if stamps.shape[0] != L:
-            raise ValueError(f"values have {L} rows but stamps have {stamps.shape[0]}")
+        L = values.shape[-2]
+        if stamps.shape[-2] != L:
+            raise ValueError(f"values have {L} rows but stamps have {stamps.shape[-2]}")
         u = conv1d_time(values, self.token_kernel, padding=1)
         pe = Tensor(positional_encoding(L, self.d_model))
         se = embedding_sum([self.tables[name] for name in STAMP_CATEGORIES],

@@ -31,13 +31,13 @@ class DistillParams:
 
 
 def distill_step(x: Tensor, params: DistillParams, kind: str = "parallel_pool") -> Tensor:
-    """Halve the sequence length of one attention block's output, L to
-    ceil(L/2), through ``pool1d``'s width-3, stride-2 pools of the
-    length-preserving features ELU(conv width 3, padding 1).
+    """Halve the sequence length of one attention block's output, (..., L, d)
+    to (..., ceil(L/2), d), through ``pool1d``'s width-3, stride-2 pools of
+    the length-preserving features ELU(conv width 3, padding 1).
 
     ``kind`` is one of ``model.DISTILL_CHOICES``, checked by ``ModelConfig``.
     """
-    if x.shape[0] < 2:
+    if x.shape[-2] < 2:
         raise ValueError("cannot distill length-1 sequence")
     features = elu(conv1d_time(x, params.kernel, 1, params.bias))
     pooled_max = pool1d(features, "max")

@@ -10,12 +10,13 @@ canonical cross-attention against the encoder output.
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
 from .attention import MultiHeadAttention, ScoreBudget, counting
 from .data import DataError
-from .embedding import WindowEmbedding
+from .embedding import WindowEmbedding, validate_stamps
 from .encoder import Encoder
 from .layers import Dense, FeedForward, LayerNorm, residual
 from .tensor import ParamStore, Tensor, mean_, no_grad
@@ -94,16 +95,16 @@ class Forecast:
 
 def build_decoder_input(known_values, label_len: int, horizon: int) -> np.ndarray:
     """Warm-start block for the decoder: the last ``label_len`` rows of the
-    known (scaled) target series followed by ``horizon`` zero rows."""
+    known (scaled) target series followed by ``horizon`` zero rows, for
+    (rows, d_y) values or a (..., rows, d_y) stack of windows."""
     known = np.asarray(known_values, dtype=np.float64)
-    if known.ndim != 2:
-        raise ValueError("known_values must be 2-D (rows, d_y)")
-    if label_len > known.shape[0]:
-        raise ValueError(
-            f"label_len={label_len} exceeds the {known.shape[0]} known rows"
-        )
-    tail = known[known.shape[0] - label_len:] if label_len else known[:0]
-    return np.vstack([tail, np.zeros((horizon, known.shape[1]))])
+    if known.ndim < 2:
+        raise ValueError("known_values must be (rows, d_y), or a stack of them")
+    *lead, rows, d_y = known.shape
+    if label_len > rows:
+        raise ValueError(f"label_len={label_len} exceeds the {rows} known rows")
+    return np.concatenate([known[..., rows - label_len:, :], np.zeros((*lead, horizon, d_y))],
+                          axis=-2)
 
 
 class DecoderLayer:
@@ -131,8 +132,25 @@ class DecoderLayer:
         return residual(self.norm3, x, self.ffn(x), self.drop, rng)
 
 
+# Budget, in float64 elements, on the widest activation of one window times
+# the windows of one ``forward_many`` chunk; see ``chunk_windows``.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def chunk_windows(config: ModelConfig) -> int:
+    """Windows ``forward_many`` stacks into one forward: as many as keep B
+    times the widest per-window activation within ``_CHUNK_ELEMENTS``, and
+    at least one.  With L = max(L_x, dec_len), that activation is at most
+    L * max(d_ff, n_heads * L): an FFN hidden layer, or a canonical score
+    buffer of every head.  Wide configs therefore run one window at a time,
+    where a stack only adds memory and no speed."""
+    L = max(config.L_x, config.dec_len)
+    return max(1, _CHUNK_ELEMENTS // (L * max(config.d_ff, config.n_heads * L)))
+
+
 class Forecaster:
-    """Encoder-decoder forecaster over single windows.
+    """Encoder-decoder forecaster: ``forward`` runs one window, and
+    ``forward_many`` runs stacks of windows through the same layers.
 
     Inference over frozen parameters is pure and may run concurrently;
     training mutates the store under a single writer.
@@ -167,16 +185,47 @@ class Forecaster:
             raise ValueError("training-mode forward requires an rng (dropout/sampling)")
         cfg = self.config
         _check_window(sample, cfg)
-        rng = rng if train else None
         with nullcontext() if budget is None else counting(budget):
-            enc_x = self.enc_embed(sample.enc_values, sample.enc_stamps)
-            enc_out = self.encoder(enc_x, rng=rng)
-            dec_values = build_decoder_input(sample.known_tail, cfg.label_len, cfg.L_y)
-            dec_x = self.dec_embed(dec_values, sample.dec_stamps)
-            for layer in self.decoder_layers:
-                dec_x = layer(dec_x, enc_out, rng=rng)
-            out = self.proj(dec_x)
+            out = self._decode(sample.enc_values, sample.enc_stamps, sample.known_tail,
+                               sample.dec_stamps, rng if train else None)
         return out[out.shape[0] - cfg.L_y:]
+
+    def forward_many(self, samples):
+        """Yield the scaled (L_y, d_y) forecast of every window of ``samples``
+        (any iterable, a generator too), in order.
+
+        Windows run ``chunk_windows(config)`` at a time through one forward
+        of their stacked arrays under ``no_grad``.  Every layer treats the
+        window axis as a leading axis and each window's products stay its
+        own GEMMs, so a forecast has the bits ``forward`` gives its window.
+        Attention counts go to the record of an enclosing ``counting``
+        block.  A window that does not fit the config raises ``DataError``
+        prefixed with its index in ``samples``.
+        """
+        cfg = self.config
+        windows = iter(samples)
+        first = 0
+        while chunk := list(islice(windows, chunk_windows(cfg))):
+            for i, sample in enumerate(chunk, first):
+                _check_window(sample, cfg, f"window {i}:")
+            enc_stamps, dec_stamps = (_stacked_stamps(chunk, name, first)
+                                      for name in ("enc_stamps", "dec_stamps"))
+            with no_grad():
+                out = self._decode(np.stack([s.enc_values for s in chunk]), enc_stamps,
+                                   np.stack([s.known_tail for s in chunk]), dec_stamps, None)
+            first += len(chunk)
+            yield from out.data[:, out.shape[1] - cfg.L_y:]
+
+    def _decode(self, enc_values, enc_stamps, known_tail, dec_stamps, rng) -> Tensor:
+        """Embedding, encoder, decoder and projection over one window's arrays,
+        or over (B, ...) stacks of them: the (..., dec_len, d_y) output."""
+        cfg = self.config
+        enc_out = self.encoder(self.enc_embed(enc_values, enc_stamps), rng=rng)
+        dec_values = build_decoder_input(known_tail, cfg.label_len, cfg.L_y)
+        dec_x = self.dec_embed(dec_values, dec_stamps)
+        for layer in self.decoder_layers:
+            dec_x = layer(dec_x, enc_out, rng=rng)
+        return self.proj(dec_x)
 
     def loss(self, sample, *, rng: np.random.Generator | None = None,
              train: bool = False) -> Tensor:
@@ -192,10 +241,10 @@ class Forecaster:
         return Forecast(predictions=original, scaled_predictions=scaled)
 
 
-def _check_window(sample, config: ModelConfig) -> None:
+def _check_window(sample, config: ModelConfig, where: str = "window") -> None:
     """Raise ``DataError`` naming the first window field whose shape does not
-    fit ``config``, or whose values are not finite.  ``target`` is left to
-    the loss."""
+    fit ``config``, or whose values are not finite; each message starts
+    with ``where``.  ``target`` is left to the loss."""
     shapes = (
         ("enc_values", np.shape(sample.enc_values), (config.L_x, config.d_x)),
         ("enc_stamps rows", np.shape(sample.enc_stamps)[:1], (config.L_x,)),
@@ -204,14 +253,32 @@ def _check_window(sample, config: ModelConfig) -> None:
     )
     for name, got, want in shapes:
         if got != want:
-            raise DataError(f"window {name}: got {got}, the model expects {want}")
+            raise DataError(f"{where} {name}: got {got}, the model expects {want}")
     for name in ("enc_values", "known_tail"):
         finite = np.isfinite(getattr(sample, name))
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
             value = np.asarray(getattr(sample, name))[row, col]
-            raise DataError(f"window {name}: non-finite value {value} at row {row}, "
+            raise DataError(f"{where} {name}: non-finite value {value} at row {row}, "
                             f"column {col}")
+
+
+def _stacked_stamps(chunk, name: str, first: int) -> np.ndarray:
+    """The checked (B, rows, 5) stack of field ``name`` of the windows of
+    ``chunk``, the first of which has index ``first``.  A stamp matrix that
+    does not stack, or does not pass ``validate_stamps``, raises
+    ``DataError`` naming its window; only a failed stack checks windows one
+    at a time."""
+    matrices = [getattr(sample, name) for sample in chunk]
+    try:
+        return validate_stamps(np.stack(matrices))
+    except ValueError:
+        for i, stamps in enumerate(matrices, first):
+            try:
+                validate_stamps(stamps)
+            except ValueError as exc:
+                raise DataError(f"window {i}: {name}: {exc}") from None
+        raise
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:

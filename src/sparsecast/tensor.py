@@ -331,10 +331,12 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 def linear(x, w, b=None) -> Tensor:
-    """``x @ w + b`` as one node: ``x`` is (L, d_in), ``w`` (d_in, d_out) and
-    the optional bias ``b`` (d_out,)."""
+    """``x @ w + b`` as one node: ``x`` is (..., L, d_in), ``w`` (d_in, d_out)
+    and the optional bias ``b`` (d_out,).  Leading window axes make numpy's
+    stacked product, one GEMM per window, so each window gets the bits of
+    its own (L, d_in) product."""
     x, w = _coerce(x), _coerce(w)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
     out = x.data @ w.data
     if b is None:
@@ -345,6 +347,7 @@ def linear(x, w, b=None) -> Tensor:
         nodes = _inputs(x, w, b)
     if nodes is None:
         return Tensor(out)
+    _two_dim("linear", x.data.shape)
     nx, nw = nodes[:2]
     nb = nodes[2] if len(nodes) == 3 else None
     x_data = x.data if nw is not None else None
@@ -401,6 +404,14 @@ def mean_(a, axis=None, keepdims=False) -> Tensor:
     return _make(out, nodes, bw)
 
 
+def _two_dim(op: str, shape) -> None:
+    """Refuse to record a node for an input with a leading window axis: the
+    backward formulas are those of one (L, C) window."""
+    if len(shape) > 2:
+        raise ValueError(f"{op} records gradients for one (L, C) window only, got an input "
+                         f"of shape {shape}; run stacked windows under no_grad")
+
+
 def _getitem(a: Tensor, key) -> Tensor:
     """``a[key]`` for any numpy key; an integer-array key may repeat
     entries, whose gradients add up."""
@@ -420,18 +431,20 @@ def _getitem(a: Tensor, key) -> Tensor:
 
 
 def head_view(a: np.ndarray, n_heads: int) -> np.ndarray:
-    """(L, H*d) -> (H, L, d), head h being columns h*d..(h+1)*d-1: a numpy
-    view of ``a`` that records nothing."""
-    if a.ndim != 2 or a.shape[1] % n_heads:
-        raise ValueError(f"head_view needs an (L, width) array whose width is divisible "
+    """(..., L, H*d) -> (..., H, L, d), head h being columns h*d..(h+1)*d-1:
+    a numpy view of ``a`` that records nothing."""
+    if a.ndim < 2 or a.shape[-1] % n_heads:
+        raise ValueError(f"head_view needs an (..., L, width) array whose width is divisible "
                          f"by {n_heads} heads, got shape {a.shape}")
-    return a.reshape(a.shape[0], n_heads, a.shape[1] // n_heads).transpose(1, 0, 2)
+    return a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads)).swapaxes(-3, -2)
 
 
 def _merged(a: np.ndarray) -> np.ndarray:
-    """(H, L, d) -> (L, H*d), the inverse of ``head_view``: a view when H == 1."""
-    H, L, d = a.shape
-    return a.transpose(1, 0, 2).reshape(L, H * d)
+    """(..., H, L, d) -> (..., L, H*d), the inverse of ``head_view``: a view
+    when H == 1."""
+    rows = a.swapaxes(-3, -2)
+    *lead, L, H, d = rows.shape
+    return rows.reshape(*lead, L, H * d)
 
 
 # -- neural-network primitives -----------------------------------------
@@ -439,6 +452,14 @@ def _merged(a: np.ndarray) -> np.ndarray:
 # Most elements of one block of query rows in the ``attention`` backward:
 # 1 MiB of float64, so a block's weights and score gradient stay in cache.
 _ATTENTION_BLOCK = 1 << 17
+
+
+def _rows(pos: np.ndarray) -> tuple:
+    """The index that takes rows ``pos`` (..., H, n) of an (..., H, L, d)
+    array: an open mesh over the leading axes and heads, then ``pos``."""
+    lead = pos.shape[:-1]
+    return (*[np.arange(size).reshape((size,) + (1,) * (len(lead) - axis))
+              for axis, size in enumerate(lead)], pos)
 
 
 def _softmax_rows(q, k, scale, visible, row_max=None, row_sum=None):
@@ -469,18 +490,19 @@ def _softmax_rows(q, k, scale, visible, row_max=None, row_sum=None):
 def attention(q, k, v, n_heads: int, scale: float, causal: bool = False,
               selected=None) -> Tensor:
     """``softmax(q k^T * scale) v`` on each of ``n_heads`` heads, as one
-    node; ``causal`` lets row i see keys 0..i.  ``q`` is (L, H*d), ``k``
-    (m, H*d) and ``v`` (m, H*d_v), and the output is (L, H*d_v): head h of
-    each is the block of columns ``head_view`` gives it.
+    node; ``causal`` lets row i see keys 0..i.  ``q`` is (..., L, H*d), ``k``
+    (..., m, H*d) and ``v`` (..., m, H*d_v), and the output is
+    (..., L, H*d_v): head h of each is the block of columns ``head_view``
+    gives it.  Leading window axes run forward only.
 
-    ``selected``, a boolean (H, L) mask, makes it sparse: every row it
+    ``selected``, a boolean (..., H, L) mask, makes it sparse: every row it
     leaves out gets the column mean of its head of ``v``, or its inclusive
     prefix sum when ``causal`` (then m == L).  A stable argsort of the
     inverted mask picks the n rows each head attends: its selected rows
     ascending, then its first lazy rows as padding, whose output stays the
     fill and which get no gradient.
 
-    The forward makes the (H, n, m) weights in one buffer, with the scale
+    The forward makes the (..., H, n, m) weights in one buffer, with the scale
     folded into ``q`` and the softmax in place, and drops them after the
     product with ``v``.  The tape keeps the attended rows of ``q``, ``k``,
     ``v``, the rows' positions and the (H, n, 1) row max and row sum,
@@ -491,20 +513,22 @@ def attention(q, k, v, n_heads: int, scale: float, causal: bool = False,
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     q_data, k_data, v_data = (head_view(t.data, n_heads) for t in (q, k, v))
-    L, m = q.data.shape[0], k.data.shape[0]
-    if q.data.shape[1] != k.data.shape[1] or v.data.shape[0] != m:
+    q_shape, k_shape = q.data.shape, k.data.shape
+    lead, L, m = q_shape[:-2], q_shape[-2], k_shape[-2]
+    if q_shape[-1] != k_shape[-1] or v.data.shape[:-1] != k_shape[:-1] or k_shape[:-2] != lead:
         raise ValueError(f"attention needs one query and key dim and one key and value row "
-                         f"count, got q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+                         f"count, got q {q_shape}, k {k_shape}, v {v.data.shape}")
     if selected is not None and (np.asarray(selected).dtype != bool
-                                 or np.shape(selected) != (n_heads, L)):
-        raise ValueError(f"selected must be a boolean ({n_heads}, {L}) mask for q {q.data.shape}, "
-                         f"got {np.asarray(selected).dtype} of shape {np.shape(selected)}")
+                                 or np.shape(selected) != lead + (n_heads, L)):
+        raise ValueError(f"selected must be a boolean {lead + (n_heads, L)} mask for q "
+                         f"{q.data.shape}, got {np.asarray(selected).dtype} of shape "
+                         f"{np.shape(selected)}")
     if selected is None:
         pos = np.arange(L)
     else:
         counts = selected.sum(axis=-1, keepdims=True)
-        pos = np.argsort(~selected, axis=-1, kind="stable")[:, :counts.max()]
-        rows = (np.arange(n_heads)[:, None], pos)
+        pos = np.argsort(~selected, axis=-1, kind="stable")[..., :counts.max()]
+        rows = _rows(pos)
         real = np.arange(pos.shape[-1]) < counts  # the selected rows among them
         q_data = q_data[rows]
     visible = np.arange(m) <= pos[..., None] if causal else None
@@ -520,6 +544,7 @@ def attention(q, k, v, n_heads: int, scale: float, causal: bool = False,
     nodes = _inputs(q, k, v)
     if nodes is None:
         return Tensor(out)
+    _two_dim("attention", q.data.shape)
     nq, nk, nv = nodes
     lazy = None if selected is None or selected.all() else ~selected
     step = max(1, _ATTENTION_BLOCK // (m * n_heads))
@@ -616,28 +641,31 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
 
 
 def _conv_windows(xp: np.ndarray, l_out: int, k: int) -> np.ndarray:
-    """(l_out, C_in*k) rows of the C-contiguous padded input ``xp``: row t
-    is windows[t, c, i] = xp[t + i, c], flattened channel-major."""
-    step, item = xp.strides
-    windows = np.ndarray((l_out, xp.shape[1], k), dtype=np.float64, buffer=xp,
-                         strides=(step, item, step))
-    return windows.reshape(l_out, xp.shape[1] * k)
+    """(..., l_out, C_in*k) rows of the C-contiguous padded input ``xp``:
+    row t is windows[..., t, c, i] = xp[..., t + i, c], flattened
+    channel-major."""
+    lead, c_in = xp.shape[:-2], xp.shape[-1]
+    step, item = xp.strides[-2:]
+    windows = np.ndarray(lead + (l_out, c_in, k), dtype=np.float64, buffer=xp,
+                         strides=xp.strides[:-2] + (step, item, step))
+    return windows.reshape(lead + (l_out, c_in * k))
 
 
 def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
     """Cross-correlation along the time axis with zero padding, plus an
     optional bias, as one node.
 
-    ``x`` is (L, C_in), ``kernel`` is (C_out, C_in, k) with odd k and the
-    optional ``bias`` (C_out,); the result is (L + 2*padding - k + 1,
-    C_out).  The tape keeps the padded input for the kernel's gradient and
-    the kernel for the input's; the bias's gradient is the output gradient
-    summed over time.
+    ``x`` is (..., L, C_in), ``kernel`` is (C_out, C_in, k) with odd k and
+    the optional ``bias`` (C_out,); the result is (..., L_out, C_out) with
+    L_out = L + 2*padding - k + 1.  Each window's unrolled rows make their
+    own GEMM, as in ``linear``.  The tape keeps the padded input for the
+    kernel's gradient and the kernel for the input's; the bias's gradient
+    is the output gradient summed over time.
     """
     x, kernel = _coerce(x), _coerce(kernel)
-    if x.data.ndim != 2 or kernel.data.ndim != 3:
-        raise ValueError("conv1d_time expects x (L, C_in) and kernel (C_out, C_in, k)")
-    L, c_in = x.data.shape
+    if x.data.ndim < 2 or kernel.data.ndim != 3:
+        raise ValueError("conv1d_time expects x (..., L, C_in) and kernel (C_out, C_in, k)")
+    lead, (L, c_in) = x.data.shape[:-2], x.data.shape[-2:]
     c_out, kc_in, k = kernel.data.shape
     if k % 2 != 1:
         raise ValueError(f"kernel width must be odd, got {k}")
@@ -652,8 +680,8 @@ def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
     if l_out < 1:
         raise ValueError(f"sequence of length {L} too short for kernel {k} with padding {padding}")
     if padding:
-        xp = np.zeros((L + 2 * padding, c_in))
-        xp[padding : padding + L] = x.data
+        xp = np.zeros(lead + (L + 2 * padding, c_in))
+        xp[..., padding : padding + L, :] = x.data
     else:
         xp = np.ascontiguousarray(x.data)
     flat_kernel = kernel.data.reshape(c_out, c_in * k)
@@ -666,6 +694,7 @@ def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
         nodes = _inputs(x, kernel, bias)
     if nodes is None:
         return Tensor(out)
+    _two_dim("conv1d_time", x.data.shape)
     nx, nk = nodes[:2]
     nb = nodes[2] if len(nodes) == 3 else None
     padded_shape = xp.shape
@@ -690,7 +719,8 @@ def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
 
 def pool1d(x, kind: str) -> Tensor:
     """Centred width-3, stride-2 max or average pool along the time axis:
-    (L, C) to (ceil(L/2), C), window i reading input rows 2i-1..2i+1.
+    (..., L, C) to (..., ceil(L/2), C), window i reading input rows
+    2i-1..2i+1.
 
     The three taps are strided views ``xp[j:j+2n:2]`` of one padded copy.
     Max pads with -inf and tapes which tap won, ties to the earliest as
@@ -701,13 +731,13 @@ def pool1d(x, kind: str) -> Tensor:
     x = _coerce(x)
     if kind not in ("max", "avg"):
         raise ValueError(f"unknown pooling kind: {kind!r}")
-    L, C = x.data.shape
+    lead, (L, C) = x.data.shape[:-2], x.data.shape[-2:]
     if L < 1:
         raise ValueError("sequence too short to pool")
     n = (L + 1) // 2
-    xp = np.full((2 * n + 1, C), -np.inf if kind == "max" else 0.0)
-    xp[1 : L + 1] = x.data
-    t0, t1, t2 = [xp[j : j + 2 * n : 2] for j in range(3)]
+    xp = np.full(lead + (2 * n + 1, C), -np.inf if kind == "max" else 0.0)
+    xp[..., 1 : L + 1, :] = x.data
+    t0, t1, t2 = [xp[..., j : j + 2 * n : 2, :] for j in range(3)]
     if kind == "max":
         out = np.maximum(t0, t1)
         np.maximum(out, t2, out=out)
@@ -722,6 +752,7 @@ def pool1d(x, kind: str) -> Tensor:
     nodes = _inputs(x)
     if nodes is None:
         return Tensor(out)
+    _two_dim("pool1d", x.data.shape)
     nx, = nodes
     if kind == "max":
         first = t0 == out
@@ -739,30 +770,31 @@ def pool1d(x, kind: str) -> Tensor:
 
 
 def embedding_sum(tables, index) -> Tensor:
-    """``sum_j tables[j][index[:, j]]`` as one node: k (V_j, d) tables and
-    an (L, k) integer ``index``, one column per table.
+    """``sum_j tables[j][index[..., j]]`` as one node: k (V_j, d) tables and
+    an (..., L, k) integer ``index``, one column per table.
 
     The forward adds the looked-up rows in table order, and the backward
     scatters the output gradient into each table with one ``np.bincount``.
     """
     tables = [_coerce(t) for t in tables]
     idx = np.asarray(index)
-    if idx.dtype.kind not in "iu" or idx.ndim != 2 or idx.shape[1] != len(tables):
+    if idx.dtype.kind not in "iu" or idx.ndim < 2 or idx.shape[-1] != len(tables):
         raise IndexError(f"embedding index must be an (L, {len(tables)}) integer array, one "
                          f"column per table, got {idx.dtype} of shape {idx.shape}")
     idx = idx.astype(np.intp, copy=False)
     sizes = np.array([t.data.shape[0] for t in tables])
-    bad = ((idx < 0) | (idx >= sizes)).any(axis=0)
+    bad = ((idx < 0) | (idx >= sizes)).reshape(-1, len(tables)).any(axis=0)
     if bad.any():
         col = int(bad.argmax())
         raise IndexError(f"embedding index column {col} out of range [0, {sizes[col]}): "
-                         f"min={idx[:, col].min()}, max={idx[:, col].max()}")
-    out = tables[0].data[idx[:, 0]]
-    for table, rows in zip(tables[1:], idx.T[1:]):
-        out += table.data[rows]
+                         f"min={idx[..., col].min()}, max={idx[..., col].max()}")
+    out = tables[0].data[idx[..., 0]]
+    for j in range(1, len(tables)):
+        out += tables[j].data[idx[..., j]]
     nodes = _inputs(*tables)
     if nodes is None:
         return Tensor(out)
+    _two_dim("embedding_sum", idx.shape)
     shapes = [t.data.shape for t in tables]
 
     def bw(g):

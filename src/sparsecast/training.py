@@ -9,6 +9,7 @@ magic ``HGNT2`` with a trailing 64-bit BLAKE2b digest of the payload.
 
 import gc
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -19,7 +20,7 @@ import numpy as np
 
 from .attention import NaNScoreError
 from .data import MetricResult, metrics
-from .tensor import ParamStore, no_grad
+from .tensor import ParamStore
 
 CHECKPOINT_MAGIC = b"HGNT2"
 _READABLE_MAGICS = (b"HGNT1", CHECKPOINT_MAGIC)
@@ -137,32 +138,31 @@ def evaluate(model, samples, *, units: str = "scaled", scaler=None,
              target_columns=None) -> MetricResult:
     """Mean of per-window (CORR, MSE, MAE) over a frozen model.
 
-    ``units="original"`` inverse-scales both predictions and targets
-    before scoring.
+    ``samples`` is any iterable of windows, a generator too; the model's
+    ``forward_many`` scores them a chunk at a time.  ``units="original"``
+    inverse-scales both predictions and targets before scoring.
     """
-    if not samples:
-        raise ValueError("cannot evaluate an empty split")
     if units not in ("scaled", "original"):
         raise ValueError(f"unknown metric units {units!r}")
     if units == "original" and scaler is None:
         raise ValueError("original-unit metrics need the scaler")
+    windows, scoring = itertools.tee(samples)  # the targets, and the windows to forecast
 
     def scored():
-        for sample in samples:
-            pred = model.forward(sample).data
+        for sample, pred in zip(windows, model.forward_many(scoring)):
             truth = sample.target
             if units == "original":
                 pred = scaler.inverse(pred, columns=target_columns)
                 truth = scaler.inverse(truth, columns=target_columns)
             yield metrics(truth, pred)
 
-    with no_grad():
-        return _mean_of_windows(scored())
+    return _mean_of_windows(scored())
 
 
 def _mean_of_windows(results) -> MetricResult:
     """Mean of per-window metric results, summed in window order; each
-    distinct flag is kept once, in the order it is first seen."""
+    distinct flag is kept once, in the order it is first seen.  No results,
+    as an empty generator of windows gives, raise ``ValueError``."""
     corr = mse = mae = 0.0
     flags: dict = {}
     n = 0
@@ -172,6 +172,8 @@ def _mean_of_windows(results) -> MetricResult:
         mae += result.mae
         flags.update(dict.fromkeys(result.flags))
         n += 1
+    if n == 0:
+        raise ValueError("cannot evaluate an empty split")
     return MetricResult(corr=corr / n, mse=mse / n, mae=mae / n, n=n, flags=list(flags))
 
 

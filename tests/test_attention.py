@@ -2,6 +2,7 @@
 budget counters, and the multi-head wrapper."""
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -212,6 +213,27 @@ class TestSelection:
         with pytest.raises(attention.NaNScoreError,
                            match=f"^selection got a NaN score at {where}$"):
             select_top_queries(np.array(scores), 1)
+
+    def test_leading_axes_rank_each_row(self):
+        """A (B, H, L) stack ranks along its last axis: each (window, head)
+        row selects what it selects alone."""
+        scores = np.random.default_rng(2).normal(size=(2, 3, 10))
+        got = select_top_queries(scores, 1)
+        assert got.shape == (2, 3, top_n_count(10, 1))
+        for b in range(2):
+            npt.assert_array_equal(got[b], select_top_queries(scores[b], 1))
+
+    def test_nan_in_a_stack_names_window_head_and_row(self):
+        scores = np.zeros((2, 3, 10))
+        scores[1, 2, 4] = np.nan
+        with pytest.raises(attention.NaNScoreError,
+                           match=r"^selection got a NaN score at window 1, head 2, row 4$"):
+            select_top_queries(scores, 1)
+
+    @pytest.mark.parametrize("shape", [(3, 10), (1, 10), (2, 1, 10), ()])
+    def test_causal_selection_takes_one_head(self, shape):
+        with pytest.raises(ValueError, match=rf"1-D scores, got shape {re.escape(str(shape))}$"):
+            select_top_queries_causal(np.zeros(shape), 1)
 
     def test_causal_selection_always_keeps_row_zero(self):
         rng = np.random.default_rng(9)
@@ -785,3 +807,30 @@ def test_kind_names_agree():
     assert len(set(attention.KINDS)) == len(attention.KINDS) == 6
     for kind in ATTENTION_CHOICES:
         assert kind in attention.KINDS and f"masked_{kind}" in attention.KINDS
+
+
+@pytest.mark.parametrize("kind", attention.KINDS)
+def test_a_stack_of_windows_attends_as_each_window_does(kind):
+    """attend_kind over (B, L, H*d) stacks gives each window the bits of its
+    own call, and inside ``counting`` adds the sum of the windows' dot
+    products and rows.  The sampled kinds draw one sample per call, which
+    the stack shares, as the eval forward's fresh seed-0 generator gives
+    every window the same one."""
+    B, H, L, d = 3, 2, 20, 4
+    rng = np.random.default_rng(14)
+    q, k, v = rng.standard_normal((3, B, L, H * d))
+    kernel, bias = rng.standard_normal((H, H * d, 3)), rng.standard_normal(H)
+    scorer = dict(score_kernel=kernel, score_bias=bias) if "neural" in kind else {}
+
+    def run(*arrays):
+        with counting(ScoreBudget()) as budget:
+            out = attend_kind(kind, *arrays, H, 2.0, rng=attention.eval_rng(kind), **scorer)
+        return out.data, budget
+
+    stacked, together = run(q, k, v)
+    alone = [run(q[b], k[b], v[b]) for b in range(B)]
+    for b, (out, _) in enumerate(alone):
+        assert stacked[b].tobytes() == out.tobytes(), b
+    for field in ("dot_products_materialized", "rows_selected"):
+        assert getattr(together, field) == sum(getattr(one, field) for _, one in alone)
+    assert together.peak_bytes >= max(one.peak_bytes for _, one in alone)

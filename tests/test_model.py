@@ -11,11 +11,13 @@ import pytest
 import sparsecast.attention as attention_module
 from sparsecast.attention import ScoreBudget, counting
 from sparsecast.data import DataError, make_windows, synthetic_seasonal_frame
+import sparsecast.model as model_module
 from sparsecast.model import (
     DecoderLayer,
     Forecaster,
     ModelConfig,
     build_decoder_input,
+    chunk_windows,
     mse_loss,
     variant_config,
 )
@@ -351,6 +353,118 @@ class TestCountedForward:
 
         assert alone.dot_products_materialized > 0
         assert counts(outer) == counts(given) == counts(alone)
+
+
+# The perfbench workload shapes; long_horizon at a quarter of its L_x.
+_SHAPES = {
+    "smoke": dict(L_x=48, label_len=24, L_y=24, d_model=32, n_heads=2),
+    "aiops_paper": dict(L_x=96, label_len=48, L_y=24, d_model=128, n_heads=8),
+    "long_horizon": dict(L_x=288, label_len=144, L_y=115, d_model=64, n_heads=4),
+}
+
+
+def _model_and_windows(shape: dict, d: int, h: int, kind: str, count: int, seed: int = 5):
+    config = ModelConfig(**shape, d_x=d, d_y=d, h=h, attention=kind)
+    frame = synthetic_seasonal_frame(config.L_x + config.L_y + h + count - 1, d, seed=seed)
+    windows = make_windows(frame, config.L_x, config.label_len, config.L_y, h=h,
+                           univariate=d == 1)
+    assert len(windows) == count
+    return Forecaster(config, np.random.default_rng(3)), windows
+
+
+def _one_at_a_time(model, windows) -> list:
+    with no_grad():
+        return [model.forward(sample).data for sample in windows]
+
+
+class TestForwardMany:
+    """``forward_many`` runs chunks of stacked windows through the layers of
+    ``forward`` and gives each window ``forward``'s bits."""
+
+    def test_chunk_rule_at_the_workload_shapes(self):
+        sizes = {name: chunk_windows(ModelConfig(**shape, d_x=3, d_y=3))
+                 for name, shape in _SHAPES.items()}
+        sizes["long_horizon"] = chunk_windows(ModelConfig(
+            L_x=1440, label_len=720, L_y=576, d_x=1, d_y=1, d_model=64, n_heads=4))
+        assert sizes == {"smoke": 10, "aiops_paper": 1, "long_horizon": 1}
+
+    @pytest.mark.parametrize("kind", ["neural_sparse", "prob_sparse", "canonical"])
+    @pytest.mark.parametrize("h", [0, 3])
+    @pytest.mark.parametrize("d", [1, 3], ids=["univariate", "multivariate"])
+    def test_equals_forward_bitwise(self, kind, h, d, monkeypatch):
+        """Seven windows in chunks of three, the last one short."""
+        model, windows = _model_and_windows(_SHAPES["smoke"], d, h, kind, 7)
+        monkeypatch.setattr(model_module, "chunk_windows", lambda config: 3)
+        got = list(model.forward_many(windows))
+        want = _one_at_a_time(model, windows)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("kind", ["neural_sparse", "prob_sparse", "canonical"])
+    @pytest.mark.parametrize("shape", ["aiops_paper", "long_horizon"])
+    def test_wide_shapes_equal_forward_bitwise_in_a_stack(self, kind, shape, monkeypatch):
+        """These shapes run one window per chunk; a stack of three, forced
+        here, still keeps each window's bits."""
+        d = 20 if shape == "aiops_paper" else 1
+        model, windows = _model_and_windows(_SHAPES[shape], d, 0, kind, 3)
+        monkeypatch.setattr(model_module, "chunk_windows", lambda config: 3)
+        got = list(model.forward_many(windows))
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(got, _one_at_a_time(model, windows), strict=True))
+
+    def test_counts_are_the_sum_of_the_windows(self, monkeypatch):
+        model, windows = _model_and_windows(_SHAPES["smoke"], 3, 0, "neural_sparse", 5)
+        monkeypatch.setattr(model_module, "chunk_windows", lambda config: 5)
+        alone = [ScoreBudget() for _ in windows]
+        for sample, budget in zip(windows, alone):
+            model.forward(sample, budget=budget)
+        with counting(ScoreBudget()) as together:
+            list(model.forward_many(windows))
+        for field in ("dot_products_materialized", "rows_selected"):
+            assert getattr(together, field) == sum(getattr(b, field) for b in alone)
+
+    def test_takes_a_generator_and_never_calls_forward(self, tiny_model, monkeypatch):
+        model, _ = tiny_model
+        windows = make_windows(synthetic_seasonal_frame(60, 2, seed=9), 12, 4, 4)
+        want = _one_at_a_time(model, windows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward_many called forward")
+
+        monkeypatch.setattr(model, "forward", refuse)
+        got = list(model.forward_many(sample for sample in windows))
+        assert len(got) == len(want) == 45
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("field,shape,message", [
+        ("enc_values", (16, 2), r"^window 17: enc_values: got \(16, 2\), the model expects "
+                                r"\(12, 2\)$"),
+        ("known_tail", (4, 1), r"^window 17: known_tail: got \(4, 1\)"),
+        ("enc_stamps", (12, 4), r"^window 17: enc_stamps: stamps must be \(L, 5\), got "
+                                r"\(12, 4\)$"),
+        ("dec_stamps", (8, 6), r"^window 17: dec_stamps: stamps must be \(L, 5\)"),
+    ])
+    def test_a_bad_window_names_its_index(self, tiny_model, field, shape, message, monkeypatch):
+        """The index counts from the first window of ``samples``, across
+        chunks; a stamp matrix that does not stack is named too."""
+        model, _ = tiny_model
+        windows = list(make_windows(synthetic_seasonal_frame(60, 2, seed=9), 12, 4, 4))
+        bad = np.zeros(shape, dtype=np.asarray(getattr(windows[0], field)).dtype)
+        windows[17] = dataclasses.replace(windows[17], **{field: bad})
+        monkeypatch.setattr(model_module, "chunk_windows", lambda config: 5)
+        for samples in (windows, iter(windows)):
+            with pytest.raises(DataError, match=message):
+                list(model.forward_many(samples))
+
+    def test_a_non_finite_value_names_its_window(self, tiny_model):
+        model, _ = tiny_model
+        windows = list(make_windows(synthetic_seasonal_frame(60, 2, seed=9), 12, 4, 4))
+        values = np.array(windows[3].enc_values)
+        values[2, 1] = np.inf
+        windows[3] = dataclasses.replace(windows[3], enc_values=values)
+        with pytest.raises(DataError, match=r"^window 3: enc_values: non-finite value inf "
+                                            r"at row 2, column 1$"):
+            list(model.forward_many(windows))
 
 
 def _tape_nodes(root) -> int:

@@ -344,16 +344,18 @@ class TestConstantOperands:
 
 class TestHeads:
     def test_split_rejects_uneven_width(self):
-        """``head_view`` gives head h as columns h*d..(h+1)*d-1, a view, and
-        names the shape it cannot split."""
+        """``head_view`` gives head h as columns h*d..(h+1)*d-1, a view, for
+        one window or a stack of them, and names the shape it cannot split."""
         x = np.random.default_rng(0).standard_normal((5, 12))
         heads = head_view(x, 3)
         assert heads.shape == (3, 5, 4) and np.shares_memory(heads, x)
         npt.assert_array_equal(heads[1], x[:, 4:8])
         with pytest.raises(ValueError, match=r"divisible by 2 heads, got shape \(5, 7\)"):
             head_view(np.zeros((5, 7)), 2)
-        with pytest.raises(ValueError, match=r"divisible by 2 heads, got shape \(2, 3, 4\)"):
-            head_view(np.zeros((2, 3, 4)), 2)
+        with pytest.raises(ValueError, match=r"divisible by 2 heads, got shape \(4,\)"):
+            head_view(np.zeros(4), 2)
+        stacked = np.random.default_rng(1).standard_normal((2, 5, 12))
+        npt.assert_array_equal(head_view(stacked, 3)[1], head_view(stacked[1], 3))
 
     def test_batched_matmul_is_per_slice(self):
         rng = np.random.default_rng(1)
@@ -1203,3 +1205,63 @@ class TestTapeLifetime:
         assert tape > 10 * param_grads
         assert peak <= 1.2 * tape
         assert held <= param_grads + 64 * 1024
+
+
+
+def _stacked_ops(rng, B, L, C):
+    """Each op the batched forward runs, by name: (engine op, ``f(x, extra)``
+    over one (L, C) window or a (B, L, C) stack, the stack's ``extra``)."""
+    w, b = rng.standard_normal((C, 5)), rng.standard_normal(5)
+    kernel, tables = rng.standard_normal((4, C, 3)), [rng.standard_normal((V, 3)) for V in (7, 4)]
+    heads = 2 if C % 2 == 0 else 1
+    index = np.stack([rng.integers(0, 7, (B, L)), rng.integers(0, 4, (B, L))], -1)
+    selected = rng.random((B, heads, L)) < 0.4
+    return {
+        "linear": ("linear", lambda x, e: linear(x, w, b), None),
+        "conv pad 1": ("conv1d_time", lambda x, e: conv1d_time(x, kernel, 1, b[:4]), None),
+        "conv pad 0": ("conv1d_time", lambda x, e: conv1d_time(x, kernel, 0), None),
+        "max pool": ("pool1d", lambda x, e: pool1d(x, "max"), None),
+        "avg pool": ("pool1d", lambda x, e: pool1d(x, "avg"), None),
+        "layer norm": ("layer_norm", lambda x, e: layer_norm(x, w[:, 0], w[:, 1], 1e-5), None),
+        "embedding": ("embedding_sum", lambda x, e: embedding_sum(tables, e), index),
+        "attention": ("attention", lambda x, e: attention(x, x, x, heads, 0.3), None),
+        "causal attention": ("attention", lambda x, e: attention(x, x, x, heads, 0.3, True),
+                             None),
+        "sparse attention": ("attention", lambda x, e: attention(x, x, x, heads, 0.3, False, e),
+                             selected),
+        "causal sparse attention": (
+            "attention", lambda x, e: attention(x, x, x, heads, 0.3, True, e), selected),
+    }
+
+
+class TestWindowStacks:
+    """A leading window axis runs each window through the arithmetic of its
+    own (L, C) call, so a stack gives each window its bits."""
+
+    @pytest.mark.parametrize("B,L,C", [(3, 9, 4), (2, 8, 6), (1, 5, 3)])
+    def test_stack_equals_each_window_bitwise(self, B, L, C):
+        rng = np.random.default_rng(B * 100 + L)
+        x = rng.standard_normal((B, L, C))
+        for name, (_, op, extra) in _stacked_ops(rng, B, L, C).items():
+            with no_grad():
+                stacked = op(x, extra).data
+                for i in range(B):
+                    one = op(x[i], None if extra is None else extra[i]).data
+                    assert stacked[i].tobytes() == one.tobytes(), (name, i)
+
+    @pytest.mark.parametrize("name", [name for name in _stacked_ops(np.random.default_rng(0),
+                                                                     2, 6, 4)
+                                      if name != "layer norm"])
+    def test_recording_a_stack_names_the_op_and_shape(self, name):
+        """Backward is written for one window: an op asked to record a node
+        for a stacked input refuses, naming itself and the shape."""
+        rng = np.random.default_rng(1)
+        op_name, op, extra = _stacked_ops(rng, 2, 6, 4)[name]
+        if op_name == "embedding_sum":
+            tables = [Tensor(rng.standard_normal((V, 3)), requires_grad=True) for V in (7, 4)]
+            call, shape = (lambda: embedding_sum(tables, extra)), r"\(2, 6, 2\)"
+        else:
+            x = Tensor(rng.standard_normal((2, 6, 4)), requires_grad=True)
+            call, shape = (lambda: op(x, extra)), r"\(2, 6, 4\)"
+        with pytest.raises(ValueError, match=rf"^{op_name} records .* shape {shape}"):
+            call()

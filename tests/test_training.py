@@ -17,7 +17,8 @@ import pytest
 from conftest import make_split_windows
 from sparsecast import training
 from sparsecast.attention import NaNScoreError
-from sparsecast.data import make_windows, synthetic_seasonal_frame
+from sparsecast import model as model_module
+from sparsecast.data import DataError, MetricResult, make_windows, metrics, synthetic_seasonal_frame
 from sparsecast.model import Forecaster, ModelConfig
 from sparsecast.tensor import ParamStore
 from sparsecast.training import (
@@ -270,7 +271,9 @@ class TestTrainLoop:
             with pytest.raises(TrainingDiverged) as raised:
                 train_loop(model, train_w[:8], val_w[:2], cfg)
         assert isinstance(raised.value.__cause__, NaNScoreError)
-        assert str(raised.value.__cause__) == "selection got a NaN score at head 0, row 0"
+        # validation scores its windows as one stack, so the error names the window too
+        window = "" if where == "step" else "window 0, "
+        assert str(raised.value.__cause__) == f"selection got a NaN score at {window}head 0, row 0"
         assert (raised.value.epoch, raised.value.batch, raised.value.lr) == (0, 1, 1e300)
         assert raised.value.reason == ("selection" if where == "step" else "validation")
         assert len(steps) == (2 if where == "step" else 1)
@@ -317,6 +320,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, [])
 
+    def test_empty_generator_rejected(self):
+        """A generator is truthy even when it yields nothing."""
+        model, *_ = _tiny_trainable(seed=9)
+        with pytest.raises(ValueError, match="^cannot evaluate an empty split$"):
+            evaluate(model, iter([]))
+
 
 # A two-step train_loop at the aiops_paper shape (d_model 128, 8 heads, 20
 # columns, L_x 96); prints the SHA-256 of the checkpoint bytes.
@@ -356,9 +365,9 @@ class TestEvaluate:
         model, _, _, test_w = _tiny_trainable(seed=10)
 
         class Oracle:
-            def forward(self, sample):
-                from sparsecast.tensor import Tensor
-                return Tensor(sample.target)
+            def forward_many(self, samples):
+                for sample in samples:
+                    yield sample.target
 
         result = evaluate(Oracle(), test_w[:5])
         assert result.corr == pytest.approx(1.0)
@@ -366,14 +375,66 @@ class TestEvaluate:
 
     def test_constant_model_flagged_zero_corr(self):
         class Flat:
-            def forward(self, sample):
-                from sparsecast.tensor import Tensor
-                return Tensor(np.zeros_like(sample.target))
+            def forward_many(self, samples):
+                for sample in samples:
+                    yield np.zeros_like(sample.target)
 
         _, _, _, test_w = _tiny_trainable(seed=11)
         result = evaluate(Flat(), test_w[:5])
         assert result.corr == 0.0
         assert any("zero_variance_prediction" in f for f in result.flags)
+
+    @staticmethod
+    def _scored_split(monkeypatch):
+        """The tiny model, its test windows and scaler, scored in chunks of 4."""
+        (_, _, test_w), scaler = make_split_windows(length=400, dims=2, L_x=12, label_len=6,
+                                                    L_y=6, seed=14)
+        config = ModelConfig(L_x=12, label_len=6, L_y=6, d_x=2, d_y=2, d_model=8,
+                             n_heads=2, enc_blocks=2)
+        monkeypatch.setattr(model_module, "chunk_windows", lambda config: 4)
+        return Forecaster(config, np.random.default_rng(14)), test_w, scaler
+
+    @staticmethod
+    def _predict_loop(model, samples, scaler=None):
+        """The per-window oracle: ``predict`` each window, then the mean of
+        the per-window metrics in window order."""
+        results = []
+        for sample in samples:
+            forecast = model.predict(sample, scaler)
+            truth = sample.target if scaler is None else scaler.inverse(sample.target)
+            results.append(metrics(truth, forecast.predictions))
+        flags = list(dict.fromkeys(f for r in results for f in r.flags))
+        total = [0.0, 0.0, 0.0]
+        for r in results:
+            total = [total[0] + r.corr, total[1] + r.mse, total[2] + r.mae]
+        n = len(results)
+        return MetricResult(total[0] / n, total[1] / n, total[2] / n, n, flags)
+
+    @pytest.mark.parametrize("form", ["Windows", "list", "strided slice", "generator"])
+    def test_every_input_form_scores_as_a_predict_loop(self, form, monkeypatch):
+        model, test_w, _ = self._scored_split(monkeypatch)
+        picked = list(test_w) if form != "strided slice" else test_w[::8]
+        samples = {"Windows": test_w, "list": list(test_w), "strided slice": test_w[::8],
+                   "generator": (sample for sample in test_w)}[form]
+        assert evaluate(model, samples) == self._predict_loop(model, picked)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5], ids=["one", "chunk-1", "chunk", "chunk+1"])
+    def test_chunk_edges_score_as_a_predict_loop(self, n, monkeypatch):
+        model, test_w, _ = self._scored_split(monkeypatch)
+        assert evaluate(model, test_w[:n]) == self._predict_loop(model, test_w[:n])
+
+    def test_original_units_score_as_a_predict_loop(self, monkeypatch):
+        model, test_w, scaler = self._scored_split(monkeypatch)
+        got = evaluate(model, test_w[:9], units="original", scaler=scaler)
+        assert got == self._predict_loop(model, test_w[:9], scaler)
+
+    def test_a_bad_window_names_its_index(self, monkeypatch):
+        model, test_w, _ = self._scored_split(monkeypatch)
+        samples = list(test_w[:12])
+        samples[9] = dataclasses.replace(samples[9], known_tail=np.zeros((7, 2)))
+        with pytest.raises(DataError, match=r"^window 9: known_tail: got \(7, 2\), "
+                                            r"the model expects \(6, 2\)$"):
+            evaluate(model, (sample for sample in samples))
 
     def test_repeat_last_baseline_is_finite(self):
         _, _, _, test_w = _tiny_trainable(seed=12)

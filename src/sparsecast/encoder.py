@@ -15,7 +15,7 @@ branch and no residual.
 import numpy as np
 
 from .attention import MultiHeadAttention
-from .layers import FeedForward, LayerNorm, residual, uniform_init
+from .layers import Draws, FeedForward, LayerNorm, residual, uniform_init
 from .tensor import ParamStore, Tensor, conv1d_time, elu, pool1d
 
 
@@ -50,7 +50,7 @@ def distill_step(x: Tensor, params: DistillParams, kind: str = "parallel_pool") 
 
 class AttentionBlock:
     """Multi-head attention of ``config.attention`` then feed-forward, each in
-    a post-norm residual.  ``rng`` is given in training only: it drives
+    a post-norm residual.  ``draws`` is given in training only: it drives
     dropout and the sampled ranking."""
 
     def __init__(self, store: ParamStore, prefix: str, config, rng: np.random.Generator):
@@ -60,11 +60,10 @@ class AttentionBlock:
         self.norm1 = LayerNorm(store, f"{prefix}.norm1", d)
         self.ffn = FeedForward(store, f"{prefix}.ffn", d, config.d_ff, rng)
         self.norm2 = LayerNorm(store, f"{prefix}.norm2", d)
-        self.drop = config.dropout
 
-    def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None) -> Tensor:
-        x = residual(self.norm1, x, self.attn(x, rng=rng), self.drop, rng)
-        return residual(self.norm2, x, self.ffn(x), self.drop, rng)
+    def __call__(self, x: Tensor, *, draws: Draws | None = None) -> Tensor:
+        x = residual(self.norm1, x, self.attn(x, rng=draws and draws.rng), draws)
+        return residual(self.norm2, x, self.ffn(x), draws)
 
 
 class Encoder:
@@ -82,9 +81,9 @@ class Encoder:
             for j in range(config.enc_blocks - 1)
         ]
 
-    def __call__(self, x: Tensor, *, rng: np.random.Generator | None = None) -> Tensor:
+    def __call__(self, x: Tensor, *, draws: Draws | None = None) -> Tensor:
         for j, block in enumerate(self.blocks):
-            x = block(x, rng=rng)
+            x = block(x, draws=draws)
             if j < len(self.distills):
                 x = distill_step(x, self.distills[j], kind=self.distill_kind)
         return x

@@ -18,7 +18,7 @@ from .attention import MultiHeadAttention, ScoreBudget, counting
 from .data import DataError
 from .embedding import WindowEmbedding, validate_stamps
 from .encoder import Encoder
-from .layers import Dense, FeedForward, LayerNorm, residual
+from .layers import Dense, Draws, FeedForward, LayerNorm, residual
 from .tensor import ParamStore, Tensor, mean_, no_grad
 
 ATTENTION_CHOICES = ("neural_sparse", "prob_sparse", "canonical")
@@ -109,7 +109,7 @@ def build_decoder_input(known_values, label_len: int, horizon: int) -> np.ndarra
 
 class DecoderLayer:
     """Masked self-attention, canonical cross-attention, feed-forward;
-    each sublayer in a post-norm residual.  ``rng`` is given in training
+    each sublayer in a post-norm residual.  ``draws`` is given in training
     only."""
 
     def __init__(self, store: ParamStore, prefix: str, config: ModelConfig,
@@ -123,34 +123,64 @@ class DecoderLayer:
         self.norm2 = LayerNorm(store, f"{prefix}.norm2", d)
         self.ffn = FeedForward(store, f"{prefix}.ffn", d, config.d_ff, rng)
         self.norm3 = LayerNorm(store, f"{prefix}.norm3", d)
-        self.drop = config.dropout
 
-    def __call__(self, x: Tensor, enc_out: Tensor, *,
-                 rng: np.random.Generator | None = None) -> Tensor:
-        x = residual(self.norm1, x, self.self_attn(x, rng=rng), self.drop, rng)
-        x = residual(self.norm2, x, self.cross_attn(x, enc_out, rng=rng), self.drop, rng)
-        return residual(self.norm3, x, self.ffn(x), self.drop, rng)
+    def __call__(self, x: Tensor, enc_out: Tensor, *, draws: Draws | None = None) -> Tensor:
+        rng = draws and draws.rng
+        x = residual(self.norm1, x, self.self_attn(x, rng=rng), draws)
+        x = residual(self.norm2, x, self.cross_attn(x, enc_out, rng=rng), draws)
+        return residual(self.norm3, x, self.ffn(x), draws)
 
 
-# Budget, in float64 elements, on the widest activation of one window times
-# the windows of one ``forward_many`` chunk; see ``chunk_windows``.
+# Budgets, in float64 elements, on the widest activation of one window times
+# the windows of one chunk: a ``forward_many`` chunk under ``no_grad``, and a
+# training chunk, whose tape keeps about a dozen such arrays per window.
 _CHUNK_ELEMENTS = 1 << 16
+_TRAIN_CHUNK_ELEMENTS = 1 << 15
+
+
+def _widest_activation(config: ModelConfig) -> int:
+    """Elements of one window's widest activation: with L = max(L_x,
+    dec_len), at most L * max(d_ff, n_heads * L), an FFN hidden layer or a
+    canonical score buffer of every head."""
+    L = max(config.L_x, config.dec_len)
+    return L * max(config.d_ff, config.n_heads * L)
 
 
 def chunk_windows(config: ModelConfig) -> int:
     """Windows ``forward_many`` stacks into one forward: as many as keep B
     times the widest per-window activation within ``_CHUNK_ELEMENTS``, and
-    at least one.  With L = max(L_x, dec_len), that activation is at most
-    L * max(d_ff, n_heads * L): an FFN hidden layer, or a canonical score
-    buffer of every head.  Wide configs therefore run one window at a time,
-    where a stack only adds memory and no speed."""
-    L = max(config.L_x, config.dec_len)
-    return max(1, _CHUNK_ELEMENTS // (L * max(config.d_ff, config.n_heads * L)))
+    at least one.  Wide configs therefore run one window at a time, where a
+    stack only adds memory and no speed."""
+    return max(1, _CHUNK_ELEMENTS // _widest_activation(config))
+
+
+def train_chunk_windows(config: ModelConfig) -> int:
+    """Windows one training forward and backward stack: the same rule within
+    ``_TRAIN_CHUNK_ELEMENTS``, since the chunk's tape lives until its
+    backward; and one for ``prob_sparse``, whose ranking draws keys from
+    the generator between a window's dropouts."""
+    if config.attention == "prob_sparse":
+        return 1
+    return max(1, _TRAIN_CHUNK_ELEMENTS // _widest_activation(config))
+
+
+def dropout_draws(config: ModelConfig) -> int:
+    """Uniform draws the residual dropouts of one training window make: one
+    per entry of every sublayer output, two per encoder block and three per
+    decoder layer; none without dropout."""
+    if config.dropout <= 0.0:
+        return 0
+    rows, length = 0, config.L_x
+    for _ in range(config.enc_blocks):
+        rows += 2 * length
+        length = (length + 1) // 2
+    return config.d_model * (rows + 3 * config.dec_layers * config.dec_len)
 
 
 class Forecaster:
     """Encoder-decoder forecaster: ``forward`` runs one window, and
-    ``forward_many`` runs stacks of windows through the same layers.
+    ``forward_many`` and ``loss`` run stacks of windows through the same
+    layers.
 
     Inference over frozen parameters is pure and may run concurrently;
     training mutates the store under a single writer.
@@ -177,17 +207,15 @@ class Forecaster:
 
         The attention of the forward is counted into ``budget`` when one is
         given, else into the record of an enclosing ``counting`` block.
-        Only a training forward hands ``rng`` to the layers; outside
-        training it is not drawn from.  Raises ``DataError`` for a window
-        that does not fit the config.
+        Only a training forward draws from ``rng``, each draw when a layer
+        asks for it.  Raises ``DataError`` for a window that does not fit
+        the config.
         """
-        if train and rng is None:
-            raise ValueError("training-mode forward requires an rng (dropout/sampling)")
+        _check_rng(rng, train)
         cfg = self.config
         _check_window(sample, cfg)
         with nullcontext() if budget is None else counting(budget):
-            out = self._decode(sample.enc_values, sample.enc_stamps, sample.known_tail,
-                               sample.dec_stamps, rng if train else None)
+            out = self._decode(*_inputs(sample), Draws(rng, cfg.dropout) if train else None)
         return out[out.shape[0] - cfg.L_y:]
 
     def forward_many(self, samples):
@@ -206,30 +234,48 @@ class Forecaster:
         windows = iter(samples)
         first = 0
         while chunk := list(islice(windows, chunk_windows(cfg))):
-            for i, sample in enumerate(chunk, first):
-                _check_window(sample, cfg, f"window {i}:")
-            enc_stamps, dec_stamps = (_stacked_stamps(chunk, name, first)
-                                      for name in ("enc_stamps", "dec_stamps"))
+            inputs = _stacked_inputs(chunk, cfg, first)
             with no_grad():
-                out = self._decode(np.stack([s.enc_values for s in chunk]), enc_stamps,
-                                   np.stack([s.known_tail for s in chunk]), dec_stamps, None)
+                out = self._decode(*inputs, None)
             first += len(chunk)
             yield from out.data[:, out.shape[1] - cfg.L_y:]
 
-    def _decode(self, enc_values, enc_stamps, known_tail, dec_stamps, rng) -> Tensor:
+    def _decode(self, enc_values, enc_stamps, known_tail, dec_stamps, draws) -> Tensor:
         """Embedding, encoder, decoder and projection over one window's arrays,
         or over (B, ...) stacks of them: the (..., dec_len, d_y) output."""
         cfg = self.config
-        enc_out = self.encoder(self.enc_embed(enc_values, enc_stamps), rng=rng)
+        enc_out = self.encoder(self.enc_embed(enc_values, enc_stamps), draws=draws)
         dec_values = build_decoder_input(known_tail, cfg.label_len, cfg.L_y)
         dec_x = self.dec_embed(dec_values, dec_stamps)
         for layer in self.decoder_layers:
-            dec_x = layer(dec_x, enc_out, rng=rng)
+            dec_x = layer(dec_x, enc_out, draws=draws)
         return self.proj(dec_x)
 
-    def loss(self, sample, *, rng: np.random.Generator | None = None,
+    def loss(self, samples, *, rng: np.random.Generator | None = None,
              train: bool = False) -> Tensor:
-        return mse_loss(self.forward(sample, rng=rng, train=train), Tensor(sample.target))
+        """Mean squared error of the forecast: the scalar loss of one window
+        (through ``forward``), or the losses of a list of windows, one per
+        window, from one forward over their stacked arrays.
+
+        Each window of a stack keeps the bits of its own forward.  In
+        training the dropout masks of a stack are drawn up front in one
+        ``Draws`` block, which is the stream that one-window forwards draw
+        in turn; ``prob_sparse``, whose ranking draws between the dropouts,
+        therefore trains one window at a time.  A window that does not fit
+        the config raises ``DataError`` prefixed with its index in the list.
+        """
+        if not isinstance(samples, list):
+            return mse_loss(self.forward(samples, rng=rng, train=train), Tensor(samples.target))
+        _check_rng(rng, train)
+        cfg = self.config
+        if train and cfg.attention == "prob_sparse" and len(samples) > 1:
+            raise ValueError("prob_sparse trains one window at a time: its ranking draws "
+                             "from the generator between a window's dropouts")
+        inputs = _stacked_inputs(samples, cfg, 0)
+        target = np.stack([s.target for s in samples])
+        draws = Draws(rng, cfg.dropout, len(samples), dropout_draws(cfg)) if train else None
+        out = self._decode(*inputs, draws)
+        return mse_loss(out[..., out.shape[-2] - cfg.L_y:, :], target)
 
     def predict(self, sample, scaler=None, target_columns=None) -> Forecast:
         """Forecast one window; inverse-scale when a scaler is given."""
@@ -239,6 +285,28 @@ class Forecaster:
             return Forecast(predictions=scaled.copy(), scaled_predictions=scaled)
         original = scaler.inverse(scaled, columns=target_columns)
         return Forecast(predictions=original, scaled_predictions=scaled)
+
+
+def _inputs(sample) -> tuple:
+    """The arrays of one window that ``_decode`` takes, in its order."""
+    return sample.enc_values, sample.enc_stamps, sample.known_tail, sample.dec_stamps
+
+
+def _stacked_inputs(chunk, config: ModelConfig, first: int) -> tuple:
+    """The (B, ...) stacks of the ``_decode`` arrays of the windows of
+    ``chunk``, each window checked first; ``first`` is the index of the
+    first, which a ``DataError`` counts from."""
+    for i, sample in enumerate(chunk, first):
+        _check_window(sample, config, f"window {i}:")
+    enc_stamps, dec_stamps = (_stacked_stamps(chunk, name, first)
+                              for name in ("enc_stamps", "dec_stamps"))
+    return (np.stack([s.enc_values for s in chunk]), enc_stamps,
+            np.stack([s.known_tail for s in chunk]), dec_stamps)
+
+
+def _check_rng(rng, train: bool) -> None:
+    if train and rng is None:
+        raise ValueError("training-mode forward requires an rng (dropout/sampling)")
 
 
 def _check_window(sample, config: ModelConfig, where: str = "window") -> None:
@@ -282,12 +350,13 @@ def _stacked_stamps(chunk, name: str, first: int) -> np.ndarray:
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error over every entry of the prediction block."""
+    """Mean squared error over every entry of an (L, d) prediction block: a
+    scalar, or one per window of a (..., L, d) stack of blocks."""
     target = target if isinstance(target, Tensor) else Tensor(target)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: predictions {pred.shape} vs targets {target.shape}")
     diff = pred - target
-    return mean_(diff * diff)
+    return mean_(diff * diff, axis=(-2, -1))
 
 
 def variant_config(base: ModelConfig, *, embedding: bool, distill: bool,

@@ -26,6 +26,13 @@ gradient on, its gradient, closure and parent links are dropped, so the
 saved arrays are freed as the walk passes them and a second
 ``backward()`` through the same graph raises ``RuntimeError``.
 
+One window is an (L, C) array; axes before those two are window axes, and
+every op runs forward and backward over them.  A stacked backward gives
+each window the bits of its own: activation gradients are computed window
+by window in the same arithmetic, and an input that the windows share (a
+parameter) gets one term per window, added in window order, never a sum
+over the window axis.
+
 Tensors are value-semantic (no operation mutates an input array), so a
 frozen parameter set can be read from multiple threads; gradient buffers
 belong to a single training loop at a time.
@@ -217,13 +224,37 @@ def _accum(node, g, fresh: bool = False):
         node.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
+def _accum_windows(node, terms: np.ndarray, windows: int, fresh: bool = True):
+    """Add ``terms``, one per window over its first ``windows`` axes, into
+    ``node`` one at a time in window order, as one backward per window adds
+    them.  With no window axes ``terms`` is the one term, handed over
+    ``fresh`` as ``_accum`` takes it."""
+    if not windows:
+        _accum(node, terms, fresh)
+        return
+    for term in terms.reshape((-1,) + terms.shape[windows:]):
+        _accum(node, term)
+
+
+def _unbroadcast(g: np.ndarray, shape, windows: int = 0) -> np.ndarray:
+    """Sum ``g`` down to the operand ``shape`` that broadcasting stretched to
+    it, keeping its first ``windows`` axes: each window is summed as its own
+    op sums it."""
+    while g.ndim > windows + len(shape):
+        g = g.sum(axis=windows)
+    for ax, s in enumerate(shape, windows):
         if s == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g
+
+
+def _accum_unbroadcast(node, g: np.ndarray, shape, fresh: bool = False):
+    """Add ``g`` into ``node``, summed down to the operand ``shape`` that
+    broadcasting stretched to it.  Axes of ``g`` before its last two that
+    ``shape`` lacks are window axes: each window's share is summed as its
+    own op sums it, and the shares are added in window order."""
+    windows = max(0, g.ndim - max(len(shape), 2))
+    _accum_windows(node, _unbroadcast(g, shape, windows), windows, fresh)
 
 
 # -- elementwise ------------------------------------------------------
@@ -242,9 +273,9 @@ def add(a, b) -> Tensor:
         # g is this node's own buffer, dropped after this call: the first
         # parent may keep it, the second reads it before anything writes it.
         if na is not None:
-            _accum(na, _unbroadcast(g, shape_a), fresh=True)
+            _accum_unbroadcast(na, g, shape_a, fresh=True)
         if nb is not None:
-            _accum(nb, _unbroadcast(g, shape_b))
+            _accum_unbroadcast(nb, g, shape_b)
 
     return _make(out, nodes, bw)
 
@@ -262,9 +293,9 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         if na is not None:
-            _accum(na, _unbroadcast(g * b_data, shape_a), fresh=True)
+            _accum_unbroadcast(na, g * b_data, shape_a, fresh=True)
         if nb is not None:
-            _accum(nb, _unbroadcast(g * a_data, shape_b), fresh=True)
+            _accum_unbroadcast(nb, g * a_data, shape_b, fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -308,13 +339,12 @@ def elu(a) -> Tensor:
     return _make(out, nodes, bw)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: an entry is kept where a uniform draw from ``rng``
-    is at least ``p`` and scaled by 1 / (1 - p).  The tape keeps the
-    boolean mask and rebuilds the scaled mask from it."""
+def dropout(a: Tensor, p: float, kept: np.ndarray) -> Tensor:
+    """Inverted dropout with the boolean keep mask ``kept``, of ``a``'s
+    shape: a kept entry is scaled by 1 / (1 - p), the others become zero.
+    The tape keeps the mask and rebuilds the scaled mask from it."""
     if p <= 0.0:
         return a
-    kept = rng.random(a.data.shape) >= p
     out = a.data * (kept / (1.0 - p))
     nodes = _inputs(a)
     if nodes is None:
@@ -334,7 +364,8 @@ def linear(x, w, b=None) -> Tensor:
     """``x @ w + b`` as one node: ``x`` is (..., L, d_in), ``w`` (d_in, d_out)
     and the optional bias ``b`` (d_out,).  Leading window axes make numpy's
     stacked product, one GEMM per window, so each window gets the bits of
-    its own (L, d_in) product."""
+    its own (L, d_in) product.  Backward makes the weight's and the bias's
+    terms per window, as stacked products and row sums."""
     x, w = _coerce(x), _coerce(w)
     if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
@@ -347,9 +378,9 @@ def linear(x, w, b=None) -> Tensor:
         nodes = _inputs(x, w, b)
     if nodes is None:
         return Tensor(out)
-    _two_dim("linear", x.data.shape)
     nx, nw = nodes[:2]
     nb = nodes[2] if len(nodes) == 3 else None
+    windows = x.data.ndim - 2
     x_data = x.data if nw is not None else None
     w_data = w.data if nx is not None else None
 
@@ -357,9 +388,9 @@ def linear(x, w, b=None) -> Tensor:
         if nx is not None:
             _accum(nx, g @ w_data.T, fresh=True)
         if nw is not None:
-            _accum(nw, x_data.T @ g, fresh=True)
+            _accum_windows(nw, np.matmul(np.swapaxes(x_data, -1, -2), g), windows)
         if nb is not None:
-            _accum(nb, g.sum(axis=0), fresh=True)
+            _accum_windows(nb, g.sum(axis=-2), windows)
 
     return _make(out, nodes, bw)
 
@@ -393,7 +424,7 @@ def mean_(a, axis=None, keepdims=False) -> Tensor:
         return Tensor(out)
     na, = nodes
     shape = a.data.shape
-    count = a.data.size if axis is None else shape[axis]
+    count = a.data.size if axis is None else int(np.prod(np.take(shape, axis)))
 
     def bw(g):
         gg = g
@@ -402,14 +433,6 @@ def mean_(a, axis=None, keepdims=False) -> Tensor:
         _accum(na, np.broadcast_to(gg / count, shape).copy(), fresh=True)
 
     return _make(out, nodes, bw)
-
-
-def _two_dim(op: str, shape) -> None:
-    """Refuse to record a node for an input with a leading window axis: the
-    backward formulas are those of one (L, C) window."""
-    if len(shape) > 2:
-        raise ValueError(f"{op} records gradients for one (L, C) window only, got an input "
-                         f"of shape {shape}; run stacked windows under no_grad")
 
 
 def _getitem(a: Tensor, key) -> Tensor:
@@ -493,23 +516,26 @@ def attention(q, k, v, n_heads: int, scale: float, causal: bool = False,
     node; ``causal`` lets row i see keys 0..i.  ``q`` is (..., L, H*d), ``k``
     (..., m, H*d) and ``v`` (..., m, H*d_v), and the output is
     (..., L, H*d_v): head h of each is the block of columns ``head_view``
-    gives it.  Leading window axes run forward only.
+    gives it.
 
     ``selected``, a boolean (..., H, L) mask, makes it sparse: every row it
     leaves out gets the column mean of its head of ``v``, or its inclusive
     prefix sum when ``causal`` (then m == L).  A stable argsort of the
     inverted mask picks the n rows each head attends: its selected rows
     ascending, then its first lazy rows as padding, whose output stays the
-    fill and which get no gradient.
+    fill and which get no gradient.  In a stack of windows n is the most
+    any window's head selects.
 
     The forward makes the (..., H, n, m) weights in one buffer, with the scale
     folded into ``q`` and the softmax in place, and drops them after the
     product with ``v``.  The tape keeps the attended rows of ``q``, ``k``,
-    ``v``, the rows' positions and the (H, n, 1) row max and row sum,
-    nothing of score size.  Backward walks the heads of the output gradient
-    in blocks of at most ``_ATTENTION_BLOCK`` scores, recomputes their
-    weights from the row statistics and adds each block's share into dq, dk
-    and dv; dq is placed by assignment, and dv also gets the fill's share.
+    ``v``, the rows' positions and the (..., H, n, 1) row max and row sum,
+    nothing of score size.  Backward runs ``_attention_grads``, whose sums
+    into dk and dv depend on where the row blocks start and end, so each
+    window keeps the blocks, and the bits, of its own one-window backward:
+    on the whole stack when every window attends as many rows as the stack
+    does, as the non-causal selection's fixed n gives, and otherwise one
+    window at a time on its own rows.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     q_data, k_data, v_data = (head_view(t.data, n_heads) for t in (q, k, v))
@@ -523,14 +549,14 @@ def attention(q, k, v, n_heads: int, scale: float, causal: bool = False,
         raise ValueError(f"selected must be a boolean {lead + (n_heads, L)} mask for q "
                          f"{q.data.shape}, got {np.asarray(selected).dtype} of shape "
                          f"{np.shape(selected)}")
+    real = counts = None
     if selected is None:
         pos = np.arange(L)
     else:
         counts = selected.sum(axis=-1, keepdims=True)
         pos = np.argsort(~selected, axis=-1, kind="stable")[..., :counts.max()]
-        rows = _rows(pos)
         real = np.arange(pos.shape[-1]) < counts  # the selected rows among them
-        q_data = q_data[rows]
+        q_data = q_data[_rows(pos)]
     visible = np.arange(m) <= pos[..., None] if causal else None
     w, row_max, row_sum = _softmax_rows(q_data, k_data, scale, visible)
     out = w @ v_data
@@ -544,57 +570,109 @@ def attention(q, k, v, n_heads: int, scale: float, causal: bool = False,
     nodes = _inputs(q, k, v)
     if nodes is None:
         return Tensor(out)
-    _two_dim("attention", q.data.shape)
-    nq, nk, nv = nodes
-    lazy = None if selected is None or selected.all() else ~selected
-    step = max(1, _ATTENTION_BLOCK // (m * n_heads))
+    shapes = (q_shape, k_shape, v.data.shape)
+    want = tuple(node is not None for node in nodes)
+    # The windows of a stack run as one when each attends as many rows as
+    # the stack does and all or none of them have lazy rows; else one by one.
+    # Running as one saves a per-window loop: `smoke` trained about 9%
+    # faster with it than window by window (README, "Training runs in chunks").
+    whole = selected is None or not lead
+    if not whole:
+        every = selected.all(axis=(-2, -1))
+        whole = bool((counts.max(axis=(-2, -1)) == pos.shape[-1]).all()
+                     and (every.all() or not every.any()))
 
     def bw(g):
-        g = g_out = np.ascontiguousarray(head_view(g, n_heads))  # one copy, read per block
-        if selected is not None:  # the attended rows' gradient; padding rows get none
-            g = g[rows] * real[..., None]
-        dq = np.empty(q_data.shape) if nq is not None else None
-        dk_t = dv = None  # dk transposed, and dv: the first block writes them
-        for start in range(0, pos.shape[-1], step):
-            block = slice(start, start + step)
-            q_b, g_b = q_data[..., block, :], g[..., block, :]
-            w_b, _, _ = _softmax_rows(q_b, k_data, scale,
-                                      np.arange(m) <= pos[..., block, None] if causal else None,
-                                      row_max[..., block, :], row_sum[..., block, :])
-            if nv is not None:
-                part = np.swapaxes(w_b, -1, -2) @ g_b
-                dv = part if dv is None else np.add(dv, part, out=dv)
-            if nq is None and nk is None:
-                continue
-            # ds = (g v^T - rowsum(g v^T * w)) * w * scale, in one block buffer
-            ds = g_b @ np.swapaxes(v_data, -1, -2)
-            ds -= (ds * w_b).sum(axis=-1, keepdims=True)
-            ds *= w_b
-            ds *= scale
-            if nq is not None:
-                dq[..., block, :] = ds @ k_data
-            if nk is not None:
-                part = np.swapaxes(q_b, -1, -2) @ ds
-                dk_t = part if dk_t is None else np.add(dk_t, part, out=dk_t)
-        # Each merge below copies an array made in this call, or with H == 1
-        # is a view of it, so a parent may adopt it.
-        if nq is not None:
-            if selected is not None:
-                dq, attended = np.zeros((n_heads, L, dq.shape[-1])), dq
-                dq[rows] = attended
-            _accum(nq, _merged(dq), fresh=True)
-        if nk is not None:
-            _accum(nk, _merged(np.swapaxes(dk_t, -1, -2)), fresh=True)
-        if nv is not None:
-            if lazy is not None:  # the fill's share: a suffix sum, or the mean's
-                share = g_out * lazy[..., None]
-                if causal:
-                    dv += np.flip(np.cumsum(np.flip(share, axis=-2), axis=-2), axis=-2)
-                else:
-                    dv += share.sum(axis=-2, keepdims=True) / m
-            _accum(nv, _merged(dv), fresh=True)
+        g = np.ascontiguousarray(head_view(g, n_heads))  # one copy, read per block
+        saved = (q_data, k_data, v_data, pos, real, row_max, row_sum)
+        if whole:
+            lazy = None if selected is None or selected.all() else ~selected
+            grads = _attention_grads(g, *saved, lazy, scale, causal, want)
+        else:
+            grads = [np.empty(shape) if wanted else None for shape, wanted in zip(shapes, want)]
+            for i in np.ndindex(lead):
+                for buffer, grad in zip(grads, _attention_grads(
+                        g[i], *_window_rows(i, saved, counts, selected), scale, causal, want)):
+                    if buffer is not None:
+                        buffer[i] = grad
+        for node, grad in zip(nodes, grads):
+            if node is not None:
+                _accum(node, grad, fresh=True)
 
     return _make(out, nodes, bw)
+
+
+def _window_rows(i, saved, counts, selected):
+    """What a sparse ``attention`` saved for window ``i`` (an index over the
+    window axes), with its attended rows cut to its own count n, as a
+    one-window forward saves them; then the window's lazy rows, or None."""
+    q, k, v, pos, real, row_max, row_sum = (a[i] for a in saved)
+    n = counts[i].max()
+    lazy = None if selected[i].all() else ~selected[i]
+    return (q[..., :n, :], k, v, pos[..., :n], real[..., :n], row_max[..., :n, :],
+            row_sum[..., :n, :], lazy)
+
+
+def _attention_grads(g_out, q, k, v, pos, real, row_max, row_sum, lazy, scale, causal, want):
+    """The merged (dq, dk, dv) of an ``attention`` node, each None where
+    ``want`` says no, for one window or a stack of windows that attend
+    equally many rows.  ``g_out`` is the (..., H, L, d_v) output gradient,
+    ``q`` the attended rows ``pos`` (..., H, n) of the queries, ``real`` marks
+    the selected ones among them (None: every row attends) and ``lazy`` the
+    rows that got the fill (None: none).
+
+    The rows are walked in blocks of at most ``_ATTENTION_BLOCK`` scores:
+    each block's weights are recomputed from the row statistics and its
+    share is added into dq, dk and dv; dq is placed by assignment, and dv
+    also gets the fill's share.
+    """
+    n_heads, m = g_out.shape[-3], k.shape[-2]
+    g = g_out
+    if real is not None:  # the attended rows' gradient; padding rows get none
+        rows = _rows(pos)
+        g = g[rows] * real[..., None]
+    want_q, want_k, want_v = want
+    step = max(1, _ATTENTION_BLOCK // (m * n_heads))
+    dq = np.empty(q.shape) if want_q else None
+    dk_t = dv = None  # dk transposed, and dv: the first block writes them
+    for start in range(0, pos.shape[-1], step):
+        block = slice(start, start + step)
+        q_b, g_b = q[..., block, :], g[..., block, :]
+        w_b, _, _ = _softmax_rows(q_b, k, scale,
+                                  np.arange(m) <= pos[..., block, None] if causal else None,
+                                  row_max[..., block, :], row_sum[..., block, :])
+        if want_v:
+            part = np.swapaxes(w_b, -1, -2) @ g_b
+            dv = part if dv is None else np.add(dv, part, out=dv)
+        if not (want_q or want_k):
+            continue
+        # ds = (g v^T - rowsum(g v^T * w)) * w * scale, in one block buffer
+        ds = g_b @ np.swapaxes(v, -1, -2)
+        ds -= (ds * w_b).sum(axis=-1, keepdims=True)
+        ds *= w_b
+        ds *= scale
+        if want_q:
+            dq[..., block, :] = ds @ k
+        if want_k:
+            part = np.swapaxes(q_b, -1, -2) @ ds
+            dk_t = part if dk_t is None else np.add(dk_t, part, out=dk_t)
+    # Each merge below copies an array made in this call, or with H == 1 is
+    # a view of it, so a parent may adopt it.
+    if want_q:
+        if real is not None:
+            dq, attended = np.zeros(g_out.shape[:-1] + dq.shape[-1:]), dq
+            dq[rows] = attended
+        dq = _merged(dq)
+    dk = _merged(np.swapaxes(dk_t, -1, -2)) if want_k else None
+    if want_v:
+        if lazy is not None:  # the fill's share: a suffix sum, or the mean's
+            share = g_out * lazy[..., None]
+            if causal:
+                dv += np.flip(np.cumsum(np.flip(share, axis=-2), axis=-2), axis=-2)
+            else:
+                dv += share.sum(axis=-2, keepdims=True) / m
+        dv = _merged(dv)
+    return dq, dk, dv
 
 
 def layer_norm(x, gain, bias, eps: float) -> Tensor:
@@ -623,9 +701,9 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
 
     def bw(g):
         if nb is not None:
-            _accum(nb, _unbroadcast(g, shape_bias))
+            _accum_unbroadcast(nb, g, shape_bias)
         if ng is not None:
-            _accum(ng, _unbroadcast(g * (centered * inv), shape_gain), fresh=True)
+            _accum_unbroadcast(ng, g * (centered * inv), shape_gain, fresh=True)
         if nx is not None:
             dxhat = g * gain_data
             d_var = (dxhat * centered).sum(axis=-1, keepdims=True) * -0.5 * var_eps ** -1.5
@@ -660,7 +738,8 @@ def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
     L_out = L + 2*padding - k + 1.  Each window's unrolled rows make their
     own GEMM, as in ``linear``.  The tape keeps the padded input for the
     kernel's gradient and the kernel for the input's; the bias's gradient
-    is the output gradient summed over time.
+    is the output gradient summed over time.  The kernel and the bias get
+    one term per window.
     """
     x, kernel = _coerce(x), _coerce(kernel)
     if x.data.ndim < 2 or kernel.data.ndim != 3:
@@ -694,7 +773,6 @@ def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
         nodes = _inputs(x, kernel, bias)
     if nodes is None:
         return Tensor(out)
-    _two_dim("conv1d_time", x.data.shape)
     nx, nk = nodes[:2]
     nb = nodes[2] if len(nodes) == 3 else None
     padded_shape = xp.shape
@@ -703,16 +781,16 @@ def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
 
     def bw(g):
         if nk is not None:
-            _accum(nk, (g.T @ _conv_windows(xp, l_out, k)).reshape(c_out, c_in, k),
-                   fresh=True)
+            terms = np.matmul(np.swapaxes(g, -1, -2), _conv_windows(xp, l_out, k))
+            _accum_windows(nk, terms.reshape(lead + (c_out, c_in, k)), len(lead))
         if nx is not None:
-            g_windows = (g @ flat_kernel).reshape(l_out, c_in, k)
+            g_windows = (g @ flat_kernel).reshape(lead + (l_out, c_in, k))
             gxp = np.zeros(padded_shape)
             for i in range(k):
-                gxp[i : i + l_out] += g_windows[:, :, i]
-            _accum(nx, gxp[padding : padding + L] if padding else gxp, fresh=True)
+                gxp[..., i : i + l_out, :] += g_windows[..., i]
+            _accum(nx, gxp[..., padding : padding + L, :] if padding else gxp, fresh=True)
         if nb is not None:
-            _accum(nb, g.sum(axis=0), fresh=True)
+            _accum_windows(nb, g.sum(axis=-2), len(lead))
 
     return _make(out, nodes, bw)
 
@@ -752,7 +830,6 @@ def pool1d(x, kind: str) -> Tensor:
     nodes = _inputs(x)
     if nodes is None:
         return Tensor(out)
-    _two_dim("pool1d", x.data.shape)
     nx, = nodes
     if kind == "max":
         first = t0 == out
@@ -761,10 +838,10 @@ def pool1d(x, kind: str) -> Tensor:
 
     def bw(g):
         shares = [np.where(w, g, 0.0) for w in wins] if kind == "max" else [g / counts] * 3
-        gp = np.zeros((2 * n + 1, C))
+        gp = np.zeros(lead + (2 * n + 1, C))
         for j, share in enumerate(shares):
-            gp[j : j + 2 * n : 2] += share
-        _accum(nx, gp[1 : L + 1], fresh=True)
+            gp[..., j : j + 2 * n : 2, :] += share
+        _accum(nx, gp[..., 1 : L + 1, :], fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -774,7 +851,8 @@ def embedding_sum(tables, index) -> Tensor:
     an (..., L, k) integer ``index``, one column per table.
 
     The forward adds the looked-up rows in table order, and the backward
-    scatters the output gradient into each table with one ``np.bincount``.
+    scatters each window's output gradient into each table with one
+    ``np.bincount``, window after window.
     """
     tables = [_coerce(t) for t in tables]
     idx = np.asarray(index)
@@ -794,15 +872,16 @@ def embedding_sum(tables, index) -> Tensor:
     nodes = _inputs(*tables)
     if nodes is None:
         return Tensor(out)
-    _two_dim("embedding_sum", idx.shape)
     shapes = [t.data.shape for t in tables]
 
     def bw(g):
-        for node, (V, d), rows in zip(nodes, shapes, idx.T):
+        g_windows = g.reshape((-1,) + g.shape[-2:])
+        for node, (V, d), rows in zip(nodes, shapes, np.moveaxis(idx, -1, 0)):
             if node is not None:
-                flat = rows[:, None] * d + np.arange(d)
-                _accum(node, np.bincount(flat.ravel(), weights=g.ravel(),
-                                         minlength=V * d).reshape(V, d), fresh=True)
+                flat = (rows[..., None] * d + np.arange(d)).reshape(len(g_windows), -1)
+                for window, g_window in zip(flat, g_windows):
+                    _accum(node, np.bincount(window, weights=g_window.ravel(),
+                                             minlength=V * d).reshape(V, d), fresh=True)
 
     return _make(out, nodes, bw)
 

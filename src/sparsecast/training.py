@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -19,12 +20,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attention import NaNScoreError
-from .data import MetricResult, metrics
-from .tensor import ParamStore
+from .data import DataError, MetricResult, metrics
+from .model import train_chunk_windows
+from .tensor import ParamStore, sum_
 
 CHECKPOINT_MAGIC = b"HGNT2"
 _READABLE_MAGICS = (b"HGNT1", CHECKPOINT_MAGIC)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_WINDOW = re.compile(r"window (\d+)")
 
 
 @dataclass
@@ -204,23 +207,35 @@ def _train_step(model, batch, rng, state: OptimizerState, lr: float,
                 config: TrainConfig) -> float:
     """Forward, backward and Adam update on one batch; returns the mean loss.
 
-    Each window is back-propagated as soon as its loss is taken, seeded
-    with 1/B, so a step holds one window's tape at a time.  The leaf
-    gradients add the same terms in the same order as one backward through
-    the sum of the B losses would.  A non-finite running loss stops the
-    step before any parameter changes; the next ``zero_grad`` discards the
-    partial gradients.
+    The batch runs in chunks of ``train_chunk_windows`` windows: one stacked
+    forward gives the chunk's per-window losses, and one backward of their
+    sum, seeded 1/B per window, follows at once, so a step holds one
+    chunk's tape at a time.  Every op adds each window's gradient terms
+    into the leaves in window order, so the leaves get the same terms in
+    the same order as one backward through the sum of the B losses would.
+    The running loss adds the windows' losses in order; a non-finite one
+    stops the step before its chunk's backward and before any parameter
+    changes, and the next ``zero_grad`` discards the partial gradients.
+    A ``DataError`` or ``NaNScoreError`` names its window by its index in
+    the batch.
     """
     params = model.params
     params.zero_grad()
     scale = 1.0 / len(batch)
+    size = train_chunk_windows(model.config)
     total = 0.0
-    for sample in batch:
-        loss = model.loss(sample, rng=rng, train=True)
-        total += loss.item()
-        if not np.isfinite(total):
-            return total * scale
-        (loss * scale).backward()
+    for start in range(0, len(batch), size):
+        try:
+            losses = model.loss(batch[start:start + size], rng=rng, train=True)
+        except (DataError, NaNScoreError) as exc:
+            # the chunk counts its windows from 0; name the window of the batch
+            exc.args = (_WINDOW.sub(lambda m: f"window {int(m[1]) + start}", str(exc), 1),)
+            raise
+        for value in losses.data.tolist():
+            total += value
+            if not math.isfinite(total):
+                return total * scale
+        sum_(losses * scale).backward()
     adam_step(params, state, lr, config.weight_decay)
     return total * scale
 
@@ -232,10 +247,13 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
     validation MSE is retained.  ``max_steps`` truncates the run (the
     final partial epoch is still validated and recorded).  A non-finite
     loss, or a NaN score in a step's or a validation's query selection,
-    raises ``TrainingDiverged``.
+    raises ``TrainingDiverged``.  ``val_samples`` may be any iterable of
+    windows, a generator too: it is read once, before the first step, and
+    every epoch validates on those windows.
     """
     if not train_samples:
         raise ValueError("no training samples")
+    val_samples = [] if val_samples is None else list(val_samples)
     rng = np.random.default_rng(config.seed)
     params = model.params
     state = OptimizerState()

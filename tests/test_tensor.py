@@ -674,7 +674,8 @@ class TestDropout:
     @pytest.mark.parametrize("p", [0.05, 0.1, 0.5])
     def test_matches_float_mask_chain_bit_for_bit(self, p, residual):
         x = np.random.default_rng(8).standard_normal((40, 16))
-        got, want = _fused_vs_chain(lambda t: dropout(t, p, np.random.default_rng(5)),
+        got, want = _fused_vs_chain(lambda t: dropout(t, p, np.random.default_rng(5).random(
+                                        t.shape) >= p),
                                     lambda t: _dropout_chain(t, p, np.random.default_rng(5)),
                                     [x], seed=3, residual=residual)
         _assert_same_bits(got, want)
@@ -683,7 +684,7 @@ class TestDropout:
 
     def test_tape_keeps_a_boolean_mask(self):
         a = Tensor(np.ones((6, 4)), requires_grad=True)
-        out = dropout(a, 0.5, np.random.default_rng(0))
+        out = dropout(a, 0.5, np.random.default_rng(0).random((6, 4)) >= 0.5)
         arrays = [c.cell_contents for c in out._backward.__closure__
                   if isinstance(c.cell_contents, np.ndarray)]
         assert [(x.shape, x.dtype) for x in arrays] == [((6, 4), np.dtype(bool))]
@@ -955,7 +956,7 @@ PUBLIC_OPS = {
     "mul": lambda t: mul(t["a"], t["b"]),
     "relu": lambda t: relu(t["a"]),
     "elu": lambda t: elu(t["a"]),
-    "dropout": lambda t: dropout(t["a"], 0.5, np.random.default_rng(0)),
+    "dropout": lambda t: dropout(t["a"], 0.5, np.random.default_rng(0).random((6, 4)) >= 0.5),
     "linear": lambda t: linear(t["a"], t["w"], t["bias"]),
     "linear[no bias]": lambda t: linear(t["a"], t["w"]),
     "sum_": lambda t: sum_(t["a"], axis=0),
@@ -1209,59 +1210,100 @@ class TestTapeLifetime:
 
 
 def _stacked_ops(rng, B, L, C):
-    """Each op the batched forward runs, by name: (engine op, ``f(x, extra)``
-    over one (L, C) window or a (B, L, C) stack, the stack's ``extra``)."""
-    w, b = rng.standard_normal((C, 5)), rng.standard_normal(5)
-    kernel, tables = rng.standard_normal((4, C, 3)), [rng.standard_normal((V, 3)) for V in (7, 4)]
+    """The parameters of the ops the batched forward runs, and each op by
+    name: (``f(x, extra, p)`` over one (L, C) window or a (B, L, C) stack
+    with the parameters ``p``, the stack's ``extra``)."""
+    params = {"w": rng.standard_normal((C, 5)), "b": rng.standard_normal(5),
+              "kernel": rng.standard_normal((4, C, 3)), "conv_b": rng.standard_normal(4),
+              "gain": rng.standard_normal(C), "shift": rng.standard_normal(C),
+              "gamma": rng.standard_normal(()), "t0": rng.standard_normal((7, 3)),
+              "t1": rng.standard_normal((4, 3))}
     heads = 2 if C % 2 == 0 else 1
     index = np.stack([rng.integers(0, 7, (B, L)), rng.integers(0, 4, (B, L))], -1)
     selected = rng.random((B, heads, L)) < 0.4
-    return {
-        "linear": ("linear", lambda x, e: linear(x, w, b), None),
-        "conv pad 1": ("conv1d_time", lambda x, e: conv1d_time(x, kernel, 1, b[:4]), None),
-        "conv pad 0": ("conv1d_time", lambda x, e: conv1d_time(x, kernel, 0), None),
-        "max pool": ("pool1d", lambda x, e: pool1d(x, "max"), None),
-        "avg pool": ("pool1d", lambda x, e: pool1d(x, "avg"), None),
-        "layer norm": ("layer_norm", lambda x, e: layer_norm(x, w[:, 0], w[:, 1], 1e-5), None),
-        "embedding": ("embedding_sum", lambda x, e: embedding_sum(tables, e), index),
-        "attention": ("attention", lambda x, e: attention(x, x, x, heads, 0.3), None),
-        "causal attention": ("attention", lambda x, e: attention(x, x, x, heads, 0.3, True),
-                             None),
-        "sparse attention": ("attention", lambda x, e: attention(x, x, x, heads, 0.3, False, e),
+    selected[:, :, 0] = True  # a head of every window attends at least one row
+    top_n = np.zeros((B, heads, L), dtype=bool)  # n rows in every head, as top-n gives
+    np.put_along_axis(top_n, np.argsort(rng.random((B, heads, L)), axis=-1)[..., :3], True,
+                      axis=-1)
+    return params, {
+        "linear": (lambda x, e, p: linear(x, p["w"], p["b"]), None),
+        "conv pad 1": (lambda x, e, p: conv1d_time(x, p["kernel"], 1, p["conv_b"]), None),
+        "conv pad 0": (lambda x, e, p: conv1d_time(x, p["kernel"], 0), None),
+        "max pool": (lambda x, e, p: pool1d(x, "max"), None),
+        "avg pool": (lambda x, e, p: pool1d(x, "avg"), None),
+        "layer norm": (lambda x, e, p: layer_norm(x, p["gain"], p["shift"], 1e-5), None),
+        "scalar times window": (lambda x, e, p: mul(p["gamma"], x), None),
+        "window plus row": (lambda x, e, p: add(x, p["gain"]), None),
+        "embedding": (lambda x, e, p: embedding_sum([p["t0"], p["t1"]], e), index),
+        "attention": (lambda x, e, p: attention(x, x, x, heads, 0.3), None),
+        "causal attention": (lambda x, e, p: attention(x, x, x, heads, 0.3, True), None),
+        "sparse attention": (lambda x, e, p: attention(x, x, x, heads, 0.3, False, e),
                              selected),
-        "causal sparse attention": (
-            "attention", lambda x, e: attention(x, x, x, heads, 0.3, True, e), selected),
+        "causal sparse attention": (lambda x, e, p: attention(x, x, x, heads, 0.3, True, e),
+                                    selected),
+        "top-n attention": (lambda x, e, p: attention(x, x, x, heads, 0.3, False, e), top_n),
+        "causal top-n attention": (lambda x, e, p: attention(x, x, x, heads, 0.3, True, e),
+                                   top_n),
     }
 
 
 class TestWindowStacks:
     """A leading window axis runs each window through the arithmetic of its
-    own (L, C) call, so a stack gives each window its bits."""
+    own (L, C) call, forward and backward, so a stack gives each window its
+    bits."""
 
     @pytest.mark.parametrize("B,L,C", [(3, 9, 4), (2, 8, 6), (1, 5, 3)])
     def test_stack_equals_each_window_bitwise(self, B, L, C):
         rng = np.random.default_rng(B * 100 + L)
         x = rng.standard_normal((B, L, C))
-        for name, (_, op, extra) in _stacked_ops(rng, B, L, C).items():
+        params, ops = _stacked_ops(rng, B, L, C)
+        for name, (op, extra) in ops.items():
             with no_grad():
-                stacked = op(x, extra).data
+                stacked = op(x, extra, params).data
                 for i in range(B):
-                    one = op(x[i], None if extra is None else extra[i]).data
+                    one = op(x[i], None if extra is None else extra[i], params).data
                     assert stacked[i].tobytes() == one.tobytes(), (name, i)
 
-    @pytest.mark.parametrize("name", [name for name in _stacked_ops(np.random.default_rng(0),
-                                                                     2, 6, 4)
-                                      if name != "layer norm"])
-    def test_recording_a_stack_names_the_op_and_shape(self, name):
-        """Backward is written for one window: an op asked to record a node
-        for a stacked input refuses, naming itself and the shape."""
+    @pytest.mark.parametrize("block", ["whole", "2 rows"])
+    @pytest.mark.parametrize("name", list(_stacked_ops(np.random.default_rng(0), 2, 6, 4)[1]))
+    def test_backward_equals_each_window(self, name, block, monkeypatch):
+        """One backward through a stack of windows gives each window's input
+        the gradient of its own one-window backward, and each parameter the
+        B one-window backwards' terms added in window order onto the
+        gradient it already had, bit for bit: no term is summed over the
+        window axis first.  Sparse heads select different row counts per
+        window, or n rows each as the top-n selection does; the attention
+        backward walks its rows in one block, or two rows at a time."""
+        if block == "2 rows":
+            monkeypatch.setattr(tensor_module, "_ATTENTION_BLOCK", 2 * 2 * 6)
         rng = np.random.default_rng(1)
-        op_name, op, extra = _stacked_ops(rng, 2, 6, 4)[name]
-        if op_name == "embedding_sum":
-            tables = [Tensor(rng.standard_normal((V, 3)), requires_grad=True) for V in (7, 4)]
-            call, shape = (lambda: embedding_sum(tables, extra)), r"\(2, 6, 2\)"
-        else:
-            x = Tensor(rng.standard_normal((2, 6, 4)), requires_grad=True)
-            call, shape = (lambda: op(x, extra)), r"\(2, 6, 4\)"
-        with pytest.raises(ValueError, match=rf"^{op_name} records .* shape {shape}"):
-            call()
+        params, ops = _stacked_ops(rng, 3, 6, 4)
+        op, extra = ops[name]
+        x = rng.standard_normal((3, 6, 4))
+        prior = {key: rng.standard_normal(np.shape(value)) for key, value in params.items()}
+        weights = None
+        runs = []
+        for stacked in (True, False):
+            p = {key: Tensor(value, requires_grad=True) for key, value in params.items()}
+            for key, t in p.items():
+                t.grad = prior[key].copy()
+            if stacked:
+                leaf = Tensor(x, requires_grad=True)
+                out = op(leaf, extra, p)
+                weights = np.random.default_rng(2).standard_normal(out.shape)
+                sum_(out * Tensor(weights)).backward()
+                x_grads = [leaf.grad]
+            else:
+                x_grads = []
+                for i in range(3):
+                    leaf = Tensor(x[i], requires_grad=True)
+                    out = op(leaf, None if extra is None else extra[i], p)
+                    sum_(out * Tensor(weights[i])).backward()
+                    x_grads.append(leaf.grad)
+            runs.append((x_grads, {key: t.grad for key, t in p.items()}))
+        (stacked_x, stacked_p), (window_x, window_p) = runs
+        if window_x[0] is not None:
+            for i, grad in enumerate(window_x):
+                assert stacked_x[0][i].tobytes() == grad.tobytes(), i
+        for key, grad in window_p.items():
+            assert stacked_p[key].tobytes() == grad.tobytes(), key

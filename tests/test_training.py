@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -15,12 +16,12 @@ import numpy.testing as npt
 import pytest
 
 from conftest import make_split_windows
-from sparsecast import training
+from sparsecast import layers, training
 from sparsecast.attention import NaNScoreError
 from sparsecast import model as model_module
 from sparsecast.data import DataError, MetricResult, make_windows, metrics, synthetic_seasonal_frame
 from sparsecast.model import Forecaster, ModelConfig
-from sparsecast.tensor import ParamStore
+from sparsecast.tensor import ParamStore, Tensor, dropout
 from sparsecast.training import (
     OptimizerState,
     TrainConfig,
@@ -149,39 +150,53 @@ def _step_model(attention="neural_sparse", seed=5):
     return Forecaster(config, np.random.default_rng(seed)), train_w
 
 
+def _force_chunk(monkeypatch, config, windows: int):
+    """Make the training chunk rule give ``windows`` for ``config``."""
+    monkeypatch.setattr(model_module, "_TRAIN_CHUNK_ELEMENTS",
+                        windows * model_module._widest_activation(config))
+    assert model_module.train_chunk_windows(config) == (
+        1 if config.attention == "prob_sparse" else windows)
+
+
 class TestTrainStep:
-    @pytest.mark.parametrize("attention", ["neural_sparse", "prob_sparse"])
-    @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_equals_one_tape_reference(self, attention, batch_size):
-        """Back-propagating window by window gives the parameters, Adam
-        moments and losses of one backward through the summed batch, bit
-        for bit, with dropout and sampled ranking drawing from the rng."""
+    @pytest.mark.parametrize("attention", ["neural_sparse", "prob_sparse", "canonical"])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 7])
+    def test_equals_one_tape_reference(self, attention, batch_size, monkeypatch):
+        """Training in chunks of 3 windows gives the parameters, Adam moments
+        and losses of one backward through the summed batch, bit for bit, at
+        batch sizes 1, chunk - 1, chunk, chunk + 1 and 2 chunk + 1, with
+        dropout and sampled ranking drawing from the rng."""
         runs = []
         for step in (training._train_step, _one_tape_step):
             model, train_w = _step_model(attention)
+            _force_chunk(monkeypatch, model.config, 3)
             rng = np.random.default_rng(1)
             state = OptimizerState()
             losses = [step(model, train_w[i * batch_size:(i + 1) * batch_size], rng, state,
                            1e-3, TrainConfig()) for i in range(2)]
-            runs.append((losses, model.params, state))
-        (losses, params, state), (ref_losses, ref_params, ref_state) = runs
+            runs.append((losses, model.params, state, rng.random()))
+        (losses, params, state, after), (ref_losses, ref_params, ref_state, ref_after) = runs
         assert losses == ref_losses
+        assert after == ref_after  # the generator is left where the reference leaves it
         for name, t in params.items():
             assert t.data.tobytes() == ref_params[name].data.tobytes(), name
             assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
             assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
 
-    def test_peak_memory_holds_one_window_tape(self):
-        """After a warm-up step, a step over 8 windows peaks at most 1.5x a
-        step over one window; the one-tape reference peaks near 8x."""
+    def test_peak_memory_holds_one_chunk_tape(self, monkeypatch):
+        """After a warm-up step, a step over three chunks of 4 windows peaks
+        at most 1.5x a step over one chunk: each chunk's tape is freed by its
+        backward before the next chunk's forward.  The one-tape reference
+        peaks near 3x."""
         model, train_w = _step_model()
+        _force_chunk(monkeypatch, model.config, 4)
         rng = np.random.default_rng(0)
         state = OptimizerState()
-        training._train_step(model, train_w[:8], rng, state, 1e-3, TrainConfig())
+        training._train_step(model, train_w[:12], rng, state, 1e-3, TrainConfig())
         peaks = {}
         tracemalloc.start()
         try:
-            for batch_size in (1, 8):
+            for batch_size in (4, 12):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 training._train_step(model, train_w[:batch_size], rng, state, 1e-3,
@@ -189,7 +204,7 @@ class TestTrainStep:
                 peaks[batch_size] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peaks[8] <= 1.5 * peaks[1], peaks
+        assert peaks[12] <= 1.5 * peaks[4], peaks
 
     def test_non_finite_second_window_leaves_parameters(self):
         model, train_w = _step_model()
@@ -201,6 +216,32 @@ class TestTrainStep:
         assert not np.isfinite(loss)
         assert checkpoint_bytes(model.params) == before
         assert state.step == 0 and not state.m
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_of_the_second_chunk_stops_before_its_backward(
+            self, bad, monkeypatch):
+        """A non-finite target in the second chunk of 2 windows: the step
+        makes the first chunk's backward only, returns the loss the one-tape
+        reference returns, and leaves the parameters and Adam state as they
+        were."""
+        model, train_w = _step_model()
+        _force_chunk(monkeypatch, model.config, 2)
+        batch = list(train_w[:5])
+        batch[3] = dataclasses.replace(batch[3], target=np.full_like(batch[3].target, bad))
+        before = checkpoint_bytes(model.params)
+        backwards = []
+        original = Tensor.backward
+        monkeypatch.setattr(Tensor, "backward", lambda t: backwards.append(original(t)))
+        state = OptimizerState()
+        loss = training._train_step(model, batch, np.random.default_rng(0), state, 1e-3,
+                                    TrainConfig())
+        assert len(backwards) == 1
+        assert checkpoint_bytes(model.params) == before
+        assert state.step == 0 and not state.m
+        reference, _ = _step_model()
+        npt.assert_equal(loss, _one_tape_step(reference, batch, np.random.default_rng(0),
+                                              OptimizerState(), 1e-3, TrainConfig()))
+        npt.assert_equal(loss, bad)
 
     def test_divergence_names_the_batch_of_the_bad_window(self):
         """A NaN target in the second window of the second batch raises
@@ -215,6 +256,97 @@ class TestTrainStep:
         with pytest.raises(TrainingDiverged) as raised:
             train_loop(model, train_w, [], config)
         assert (raised.value.epoch, raised.value.batch) == (0, 1)
+
+    def test_nan_score_in_a_stacked_forward_names_window_head_and_row(self, monkeypatch):
+        """A finite window so large that its embedding overflows gives NaN
+        selection scores.  As window 1 of the second chunk of a batch, it
+        stops the run with ``TrainingDiverged(reason="selection")``, chained
+        from the selection's error naming it as window 3 of the batch."""
+        model, train_w = _step_model()
+        _force_chunk(monkeypatch, model.config, 2)
+        train_w = train_w[:8]
+        config = TrainConfig(batch_size=4, epochs=1, seed=4)
+        bad = int(np.random.default_rng(config.seed).permutation(len(train_w))[3])
+        train_w[bad] = dataclasses.replace(
+            train_w[bad], enc_values=np.full_like(train_w[bad].enc_values, 1e308))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as raised:
+            train_loop(model, train_w, [], config)
+        assert (raised.value.reason, raised.value.batch) == ("selection", 0)
+        assert isinstance(raised.value.__cause__, NaNScoreError)
+        assert re.fullmatch(r"selection got a NaN score at window 3, head \d+, row \d+",
+                            str(raised.value.__cause__))
+
+    def test_a_bad_window_in_a_later_chunk_names_its_index_in_the_batch(self, monkeypatch):
+        model, train_w = _step_model()
+        _force_chunk(monkeypatch, model.config, 2)
+        batch = list(train_w[:5])
+        batch[4] = dataclasses.replace(batch[4], known_tail=batch[4].known_tail[:-1])
+        with pytest.raises(DataError, match=r"^window 4: known_tail: got "):
+            training._train_step(model, batch, np.random.default_rng(0), OptimizerState(),
+                                 1e-3, TrainConfig())
+
+    def test_a_stacked_prob_sparse_training_forward_is_refused(self):
+        model, train_w = _step_model("prob_sparse")
+        with pytest.raises(ValueError, match="^prob_sparse trains one window at a time"):
+            model.loss(train_w[:2], rng=np.random.default_rng(0), train=True)
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("attention", ["neural_sparse", "canonical"])
+    def test_mask_block_equals_windows_drawn_in_turn(self, attention, monkeypatch):
+        """The dropout masks of a stacked training forward of 3 windows, cut
+        per window, are the masks 3 one-window forwards draw one after
+        another from the generator, and both leave it in the same state."""
+        model, train_w = _step_model(attention)
+        masks = []
+
+        def spy(a, p, kept):
+            masks.append(kept.copy())
+            return dropout(a, p, kept)
+
+        monkeypatch.setattr(layers, "dropout", spy)
+        rng = np.random.default_rng(7)
+        model.loss(train_w[:3], rng=rng, train=True)
+        stacked, masks[:] = list(masks), []
+        stacked_state = rng.bit_generator.state
+        rng = np.random.default_rng(7)
+        for sample in train_w[:3]:
+            model.loss(sample, rng=rng, train=True)
+        assert rng.bit_generator.state == stacked_state
+        per_window = [masks[i * len(stacked):(i + 1) * len(stacked)] for i in range(3)]
+        for layer, block in enumerate(stacked):
+            for i in range(3):
+                assert np.array_equal(block[i], per_window[i][layer]), (layer, i)
+        assert sum(m[0].size for m in stacked) == model_module.dropout_draws(model.config)
+
+
+# The perfbench workload shapes; long_horizon is cut to L_x 288 to stay quick.
+_WORKLOAD_SHAPES = {
+    "smoke": (dict(L_x=48, label_len=24, L_y=24, d_model=32, n_heads=2), 3, 32),
+    "aiops_paper": (dict(L_x=96, label_len=48, L_y=24, d_model=128, n_heads=8), 20, 8),
+    "long_horizon": (dict(L_x=288, label_len=144, L_y=116, d_model=64, n_heads=4), 1, 2),
+}
+
+
+@pytest.mark.parametrize("shape", list(_WORKLOAD_SHAPES))
+def test_chunked_training_checkpoint_equals_one_window_chunks(shape, monkeypatch):
+    """A 2-step ``train_loop`` with dropout at a workload shape gives the
+    checkpoint bytes and history of the same run with chunks of one window."""
+    kw, columns, batch_size = _WORKLOAD_SHAPES[shape]
+    windows = make_windows(synthetic_seasonal_frame(kw["L_x"] + kw["L_y"] + 70, columns,
+                                                    seed=4), kw["L_x"], kw["label_len"],
+                           kw["L_y"])
+    config = ModelConfig(d_x=columns, d_y=columns, **kw)
+    runs = []
+    for forced in (False, True):
+        if forced:
+            _force_chunk(monkeypatch, config, 1)
+        model = Forecaster(config, np.random.default_rng(1))
+        result = train_loop(model, list(windows[:2 * batch_size + 1]), [windows[-1]],
+                            TrainConfig(lr=1e-3, batch_size=batch_size, epochs=1,
+                                        max_steps=2, seed=1))
+        runs.append((checkpoint_bytes(model.params), result.history))
+    assert runs[0] == runs[1]
 
 
 class TestTrainLoop:
@@ -271,9 +403,10 @@ class TestTrainLoop:
             with pytest.raises(TrainingDiverged) as raised:
                 train_loop(model, train_w[:8], val_w[:2], cfg)
         assert isinstance(raised.value.__cause__, NaNScoreError)
-        # validation scores its windows as one stack, so the error names the window too
-        window = "" if where == "step" else "window 0, "
-        assert str(raised.value.__cause__) == f"selection got a NaN score at {window}head 0, row 0"
+        # a step and a validation both score their windows as one stack, so the
+        # error names the window too
+        assert str(raised.value.__cause__) == ("selection got a NaN score at window 0, head 0, "
+                                               "row 0")
         assert (raised.value.epoch, raised.value.batch, raised.value.lr) == (0, 1, 1e300)
         assert raised.value.reason == ("selection" if where == "step" else "validation")
         assert len(steps) == (2 if where == "step" else 1)
@@ -319,6 +452,16 @@ class TestTrainLoop:
         model, train_w, _, _ = _tiny_trainable(seed=9)
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, [])
+
+    def test_validation_windows_from_a_generator_serve_every_epoch(self):
+        """A one-shot iterable of validation windows is read once, so every
+        epoch validates on the same windows as a list of them gives."""
+        model, train_w, val_w, _ = _tiny_trainable(seed=9)
+        cfg = TrainConfig(batch_size=8, epochs=2, seed=9)
+        listed = train_loop(model, train_w[:16], list(val_w[:8]), cfg).history
+        model, train_w, val_w, _ = _tiny_trainable(seed=9)
+        streamed = train_loop(model, train_w[:16], (s for s in val_w[:8]), cfg).history
+        assert len(streamed) == 2 and streamed == listed
 
     def test_empty_generator_rejected(self):
         """A generator is truthy even when it yields nothing."""

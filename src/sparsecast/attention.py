@@ -129,9 +129,7 @@ def select_top_queries(scores, c: float) -> np.ndarray:
     """
     s = np.atleast_1d(np.asarray(scores, dtype=np.float64))
     if np.isnan(s).any():
-        *windows, head, row = np.argwhere(np.isnan(np.atleast_2d(s)))[0].tolist()
-        at = "".join(f"window {i}, " for i in windows)
-        raise NaNScoreError(f"selection got a NaN score at {at}head {head}, row {row}")
+        raise _nan_score("selection", s)
     n = top_n_count(s.shape[-1], c)
     order = np.argsort(-s, axis=-1, kind="stable")
     return np.sort(order[..., :n], axis=-1)
@@ -203,14 +201,26 @@ def importance_scores(q, k, kernel, bias=None, causal: bool = False) -> np.ndarr
         return conv1d_time(fused, kernel, 1, bias).data
 
 
+def _nan_score(selection: str, scores: np.ndarray) -> NaNScoreError:
+    """The error for the first NaN of (..., H, L) ``scores``, naming its
+    window, head and row; a 1-D array is head 0."""
+    *windows, head, row = np.argwhere(np.isnan(np.atleast_2d(scores)))[0].tolist()
+    at = "".join(f"window {i}, " for i in windows)
+    return NaNScoreError(f"{selection} got a NaN score at {at}head {head}, row {row}")
+
+
 def _select_heads(ranking: np.ndarray, c: float, causal: bool) -> np.ndarray:
     """Each head's selection as an (..., H, L) boolean mask.  The causal
-    selection runs once per window and head."""
+    selection runs once per window and head; a NaN score raises
+    ``NaNScoreError`` naming its window, head and row."""
     selected = np.zeros(ranking.shape, dtype=bool)
     flat = selected.reshape(-1, ranking.shape[-1])  # a view: one row per window and head
     if causal:
         for row, scores in zip(flat, ranking.reshape(flat.shape)):
-            row[select_top_queries_causal(scores, c)] = True
+            try:
+                row[select_top_queries_causal(scores, c)] = True
+            except NaNScoreError:
+                raise _nan_score("causal selection", ranking) from None
     else:
         chosen = select_top_queries(ranking, c)
         flat[np.arange(len(flat))[:, None], chosen.reshape(len(flat), -1)] = True

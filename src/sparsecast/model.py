@@ -8,13 +8,14 @@ canonical cross-attention against the encoder output.
 """
 
 import math
-from contextlib import nullcontext
+import re
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 
 import numpy as np
 
-from .attention import MultiHeadAttention, ScoreBudget, counting
+from .attention import MultiHeadAttention, NaNScoreError, ScoreBudget, counting
 from .data import DataError
 from .embedding import WindowEmbedding, validate_stamps
 from .encoder import Encoder
@@ -23,6 +24,12 @@ from .tensor import ParamStore, Tensor, mean_, no_grad
 
 ATTENTION_CHOICES = ("neural_sparse", "prob_sparse", "canonical")
 DISTILL_CHOICES = ("parallel_pool", "maxpool_only")
+_WINDOW = re.compile(r"window (\d+)")
+
+
+class NonFiniteForecast(DataError):
+    """A window whose inputs are finite got a forecast that is not: its
+    values, or the parameters, are too large for float64."""
 
 
 @dataclass
@@ -63,8 +70,11 @@ class ModelConfig:
                              f"got {self.L_x}")
         if self.label_len > self.L_x:
             raise ValueError(f"label_len: {self.label_len} exceeds L_x={self.L_x}")
+        if self.d_ff is None:
+            self.d_ff = 4 * self.d_model
         for key, low in (("label_len", 0), ("L_y", 1), ("h", 0), ("n_heads", 1),
-                         ("d_model", 2), ("c", 1), ("enc_blocks", 1), ("dec_layers", 1)):
+                         ("d_model", 2), ("c", 1), ("enc_blocks", 1), ("dec_layers", 1),
+                         ("d_ff", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key}: must be >= {low}, got {getattr(self, key)}")
         if self.d_model % 2 or self.d_model % self.n_heads:
@@ -77,8 +87,6 @@ class ModelConfig:
             if getattr(self, key) not in choices:
                 raise ValueError(f"{key}: must be one of {sorted(choices)}, "
                                  f"got {getattr(self, key)!r}")
-        if self.d_ff is None:
-            self.d_ff = 4 * self.d_model
 
     @property
     def dec_len(self) -> int:
@@ -227,18 +235,23 @@ class Forecaster:
         window axis as a leading axis and each window's products stay its
         own GEMMs, so a forecast has the bits ``forward`` gives its window.
         Attention counts go to the record of an enclosing ``counting``
-        block.  A window that does not fit the config raises ``DataError``
-        prefixed with its index in ``samples``.
+        block.  A window that does not fit the config raises ``DataError``,
+        one whose forecast is not finite ``NonFiniteForecast`` and a NaN
+        selection score ``NaNScoreError``; each names the window by its
+        index in ``samples``.
         """
         cfg = self.config
         windows = iter(samples)
         first = 0
         while chunk := list(islice(windows, chunk_windows(cfg))):
-            inputs = _stacked_inputs(chunk, cfg, first)
-            with no_grad():
-                out = self._decode(*inputs, None)
+            with windows_from(first):
+                inputs = _stacked_inputs(chunk, cfg)
+                with no_grad():
+                    out = self._decode(*inputs, None)
+                forecast = out.data[:, out.shape[1] - cfg.L_y:]
+                _check_finite(forecast, "forecast", error=NonFiniteForecast)
             first += len(chunk)
-            yield from out.data[:, out.shape[1] - cfg.L_y:]
+            yield from forecast
 
     def _decode(self, enc_values, enc_stamps, known_tail, dec_stamps, draws) -> Tensor:
         """Embedding, encoder, decoder and projection over one window's arrays,
@@ -271,16 +284,18 @@ class Forecaster:
         if train and cfg.attention == "prob_sparse" and len(samples) > 1:
             raise ValueError("prob_sparse trains one window at a time: its ranking draws "
                              "from the generator between a window's dropouts")
-        inputs = _stacked_inputs(samples, cfg, 0)
+        inputs = _stacked_inputs(samples, cfg)
         target = np.stack([s.target for s in samples])
         draws = Draws(rng, cfg.dropout, len(samples), dropout_draws(cfg)) if train else None
         out = self._decode(*inputs, draws)
         return mse_loss(out[..., out.shape[-2] - cfg.L_y:, :], target)
 
     def predict(self, sample, scaler=None, target_columns=None) -> Forecast:
-        """Forecast one window; inverse-scale when a scaler is given."""
+        """Forecast one window; inverse-scale when a scaler is given.  A
+        forecast that is not finite raises ``NonFiniteForecast``."""
         with no_grad():
             scaled = self.forward(sample).data
+        _check_finite(scaled, "forecast", error=NonFiniteForecast)
         if scaler is None:
             return Forecast(predictions=scaled.copy(), scaled_predictions=scaled)
         original = scaler.inverse(scaled, columns=target_columns)
@@ -292,16 +307,28 @@ def _inputs(sample) -> tuple:
     return sample.enc_values, sample.enc_stamps, sample.known_tail, sample.dec_stamps
 
 
-def _stacked_inputs(chunk, config: ModelConfig, first: int) -> tuple:
+def _stacked_inputs(chunk, config: ModelConfig) -> tuple:
     """The (B, ...) stacks of the ``_decode`` arrays of the windows of
-    ``chunk``, each window checked first; ``first`` is the index of the
-    first, which a ``DataError`` counts from."""
-    for i, sample in enumerate(chunk, first):
+    ``chunk``, each window checked first; a ``DataError`` names its window
+    by its index in ``chunk``."""
+    for i, sample in enumerate(chunk):
         _check_window(sample, config, f"window {i}:")
-    enc_stamps, dec_stamps = (_stacked_stamps(chunk, name, first)
+    enc_stamps, dec_stamps = (_stacked_stamps(chunk, name)
                               for name in ("enc_stamps", "dec_stamps"))
     return (np.stack([s.enc_values for s in chunk]), enc_stamps,
             np.stack([s.known_tail for s in chunk]), dec_stamps)
+
+
+@contextmanager
+def windows_from(first: int):
+    """Renumber the window that a ``DataError`` or ``NaNScoreError`` raised
+    in the block names, counting from ``first``: a stack numbers its
+    windows from 0, the caller by their place in its own sequence."""
+    try:
+        yield
+    except (DataError, NaNScoreError) as exc:
+        exc.args = (_WINDOW.sub(lambda m: f"window {int(m[1]) + first}", str(exc), 1),)
+        raise
 
 
 def _check_rng(rng, train: bool) -> None:
@@ -323,25 +350,33 @@ def _check_window(sample, config: ModelConfig, where: str = "window") -> None:
         if got != want:
             raise DataError(f"{where} {name}: got {got}, the model expects {want}")
     for name in ("enc_values", "known_tail"):
-        finite = np.isfinite(getattr(sample, name))
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            value = np.asarray(getattr(sample, name))[row, col]
-            raise DataError(f"{where} {name}: non-finite value {value} at row {row}, "
-                            f"column {col}")
+        _check_finite(getattr(sample, name), name, where)
 
 
-def _stacked_stamps(chunk, name: str, first: int) -> np.ndarray:
+def _check_finite(values, name: str, where: str = "window", error=DataError) -> None:
+    """Raise ``error`` naming the first non-finite entry of the (rows,
+    columns) array ``values``, the message starting with ``where``; of a
+    (B, rows, columns) stack, starting with the entry's window."""
+    values = np.asarray(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = np.argwhere(~finite)[0]
+        *window, row, col = at.tolist()
+        where = f"window {window[0]}:" if window else where
+        raise error(f"{where} {name}: non-finite value {values[tuple(at)]} at row {row}, "
+                    f"column {col}")
+
+
+def _stacked_stamps(chunk, name: str) -> np.ndarray:
     """The checked (B, rows, 5) stack of field ``name`` of the windows of
-    ``chunk``, the first of which has index ``first``.  A stamp matrix that
-    does not stack, or does not pass ``validate_stamps``, raises
-    ``DataError`` naming its window; only a failed stack checks windows one
-    at a time."""
+    ``chunk``.  A stamp matrix that does not stack, or does not pass
+    ``validate_stamps``, raises ``DataError`` naming its window by its index
+    in ``chunk``; only a failed stack checks windows one at a time."""
     matrices = [getattr(sample, name) for sample in chunk]
     try:
         return validate_stamps(np.stack(matrices))
     except ValueError:
-        for i, stamps in enumerate(matrices, first):
+        for i, stamps in enumerate(matrices):
             try:
                 validate_stamps(stamps)
             except ValueError as exc:

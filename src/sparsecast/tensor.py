@@ -6,8 +6,8 @@ node on its output: a ``_Node`` holding the output's gradient buffer, the
 nodes of the inputs that require gradients, the output shape and a
 backward closure.  The closure captures those parent nodes plus exactly
 the arrays its own gradient formula reads (a linear map keeps its
-operands, a ReLU a boolean mask, dropout its boolean mask, an add only
-shapes), never the input tensors, so the tape holds only what backward
+operands, a ReLU a boolean mask, dropout its boolean mask, an add
+nothing), never the input tensors, so the tape holds only what backward
 reads: an output that no formula reads is freed as soon as the caller
 drops it.  Attention, dense or sparse (a selection mask picks the rows
 that attend; the rest get a lazy fill), is one node from the full-width
@@ -27,11 +27,14 @@ saved arrays are freed as the walk passes them and a second
 ``backward()`` through the same graph raises ``RuntimeError``.
 
 One window is an (L, C) array; axes before those two are window axes, and
-every op runs forward and backward over them.  A stacked backward gives
-each window the bits of its own: activation gradients are computed window
-by window in the same arithmetic, and an input that the windows share (a
-parameter) gets one term per window, added in window order, never a sum
-over the window axis.
+every op runs forward and backward over them.  Every backward adds its
+gradients in one place, ``_accum``, which hands a gradient of its input's
+shape on as it is.  Of any other gradient, the axes before its last two
+that the input lacks are window axes: each window's share is summed down
+to the input's shape as that window's own op sums it, and the shares are
+added one at a time in window order, never summed over the window axis.
+So a stacked backward gives each window the bits of its own, and an input
+that the windows share (a parameter) gets one term per window.
 
 Tensors are value-semantic (no operation mutates an input array), so a
 frozen parameter set can be read from multiple threads; gradient buffers
@@ -206,7 +209,9 @@ def _make(data, nodes, backward) -> Tensor:
 
 
 def _accum(node, g, fresh: bool = False):
-    """Add ``g`` into the gradient buffer of ``node`` (an op node or a leaf).
+    """Add ``g`` into the gradient buffer of ``node`` (an op node or a leaf),
+    summed down to the node's shape by the window rule of the module
+    docstring.
 
     A ``fresh`` ``g`` is one the caller has just computed and hands over, so
     a first gradient adopts it, when it is a C-contiguous array, instead of
@@ -214,47 +219,26 @@ def _accum(node, g, fresh: bool = False):
     buffer: ``g`` may be shared with another parent (add) or be a read-only
     broadcast view (the share of the layer norm's mean).
     """
+    shape = node.shape
+    if g.shape != shape:
+        windows = max(0, g.ndim - max(len(shape), 2))
+        while g.ndim > windows + len(shape):
+            g = g.sum(axis=windows)
+        for ax, s in enumerate(shape, windows):
+            if s == 1 and g.shape[ax] != 1:
+                g = g.sum(axis=ax, keepdims=True)
+        if windows:
+            for share in g.reshape((-1,) + shape):
+                _accum(node, share)
+            return
     if node.grad is None:
         if fresh and isinstance(g, np.ndarray) and g.flags.c_contiguous:
             node.grad = g
         else:
-            node.grad = np.empty(node.shape)
+            node.grad = np.empty(shape)
             np.copyto(node.grad, g)
     else:
         node.grad += g
-
-
-def _accum_windows(node, terms: np.ndarray, windows: int, fresh: bool = True):
-    """Add ``terms``, one per window over its first ``windows`` axes, into
-    ``node`` one at a time in window order, as one backward per window adds
-    them.  With no window axes ``terms`` is the one term, handed over
-    ``fresh`` as ``_accum`` takes it."""
-    if not windows:
-        _accum(node, terms, fresh)
-        return
-    for term in terms.reshape((-1,) + terms.shape[windows:]):
-        _accum(node, term)
-
-
-def _unbroadcast(g: np.ndarray, shape, windows: int = 0) -> np.ndarray:
-    """Sum ``g`` down to the operand ``shape`` that broadcasting stretched to
-    it, keeping its first ``windows`` axes: each window is summed as its own
-    op sums it."""
-    while g.ndim > windows + len(shape):
-        g = g.sum(axis=windows)
-    for ax, s in enumerate(shape, windows):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def _accum_unbroadcast(node, g: np.ndarray, shape, fresh: bool = False):
-    """Add ``g`` into ``node``, summed down to the operand ``shape`` that
-    broadcasting stretched to it.  Axes of ``g`` before its last two that
-    ``shape`` lacks are window axes: each window's share is summed as its
-    own op sums it, and the shares are added in window order."""
-    windows = max(0, g.ndim - max(len(shape), 2))
-    _accum_windows(node, _unbroadcast(g, shape, windows), windows, fresh)
 
 
 # -- elementwise ------------------------------------------------------
@@ -267,15 +251,14 @@ def add(a, b) -> Tensor:
     if nodes is None:
         return Tensor(out)
     na, nb = nodes
-    shape_a, shape_b = a.data.shape, b.data.shape
 
     def bw(g):
         # g is this node's own buffer, dropped after this call: the first
         # parent may keep it, the second reads it before anything writes it.
         if na is not None:
-            _accum_unbroadcast(na, g, shape_a, fresh=True)
+            _accum(na, g, fresh=True)
         if nb is not None:
-            _accum_unbroadcast(nb, g, shape_b)
+            _accum(nb, g)
 
     return _make(out, nodes, bw)
 
@@ -287,15 +270,14 @@ def mul(a, b) -> Tensor:
     if nodes is None:
         return Tensor(out)
     na, nb = nodes
-    shape_a, shape_b = a.data.shape, b.data.shape
     a_data = a.data if nb is not None else None
     b_data = b.data if na is not None else None
 
     def bw(g):
         if na is not None:
-            _accum_unbroadcast(na, g * b_data, shape_a, fresh=True)
+            _accum(na, g * b_data, fresh=True)
         if nb is not None:
-            _accum_unbroadcast(nb, g * a_data, shape_b, fresh=True)
+            _accum(nb, g * a_data, fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -364,8 +346,8 @@ def linear(x, w, b=None) -> Tensor:
     """``x @ w + b`` as one node: ``x`` is (..., L, d_in), ``w`` (d_in, d_out)
     and the optional bias ``b`` (d_out,).  Leading window axes make numpy's
     stacked product, one GEMM per window, so each window gets the bits of
-    its own (L, d_in) product.  Backward makes the weight's and the bias's
-    terms per window, as stacked products and row sums."""
+    its own (L, d_in) product.  Backward hands ``_accum`` the stacked
+    products x^T g as the weight's terms and g itself as the bias's."""
     x, w = _coerce(x), _coerce(w)
     if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
@@ -380,7 +362,6 @@ def linear(x, w, b=None) -> Tensor:
         return Tensor(out)
     nx, nw = nodes[:2]
     nb = nodes[2] if len(nodes) == 3 else None
-    windows = x.data.ndim - 2
     x_data = x.data if nw is not None else None
     w_data = w.data if nx is not None else None
 
@@ -388,9 +369,9 @@ def linear(x, w, b=None) -> Tensor:
         if nx is not None:
             _accum(nx, g @ w_data.T, fresh=True)
         if nw is not None:
-            _accum_windows(nw, np.matmul(np.swapaxes(x_data, -1, -2), g), windows)
+            _accum(nw, np.matmul(np.swapaxes(x_data, -1, -2), g), fresh=True)
         if nb is not None:
-            _accum_windows(nb, g.sum(axis=-2), windows)
+            _accum(nb, g, fresh=True)
 
     return _make(out, nodes, bw)
 
@@ -697,13 +678,12 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
         return Tensor(out)
     nx, ng, nb = nodes
     gain_data = gain.data
-    shape_gain, shape_bias = gain.data.shape, bias.data.shape
 
     def bw(g):
         if nb is not None:
-            _accum_unbroadcast(nb, g, shape_bias)
+            _accum(nb, g)
         if ng is not None:
-            _accum_unbroadcast(ng, g * (centered * inv), shape_gain, fresh=True)
+            _accum(ng, g * (centered * inv), fresh=True)
         if nx is not None:
             dxhat = g * gain_data
             d_var = (dxhat * centered).sum(axis=-1, keepdims=True) * -0.5 * var_eps ** -1.5
@@ -782,15 +762,15 @@ def conv1d_time(x, kernel, padding: int, bias=None) -> Tensor:
     def bw(g):
         if nk is not None:
             terms = np.matmul(np.swapaxes(g, -1, -2), _conv_windows(xp, l_out, k))
-            _accum_windows(nk, terms.reshape(lead + (c_out, c_in, k)), len(lead))
+            _accum(nk, terms.reshape(terms.shape[:-1] + (c_in, k)), fresh=True)
         if nx is not None:
-            g_windows = (g @ flat_kernel).reshape(lead + (l_out, c_in, k))
+            g_windows = (g @ flat_kernel).reshape(g.shape[:-1] + (c_in, k))
             gxp = np.zeros(padded_shape)
             for i in range(k):
                 gxp[..., i : i + l_out, :] += g_windows[..., i]
             _accum(nx, gxp[..., padding : padding + L, :] if padding else gxp, fresh=True)
         if nb is not None:
-            _accum_windows(nb, g.sum(axis=-2), len(lead))
+            _accum(nb, g, fresh=True)
 
     return _make(out, nodes, bw)
 

@@ -12,7 +12,6 @@ import hashlib
 import itertools
 import math
 import os
-import re
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -20,14 +19,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attention import NaNScoreError
-from .data import DataError, MetricResult, metrics
-from .model import train_chunk_windows
+from .data import MetricResult, metrics
+from .model import NonFiniteForecast, train_chunk_windows, windows_from
 from .tensor import ParamStore, sum_
 
 CHECKPOINT_MAGIC = b"HGNT2"
 _READABLE_MAGICS = (b"HGNT1", CHECKPOINT_MAGIC)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-_WINDOW = re.compile(r"window (\d+)")
 
 
 @dataclass
@@ -49,7 +47,7 @@ class TrainConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name}: must be finite, got {getattr(self, f.name)}")
-        for key in ("lr", "weight_decay", "lr_decay"):
+        for key in ("lr", "weight_decay", "lr_decay", "seed"):
             if getattr(self, key) < 0.0:
                 raise ValueError(f"{key}: must be >= 0, got {getattr(self, key)}")
         for key in ("batch_size", "epochs", "lr_step_epochs"):
@@ -70,14 +68,17 @@ class OptimizerState:
 
 class TrainingDiverged(RuntimeError):
     """Training met a non-finite value.  ``reason`` is ``loss`` (a step's
-    loss), ``selection`` (a NaN score in a step, before its loss) or
-    ``validation`` (a NaN score in the validation after ``batch`` batches)."""
+    loss), ``selection`` (a NaN score in a step, before its loss),
+    ``validation`` (a NaN score in the validation after ``batch`` batches)
+    or ``forecast`` (a non-finite forecast in that validation)."""
 
     def __init__(self, epoch: int, batch: int, lr: float, reason: str = "loss"):
         where = {"loss": f"non-finite loss at epoch {epoch}, batch {batch}",
                  "selection": f"NaN selection score at epoch {epoch}, batch {batch}",
                  "validation": f"NaN selection score in the validation of epoch {epoch} "
-                               f"after {batch} batches"}[reason]
+                               f"after {batch} batches",
+                 "forecast": f"non-finite forecast in the validation of epoch {epoch} "
+                             f"after {batch} batches"}[reason]
         super().__init__(f"{where}, lr {lr:.3e}")
         self.epoch = epoch
         self.batch = batch
@@ -225,12 +226,8 @@ def _train_step(model, batch, rng, state: OptimizerState, lr: float,
     size = train_chunk_windows(model.config)
     total = 0.0
     for start in range(0, len(batch), size):
-        try:
+        with windows_from(start):
             losses = model.loss(batch[start:start + size], rng=rng, train=True)
-        except (DataError, NaNScoreError) as exc:
-            # the chunk counts its windows from 0; name the window of the batch
-            exc.args = (_WINDOW.sub(lambda m: f"window {int(m[1]) + start}", str(exc), 1),)
-            raise
         for value in losses.data.tolist():
             total += value
             if not math.isfinite(total):
@@ -246,8 +243,8 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
     Gradients are averaged over each batch; the checkpoint with the best
     validation MSE is retained.  ``max_steps`` truncates the run (the
     final partial epoch is still validated and recorded).  A non-finite
-    loss, or a NaN score in a step's or a validation's query selection,
-    raises ``TrainingDiverged``.  ``val_samples`` may be any iterable of
+    loss, a NaN score in a step's or a validation's query selection, or a
+    non-finite validation forecast raises ``TrainingDiverged``.  ``val_samples`` may be any iterable of
     windows, a generator too: it is read once, before the first step, and
     every epoch validates on those windows.
     """
@@ -287,6 +284,8 @@ def train_loop(model, train_samples, val_samples, config: TrainConfig) -> TrainR
             val = evaluate(model, val_samples) if val_samples else None
         except NaNScoreError as exc:
             raise TrainingDiverged(epoch, n_batches, lr, "validation") from exc
+        except NonFiniteForecast as exc:  # finite windows: the steps made the parameters too large
+            raise TrainingDiverged(epoch, n_batches, lr, "forecast") from exc
         record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / max(n_batches, 1),
                   "steps": steps}
         if val is not None:

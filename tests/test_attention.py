@@ -230,6 +230,21 @@ class TestSelection:
                            match=r"^selection got a NaN score at window 1, head 2, row 4$"):
             select_top_queries(scores, 1)
 
+    @pytest.mark.parametrize("shape, at, where", [
+        ((3, 10), (1, 4), "head 1, row 4"),
+        ((2, 3, 10), (1, 2, 4), "window 1, head 2, row 4"),
+    ])
+    def test_nan_in_a_causal_ranking_names_window_head_and_row(self, shape, at, where):
+        """``attend`` ranks causally one window and head at a time; a NaN
+        names the window and head it ranked, and the row."""
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.standard_normal(shape[:-2] + (10, 3 * 4))) for _ in range(3))
+        ranking = rng.standard_normal(shape)
+        ranking[at] = np.nan
+        with pytest.raises(attention.NaNScoreError,
+                           match=f"^causal selection got a NaN score at {where}$"):
+            attend(q, k, v, shape[-2], ranking, c=1.0, causal=True)
+
     @pytest.mark.parametrize("shape", [(3, 10), (1, 10), (2, 1, 10), ()])
     def test_causal_selection_takes_one_head(self, shape):
         with pytest.raises(ValueError, match=rf"1-D scores, got shape {re.escape(str(shape))}$"):

@@ -238,6 +238,25 @@ class TestCli:
         assert err["error"] == "config"
         assert err["message"].startswith(f"{section}.{key}: ")
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("model", "d_ff", 0, "model.d_ff: must be >= 1, got 0"),
+        ("model", "d_ff", -1, "model.d_ff: must be >= 1, got -1"),
+        ("train", "seed", -1, "train.seed: must be >= 0, got -1"),
+    ])
+    def test_d_ff_or_seed_below_its_floor_exits_2(self, tmp_path, capsys, section, key,
+                                                  value, message):
+        """A zero or negative FFN width and a negative seed are config
+        errors, not a traceback from the initializer or the generator."""
+        config = _config(tmp_path, _aiops_csv(tmp_path))
+        raw = json.loads(config.read_text())
+        raw[section][key] = value
+        config.write_text(json.dumps(raw))
+        code = cli(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "config", "message": message}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("L_x", [0, 1, 2])
     def test_L_x_too_short_for_the_encoder_exits_2(self, tmp_path, capsys, L_x):
         """Three encoder blocks halve L_x twice, so L_x below 3 exits 2

@@ -466,6 +466,60 @@ class TestForwardMany:
                                             r"at row 2, column 1$"):
             list(model.forward_many(windows))
 
+    def test_a_nan_score_names_its_window_in_samples(self):
+        """Window 13 of 25, in the second chunk of 10, is finite but so large
+        that the encoder's ranking overflows to NaN.  The error names it by
+        its index in ``samples``, not in its chunk."""
+        model, windows = _model_and_windows(_SHAPES["smoke"], 3, 0, "neural_sparse", 25)
+        assert chunk_windows(model.config) == 10
+        windows = list(windows)
+        windows[13] = dataclasses.replace(windows[13], enc_values=np.full((48, 3), 1e306))
+        for samples in (windows, iter(windows)):
+            with np.errstate(all="ignore"), pytest.raises(
+                    attention_module.NaNScoreError,
+                    match=r"^selection got a NaN score at window 13, head \d+, row \d+$"):
+                list(model.forward_many(samples))
+
+    def test_a_nan_in_the_causal_ranking_names_window_head_and_row(self, monkeypatch):
+        """A NaN at row 5 of head 1 of the decoder's ranking of window 3 of
+        the second chunk is named as window 13 of ``samples``."""
+        model, windows = _model_and_windows(_SHAPES["smoke"], 3, 0, "neural_sparse", 25)
+        real = attention_module.importance_scores
+        causal_calls = []
+
+        def nan_in_the_second_chunk(q, k, kernel, bias=None, causal=False):
+            scores = real(q, k, kernel, bias, causal)  # (B, L, H)
+            if causal:
+                causal_calls.append(scores.shape)
+                if len(causal_calls) == 2:
+                    scores[3, 5, 1] = np.nan
+            return scores
+
+        monkeypatch.setattr(attention_module, "importance_scores", nan_in_the_second_chunk)
+        for samples in (windows, iter(windows)):
+            causal_calls.clear()
+            with pytest.raises(attention_module.NaNScoreError, match=r"^causal selection got "
+                               r"a NaN score at window 13, head 1, row 5$"):
+                list(model.forward_many(samples))
+            assert causal_calls == [(10, 48, 2)] * 2
+
+    def test_a_non_finite_forecast_names_its_window(self):
+        """A finite known tail of ``1e306`` passes the window checks but
+        overflows the decoder: ``forward_many`` names the window, and
+        ``predict`` refuses the forecast, instead of returning NaN."""
+        model, windows = _model_and_windows(_SHAPES["smoke"], 3, 0, "neural_sparse", 25)
+        windows = list(windows)
+        windows[13] = dataclasses.replace(windows[13],
+                                          known_tail=np.full((24, 3), 1e306))
+        forecast = r"forecast: non-finite value (nan|-?inf) at row \d+, column \d+$"
+        with np.errstate(all="ignore"):
+            with pytest.raises(model_module.NonFiniteForecast, match=rf"^window 13: {forecast}"):
+                list(model.forward_many(windows))
+            with pytest.raises(model_module.NonFiniteForecast, match=rf"^window {forecast}"):
+                model.predict(windows[13])
+            assert np.isfinite(model.predict(windows[12]).predictions).all()
+        assert issubclass(model_module.NonFiniteForecast, DataError)
+
 
 def _tape_nodes(root) -> int:
     """Nodes with a backward closure on the tape that ends at ``root``."""

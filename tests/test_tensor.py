@@ -1307,3 +1307,64 @@ class TestWindowStacks:
                 assert stacked_x[0][i].tobytes() == grad.tobytes(), i
         for key, grad in window_p.items():
             assert stacked_p[key].tobytes() == grad.tobytes(), key
+
+
+# Each case of ``_accum``: (node shape, gradient shape, window axes of the
+# gradient, one window's share summed down to the node's shape as a
+# one-window ``_accum`` sums it).
+_ACCUM_CASES = {
+    "same shape": ((6, 4), (6, 4), 0, lambda w: w),
+    "0-d from one window": ((), (6, 4), 0, lambda w: w.sum(axis=0).sum(axis=0)),
+    "0-d per window": ((), (9, 6, 4), 1, lambda w: w.sum(axis=0).sum(axis=0)),
+    "row from one window": ((4,), (6, 4), 0, lambda w: w.sum(axis=0)),
+    "row per window": ((4,), (9, 6, 4), 1, lambda w: w.sum(axis=0)),
+    "row per window of two window axes": ((4,), (3, 3, 6, 4), 2, lambda w: w.sum(axis=0)),
+    "size-1 axis from one window": ((1, 4), (6, 4), 0,
+                                    lambda w: w.sum(axis=0, keepdims=True)),
+    "size-1 axis per window": ((1, 4), (9, 6, 4), 1, lambda w: w.sum(axis=0, keepdims=True)),
+    "weight per window": ((5, 4), (9, 5, 4), 1, lambda w: w),
+    "3-d kernel per window": ((4, 2, 3), (9, 4, 2, 3), 1, lambda w: w),
+    "3-d kernel of two window axes": ((4, 2, 3), (3, 3, 4, 2, 3), 2, lambda w: w),
+    "size-1 axis of a stack": ((9, 1, 4), (9, 6, 4), 0,
+                               lambda w: w.sum(axis=1, keepdims=True)),
+}
+
+
+class TestAccum:
+    """``_accum`` is the one place a backward adds a gradient.  A gradient
+    with window axes gives its node one share per window, each summed as
+    its window's own op sums it and added in window order."""
+
+    @pytest.mark.parametrize("prior", [False, True], ids=["first", "onto a prior"])
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "shared"])
+    @pytest.mark.parametrize("case", list(_ACCUM_CASES))
+    def test_adds_each_window_share_in_window_order(self, case, fresh, prior):
+        shape, g_shape, windows, share = _ACCUM_CASES[case]
+        rng = np.random.default_rng(len(case))
+        # entries of magnitudes from 1e-8 to 1e8, and a first window of 1e16
+        # times that which the second cancels: added onto a prior one at a
+        # time, they lose the prior's low bits, which one sum over the window
+        # axis keeps
+        g = rng.standard_normal(g_shape) * 10.0 ** rng.integers(-8, 9, g_shape)
+        if windows:
+            per_window = g.reshape((-1,) + g_shape[windows:])  # a view
+            per_window[0] *= 1e16
+            per_window[1] = -per_window[0]
+        given = g.copy()
+        start = rng.standard_normal(shape) if prior else None
+        shares = [share(w) for w in g.reshape((-1,) + g_shape[windows:])]
+        want = None if start is None else start.copy()
+        for term in shares:
+            want = np.array(term) if want is None else want + term
+        node = tensor_module._Node(shape, (), None)
+        node.grad = None if start is None else start.copy()
+        _accum(node, g, fresh=fresh)
+        assert node.grad.shape == shape
+        assert np.asarray(node.grad).tobytes() == np.asarray(want).tobytes()
+        assert g.tobytes() == given.tobytes()
+        adopted = fresh and not prior and g_shape == shape
+        assert (node.grad is g) == adopted
+        assert adopted or not np.shares_memory(node.grad, g)
+        if windows and prior:  # one sum over the window axis gives other bits
+            summed = start + np.stack(shares).reshape((-1,) + shape).sum(axis=0)
+            assert summed.tobytes() != want.tobytes()

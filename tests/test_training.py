@@ -411,6 +411,25 @@ class TestTrainLoop:
         assert raised.value.reason == ("selection" if where == "step" else "validation")
         assert len(steps) == (2 if where == "step" else 1)
 
+    def test_non_finite_validation_forecast_is_divergence(self):
+        """``canonical`` ranks no queries, so after one step with a huge lr
+        the validation meets the non-finite parameters in its forecast.  The
+        run stops with ``TrainingDiverged``, not a data error or a NaN
+        metric."""
+        (train_w, val_w, _), _ = make_split_windows(length=400, dims=2, L_x=12, label_len=6,
+                                                    L_y=6, seed=8)
+        config = ModelConfig(L_x=12, label_len=6, L_y=6, d_x=2, d_y=2, d_model=8, n_heads=2,
+                             enc_blocks=2, attention="canonical")
+        model = Forecaster(config, np.random.default_rng(8))
+        cfg = TrainConfig(lr=1e300, batch_size=2, epochs=1, max_steps=1, seed=1)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as raised:
+            train_loop(model, train_w[:8], val_w[:2], cfg)
+        assert str(raised.value) == ("non-finite forecast in the validation of epoch 0 after "
+                                     "1 batches, lr 1.000e+300")
+        assert raised.value.reason == "forecast"
+        assert isinstance(raised.value.__cause__, DataError)
+        assert str(raised.value.__cause__).startswith("window 0: forecast: non-finite value ")
+
     def test_divergence_message_names_its_reason(self):
         messages = {
             "loss": "non-finite loss at epoch 2, batch 3, lr 1.000e-04",
@@ -578,6 +597,16 @@ class TestEvaluate:
         with pytest.raises(DataError, match=r"^window 9: known_tail: got \(7, 2\), "
                                             r"the model expects \(6, 2\)$"):
             evaluate(model, (sample for sample in samples))
+
+    def test_a_non_finite_forecast_is_an_error_not_a_nan_metric(self, monkeypatch):
+        """A finite known tail of ``1e306`` overflows the decoder; the mean
+        over the windows was a silent NaN."""
+        model, test_w, _ = self._scored_split(monkeypatch)
+        samples = list(test_w[:12])
+        samples[9] = dataclasses.replace(samples[9], known_tail=np.full((6, 2), 1e306))
+        with np.errstate(all="ignore"), pytest.raises(
+                DataError, match=r"^window 9: forecast: non-finite value "):
+            evaluate(model, samples)
 
     def test_repeat_last_baseline_is_finite(self):
         _, _, _, test_w = _tiny_trainable(seed=12)

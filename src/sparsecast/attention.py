@@ -81,6 +81,13 @@ class ScoreBudget:
     t2_ns: int = 0
     t3_ns: int = 0
 
+    def absorb(self, other: "ScoreBudget") -> None:
+        """Add the counts and nanoseconds of ``other`` into this record and
+        keep the larger of the two ``peak_bytes``."""
+        for name in ("dot_products_materialized", "rows_selected", "t1_ns", "t2_ns", "t3_ns"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.peak_bytes = max(self.peak_bytes, other.peak_bytes)
+
 
 _ACTIVE = ContextVar("sparsecast_score_budget", default=None)
 
@@ -97,6 +104,12 @@ def counting(record: ScoreBudget):
         yield record
     finally:
         _ACTIVE.reset(token)
+
+
+def active_record() -> ScoreBudget | None:
+    """The record of the innermost ``counting`` block of this thread and
+    context, or None outside any block."""
+    return _ACTIVE.get()
 
 
 def _now(record) -> int:

@@ -8,14 +8,18 @@ canonical cross-attention against the encoder output.
 """
 
 import math
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
+from contextvars import copy_context
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
-from .attention import MultiHeadAttention, NaNScoreError, ScoreBudget, counting
+from .attention import MultiHeadAttention, NaNScoreError, ScoreBudget, active_record, counting
 from .data import DataError
 from .embedding import WindowEmbedding, validate_stamps
 from .encoder import Encoder
@@ -140,9 +144,11 @@ class DecoderLayer:
 
 
 # Budgets, in float64 elements, on the widest activation of one window times
-# the windows of one chunk: a ``forward_many`` chunk under ``no_grad``, and a
-# training chunk, whose tape keeps about a dozen such arrays per window.
+# the windows of one chunk: a ``forward_many`` chunk under ``no_grad``, one
+# thread's stack of wide windows, and a training chunk, whose tape keeps
+# about a dozen such arrays per window.
 _CHUNK_ELEMENTS = 1 << 16
+_SHARE_ELEMENTS = 1 << 19
 _TRAIN_CHUNK_ELEMENTS = 1 << 15
 
 
@@ -155,11 +161,30 @@ def _widest_activation(config: ModelConfig) -> int:
 
 
 def chunk_windows(config: ModelConfig) -> int:
-    """Windows ``forward_many`` stacks into one forward: as many as keep B
-    times the widest per-window activation within ``_CHUNK_ELEMENTS``, and
-    at least one.  Wide configs therefore run one window at a time, where a
-    stack only adds memory and no speed."""
+    """Windows the serial path of ``forward_many`` stacks into one forward:
+    as many as keep B times the widest per-window activation within
+    ``_CHUNK_ELEMENTS``, and at least one.  A wide config gets one, and runs
+    its windows one at a time unless ``share_windows`` spreads them over
+    the CPUs."""
     return max(1, _CHUNK_ELEMENTS // _widest_activation(config))
+
+
+def share_windows(config: ModelConfig) -> int:
+    """Most windows one thread stacks when ``forward_many`` spreads the
+    windows of ``config`` over the CPUs, or 0 when they run serially.
+
+    A window is wide when it fills a serial chunk on its own
+    (``chunk_windows`` gives 1) but at least two of them fit
+    ``_SHARE_ELEMENTS``.  Narrower windows stay serial: their small ops
+    convoy on the GIL, and two threads ran ``smoke`` 3x slower per window.
+    Wider ones stay serial too: each worker's malloc arena keeps a
+    forward's working set, and one ``long_horizon`` window per thread
+    raised peak RSS from 114 to 133 MB.
+    """
+    if chunk_windows(config) > 1:
+        return 0
+    share = _SHARE_ELEMENTS // _widest_activation(config)
+    return share if share >= 2 else 0
 
 
 def train_chunk_windows(config: ModelConfig) -> int:
@@ -230,28 +255,72 @@ class Forecaster:
         """Yield the scaled (L_y, d_y) forecast of every window of ``samples``
         (any iterable, a generator too), in order.
 
-        Windows run ``chunk_windows(config)`` at a time through one forward
-        of their stacked arrays under ``no_grad``.  Every layer treats the
-        window axis as a leading axis and each window's products stay its
-        own GEMMs, so a forecast has the bits ``forward`` gives its window.
+        Windows run through forwards of their stacked arrays under
+        ``no_grad``.  Every layer treats the window axis as a leading axis
+        and each window's products stay its own GEMMs, so a forecast has the
+        bits ``forward`` gives its window, whatever the stack.  Serially, a
+        stack is ``chunk_windows(config)`` windows.  Wide windows
+        (``share_windows``) on W >= 2 CPUs instead run W * share at a time,
+        cut into W contiguous stacks: the caller runs the first and a pool
+        of W - 1 threads the others, and every stack has finished before a
+        forecast is yielded or an error raised.
+
         Attention counts go to the record of an enclosing ``counting``
-        block.  A window that does not fit the config raises ``DataError``,
-        one whose forecast is not finite ``NonFiniteForecast`` and a NaN
-        selection score ``NaNScoreError``; each names the window by its
-        index in ``samples``.
+        block; a pool thread counts into a record of its own, which the
+        caller adds in once its stacks have finished.  A window that does
+        not fit the config raises ``DataError``, one whose forecast is not
+        finite ``NonFiniteForecast`` and a NaN selection score
+        ``NaNScoreError``; each names the window by its index in
+        ``samples``, the first such window when several stacks fail.
         """
         cfg = self.config
+        share = share_windows(cfg)
+        workers = len(os.sched_getaffinity(0)) if share else 1
+        take = workers * share if workers > 1 else chunk_windows(cfg)
         windows = iter(samples)
         first = 0
-        while chunk := list(islice(windows, chunk_windows(cfg))):
-            with windows_from(first):
-                inputs = _stacked_inputs(chunk, cfg)
-                with no_grad():
-                    out = self._decode(*inputs, None)
-                forecast = out.data[:, out.shape[1] - cfg.L_y:]
-                _check_finite(forecast, "forecast", error=NonFiniteForecast)
+        while chunk := list(islice(windows, take)):
+            stacks = (self._forecast_shared(chunk, first, workers) if workers > 1
+                      else [self._forecast(chunk, first)])
             first += len(chunk)
-            yield from forecast
+            for forecast in stacks:
+                yield from forecast
+
+    def _forecast(self, chunk, first: int, budget: ScoreBudget | None = None) -> np.ndarray:
+        """The (B, L_y, d_y) forecasts of the windows of ``chunk`` from one
+        forward of their stack, the first of them window ``first`` of the
+        caller's sequence; counted into ``budget`` when one is given."""
+        cfg = self.config
+        with windows_from(first), nullcontext() if budget is None else counting(budget):
+            inputs = _stacked_inputs(chunk, cfg)
+            with no_grad():
+                out = self._decode(*inputs, None)
+            forecast = out.data[:, out.shape[1] - cfg.L_y:]
+            _check_finite(forecast, "forecast", error=NonFiniteForecast)
+        return forecast
+
+    def _forecast_shared(self, chunk, first: int, workers: int) -> list:
+        """The forecasts of ``chunk``, a list of stacks in window order, from
+        up to ``workers`` contiguous stacks of near-equal size: the pool runs
+        every stack but the first, which the caller runs.  A pool stack runs
+        in a copy of the caller's context, so numpy's error state reaches
+        it, and counts into a record of its own.  The caller waits for
+        every stack before it returns or raises, so no thread reads the
+        parameters after ``forward_many`` lets go of them."""
+        record = active_record()
+        bounds = _stack_bounds(len(chunk), workers)
+        budgets = [None if record is None else ScoreBudget() for _ in bounds[1:]]
+        futures = [_pool(workers - 1).submit(copy_context().run, self._forecast, chunk[lo:hi],
+                                             first + lo, budget)
+                   for (lo, hi), budget in zip(bounds[1:], budgets)]
+        try:
+            head = self._forecast(chunk[:bounds[0][1]], first)
+        finally:
+            wait(futures)
+            if record is not None:
+                for budget in budgets:
+                    record.absorb(budget)
+        return [head, *(future.result() for future in futures)]
 
     def _decode(self, enc_values, enc_stamps, known_tail, dec_stamps, draws) -> Tensor:
         """Embedding, encoder, decoder and projection over one window's arrays,
@@ -300,6 +369,25 @@ class Forecaster:
             return Forecast(predictions=scaled.copy(), scaled_predictions=scaled)
         original = scaler.inverse(scaled, columns=target_columns)
         return Forecast(predictions=original, scaled_predictions=scaled)
+
+
+def _stack_bounds(count: int, parts: int) -> list:
+    """(start, stop) of at most ``parts`` contiguous, non-empty stacks of
+    near-equal size over ``count`` windows, the longer ones first."""
+    size, extra = divmod(count, parts)
+    stops = [(i + 1) * size + min(i + 1, extra) for i in range(min(parts, count))]
+    return list(zip([0, *stops], stops))
+
+
+@lru_cache(maxsize=1)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The threads that run the stacks of ``forward_many`` besides the
+    caller, built on first use; a new worker count replaces the pool."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="sparsecast-forward")
+
+
+# A forked child has the pool but none of its threads.
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _inputs(sample) -> tuple:

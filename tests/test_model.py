@@ -1,8 +1,15 @@
 """Model tests: decoder input assembly, loss, shape law, determinism, causality."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -19,9 +26,11 @@ from sparsecast.model import (
     build_decoder_input,
     chunk_windows,
     mse_loss,
+    share_windows,
     variant_config,
 )
 from sparsecast.tensor import Tensor, no_grad
+from sparsecast.training import evaluate
 
 
 class TestBuildDecoderInput:
@@ -519,6 +528,198 @@ class TestForwardMany:
                 model.predict(windows[13])
             assert np.isfinite(model.predict(windows[12]).predictions).all()
         assert issubclass(model_module.NonFiniteForecast, DataError)
+
+
+# The paper default (d_model 512, 8 heads) and the full long_horizon shape.
+_WIDE_SHAPES = {
+    "paper_default": dict(L_x=96, label_len=48, L_y=24),
+    "long_horizon": dict(L_x=1440, label_len=720, L_y=576, d_model=64, n_heads=4),
+}
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Let ``forward_many`` see ``count`` CPUs."""
+    monkeypatch.setattr(model_module.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class _RecordingPool:
+    """A real one-thread pool that keeps every future it is handed."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(1)
+        self.futures = []
+
+    def submit(self, *args):
+        future = self.pool.submit(*args)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Two CPUs, and a pool whose futures the test can inspect."""
+    pool = _RecordingPool()
+    monkeypatch.setattr(model_module, "_pool", lambda workers: pool)
+    _cpus(monkeypatch, 2)
+    yield pool
+    pool.pool.shutdown()
+
+
+class TestSharedForwardMany:
+    """Wide windows run as one stack per CPU, the caller's first, with the
+    bits, errors and counts of the serial path."""
+
+    @pytest.mark.parametrize("shape,share,rounds", [
+        (_SHAPES["smoke"], 0, [[10]]),
+        (_SHAPES["aiops_paper"], 7, [[5, 5]]),
+        (_WIDE_SHAPES["paper_default"], 2, [[2, 2], [2, 2], [1, 1]]),
+        (_WIDE_SHAPES["long_horizon"], 0, [[1]] * 10),
+    ], ids=["smoke", "aiops_paper", "paper_default", "long_horizon"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_plan_at_the_workload_shapes(self, shape, share, rounds, cpus, monkeypatch):
+        """Ten windows on two CPUs: ``smoke`` runs its serial chunk of 10,
+        ``long_horizon`` one window at a time, and the two wide shapes two
+        stacks at a time.  On one CPU every shape runs serially."""
+        config = ModelConfig(**shape, d_x=3, d_y=3)
+        assert share_windows(config) == share
+        if cpus == 1 and share:
+            rounds = [[1]] * 10
+        model = object.__new__(Forecaster)  # the plan reads the config alone
+        model.config = config
+        calls = []
+
+        def record(self, chunk, first, budget=None):
+            calls.append((first, len(chunk), threading.current_thread() is threading.main_thread()))
+            return np.arange(first, first + len(chunk), dtype=float).reshape(-1, 1, 1)
+
+        monkeypatch.setattr(Forecaster, "_forecast", record)
+        _cpus(monkeypatch, cpus)
+        got = [float(forecast[0, 0]) for forecast in model.forward_many(range(10))]
+        assert got == list(range(10))
+        want, first = [], 0
+        for sizes in rounds:
+            for i, size in enumerate(sizes):
+                want.append((first, size, i == 0))
+                first += size
+        assert sorted(calls) == want
+
+    @pytest.mark.parametrize("kind", ["neural_sparse", "prob_sparse", "canonical"])
+    def test_two_stacks_equal_forward_bitwise(self, kind, monkeypatch):
+        """Eleven ``aiops_paper`` windows run as stacks of 6 and 5."""
+        model, windows = _model_and_windows(_SHAPES["aiops_paper"], 20, 0, kind, 11)
+        _cpus(monkeypatch, 2)
+        got = list(model.forward_many(windows))
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(got, _one_at_a_time(model, windows), strict=True))
+
+    @pytest.mark.parametrize("kind", ["neural_sparse", "prob_sparse", "canonical"])
+    @pytest.mark.parametrize("cpus,stacks", [(1, [(i, i + 1) for i in range(10)]),
+                                             (2, [(0, 5), (5, 10)])])
+    def test_counts_under_the_pool(self, kind, cpus, stacks, monkeypatch):
+        """A 10-window ``evaluate`` inside ``counting`` counts the sum of the
+        windows' dot products and rows.  Its ``peak_bytes`` is that of the
+        largest score buffer: a stack holds the buffers of all its windows
+        at once, so a stack's peak is its size times the peak of its
+        widest window."""
+        model, windows = _model_and_windows(_SHAPES["aiops_paper"], 20, 0, kind, 10)
+        alone = [ScoreBudget() for _ in windows]
+        for sample, budget in zip(windows, alone):
+            model.forward(sample, budget=budget)
+        _cpus(monkeypatch, cpus)
+        with counting(ScoreBudget()) as together:
+            evaluate(model, windows)
+        for field in ("dot_products_materialized", "rows_selected"):
+            assert getattr(together, field) == sum(getattr(b, field) for b in alone)
+        assert together.peak_bytes == max(
+            (hi - lo) * max(b.peak_bytes for b in alone[lo:hi]) for lo, hi in stacks)
+
+    @staticmethod
+    def _windows_with(bad: dict):
+        """Ten ``aiops_paper`` windows, the ones named in ``bad`` given a
+        field of the wrong shape or a known tail that overflows."""
+        model, windows = _model_and_windows(_SHAPES["aiops_paper"], 20, 0, "neural_sparse", 10)
+        windows = list(windows)
+        for index, fault in bad.items():
+            change = ({"enc_values": np.zeros((95, 20))} if fault == "shape"
+                      else {"known_tail": np.full((48, 20), 1e306)})
+            windows[index] = dataclasses.replace(windows[index], **change)
+        return model, windows
+
+    @pytest.mark.parametrize("fault,error,message", [
+        ("shape", DataError, r"^window 7: enc_values: got \(95, 20\)"),
+        ("overflow", model_module.NonFiniteForecast, r"^window 7: forecast: non-finite"),
+    ])
+    def test_a_bad_window_in_the_worker_share(self, recording_pool, fault, error, message):
+        """The worker runs in the caller's numpy error state: it ignores the
+        overflow, which would raise here as a warning turned error."""
+        model, windows = self._windows_with({7: fault})
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                list(model.forward_many(windows))
+        assert len(recording_pool.futures) == 1
+        assert not any(future.running() for future in recording_pool.futures)
+
+    @pytest.mark.parametrize("bad", [{2: "shape"}, {2: "shape", 7: "overflow"}],
+                             ids=["caller", "caller_and_worker"])
+    def test_a_bad_window_in_the_caller_share(self, recording_pool, bad):
+        """The caller's share fails at once, while the worker still runs its
+        stack of five: ``forward_many`` waits for it before it raises, and
+        names the first bad window."""
+        model, windows = self._windows_with(bad)
+        with np.errstate(all="ignore"), pytest.raises(DataError, match=r"^window 2: enc_values"):
+            list(model.forward_many(windows))
+        assert len(recording_pool.futures) == 1
+        assert not any(future.running() for future in recording_pool.futures)
+
+    def test_an_early_close(self, recording_pool):
+        model, windows = self._windows_with({})
+        forecasts = model.forward_many(windows)
+        first = next(forecasts)
+        forecasts.close()
+        assert len(recording_pool.futures) == 1
+        assert not any(future.running() for future in recording_pool.futures)
+        assert first.tobytes() == _one_at_a_time(model, windows[:1])[0].tobytes()
+
+
+# Scores four aiops_paper windows on two stacks, forks, and scores them again
+# in the child; the parent kills a child that has not exited in 60 s.
+_FORK_RUN = """
+import os
+import time
+import numpy as np
+from sparsecast import model as model_module
+from sparsecast.data import make_windows, synthetic_aiops_frame
+
+model_module.os.sched_getaffinity = lambda pid: {0, 1}
+windows = make_windows(synthetic_aiops_frame(200, seed=4), 96, 48, 24)[:4]
+config = model_module.ModelConfig(L_x=96, label_len=48, L_y=24, d_x=20, d_y=20,
+                                  d_model=128, n_heads=8)
+model = model_module.Forecaster(config, np.random.default_rng(1))
+want = [f.tobytes() for f in model.forward_many(windows)]
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if [f.tobytes() for f in model.forward_many(windows)] == want else 1)
+deadline = time.monotonic() + 60
+while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+    time.sleep(0.05)
+if done[0] == 0:
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    raise SystemExit("the forked child hung")
+raise SystemExit(os.waitstatus_to_exitcode(done[1]))
+"""
+
+
+def test_a_forked_child_scores_on_a_pool_of_its_own():
+    """A child forked after ``forward_many`` used the pool has none of its
+    threads; it builds its own and gets the parent's bits."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _FORK_RUN], cwd=root,
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def _tape_nodes(root) -> int:

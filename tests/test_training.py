@@ -522,6 +522,56 @@ def test_checkpoint_is_the_same_for_one_and_two_blas_threads():
     assert len(digests[0]) == 64 and digests[0] == digests[1], digests
 
 
+# Pins itself to CPU argv[1] when given one, before sparsecast is imported.
+# Prints the CPUs it sees, then per attention kind, after a two-step
+# train_loop at the aiops_paper shape with ten validation windows: the
+# SHA-256 of twelve test forecasts, the test metrics and the SHA-256 of the
+# checkpoint bytes.
+_WORKERS_RUN = """
+import hashlib
+import os
+import sys
+if len(sys.argv) > 1:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+import numpy as np
+from sparsecast.data import make_windows, synthetic_aiops_frame
+from sparsecast.model import Forecaster, ModelConfig
+from sparsecast.training import TrainConfig, checkpoint_bytes, evaluate, train_loop
+
+print("cpus", len(os.sched_getaffinity(0)))
+windows = make_windows(synthetic_aiops_frame(200, seed=4), 96, 48, 24)
+for kind in ("neural_sparse", "prob_sparse", "canonical"):
+    config = ModelConfig(L_x=96, label_len=48, L_y=24, d_x=20, d_y=20, d_model=128,
+                         n_heads=8, attention=kind)
+    model = Forecaster(config, np.random.default_rng(1))
+    train_loop(model, [windows[i] for i in range(4)], [windows[i] for i in range(10, 20)],
+               TrainConfig(lr=1e-3, batch_size=2, epochs=1, max_steps=2, seed=1))
+    test = [windows[i] for i in range(20, 32)]
+    forecasts = b"".join(f.tobytes() for f in model.forward_many(test))
+    print(kind, hashlib.sha256(forecasts).hexdigest(), repr(evaluate(model, test)),
+          hashlib.sha256(checkpoint_bytes(model.params)).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
+def test_forecasts_metrics_and_checkpoint_are_the_same_for_one_and_two_workers():
+    """Scoring wide windows on every CPU changes no bit: a process pinned to
+    one CPU runs them serially, and one that sees two runs them as two
+    stacks at a time."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    outputs = []
+    for pin in ([str(min(os.sched_getaffinity(0)))], []):
+        result = subprocess.run([sys.executable, "-c", _WORKERS_RUN, *pin], env=env, cwd=root,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout.splitlines())
+    one, every = outputs
+    assert one[0] == "cpus 1" and every[0] != "cpus 1"
+    assert len(one) == 4 and one[1:] == every[1:], (one, every)
+
+
 class TestEvaluate:
     def test_exact_model_scores_perfectly(self):
         model, _, _, test_w = _tiny_trainable(seed=10)
